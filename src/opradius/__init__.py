@@ -9,8 +9,8 @@ from .bounds import (BoundCurve, BoundRow, MidpointReport, asymptotic_upper,
 from .extremal import (CertificateCheck, CertificateReport, ExtremalFamily,
                        ScalingRow, ScalingTable, SymmetryPair, build,
                        certificate_31, certificate_32, check_norm,
-                       check_real_parts, check_symmetry, scaling_experiment,
-                       symmetry_pair)
+                       check_real_parts, check_symmetry, family_radii,
+                       scaling_experiment, symmetry_pair)
 from .linalg import (HermitianEigen, PolarFactors, as_matrix, eig_hermitian,
                      inverse, jacobi_eigh, load_matrix, matrix_from_payload,
                      matrix_to_payload, operator_norm, polar, save_matrix,
@@ -29,7 +29,7 @@ __all__ = [
     "CertificateCheck", "CertificateReport", "ExtremalFamily", "ScalingRow",
     "ScalingTable", "SymmetryPair", "build", "certificate_31",
     "certificate_32", "check_norm", "check_real_parts", "check_symmetry",
-    "scaling_experiment", "symmetry_pair",
+    "family_radii", "scaling_experiment", "symmetry_pair",
     "HermitianEigen", "PolarFactors", "as_matrix", "eig_hermitian", "inverse",
     "jacobi_eigh", "load_matrix", "matrix_from_payload", "matrix_to_payload",
     "operator_norm", "polar", "save_matrix", "singular_values",

@@ -322,8 +322,7 @@ def _verify_reports(n: int, tol: float, seed: int) -> list[extremal.CertificateR
         (extremal.CertificateCheck("conjugation_residual", residual, 1e-13,
                                    residual <= 1e-13, 1e-13 - residual),))
     cos_bound = float(1.0 / np.cos(np.pi / n))
-    w = numerical_radius(fam.A, tol=tol).value
-    w_inv = numerical_radius(inverse(fam.A), tol=tol).value
+    w, w_inv = (est.value for est in extremal.family_radii(fam, tol))
     radius = extremal.CertificateReport(
         "radius_bound", n,
         (extremal.CertificateCheck("w", w, cos_bound, w <= cos_bound + 1e-8,

@@ -22,14 +22,12 @@ this module machine-checks:
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import as_matrix, inverse, singular_values
-from .radii import numerical_radius
+from .radii import RadiusEstimate, numerical_radius
 
 __all__ = [
     "ExtremalFamily",
@@ -45,8 +43,8 @@ __all__ = [
     "check_real_parts",
     "certificate_31",
     "certificate_32",
+    "family_radii",
     "scaling_experiment",
-    "worker_count",
 ]
 
 MAX_DIM = 500
@@ -180,13 +178,6 @@ def check_symmetry(fam: ExtremalFamily) -> float:
     return float(np.max(np.abs(conj - np.exp(2j * np.pi / n) * fam.A)))
 
 
-def perturb(fam: ExtremalFamily, i: int, j: int, amount: float) -> ExtremalFamily:
-    """Copy of the family with A[i, j] shifted; used for detector sanity tests."""
-    a = fam.A.copy()
-    a[i, j] += amount
-    return replace(fam, A=a)
-
-
 def _norm_excess(n: int) -> float:
     return 1.0 / (8.0 * np.sqrt(n))
 
@@ -302,25 +293,27 @@ class ScalingTable:
     slope: float    # least-squares slope of log(delta) against log(eps)
 
 
-def worker_count(tasks: int) -> int:
-    """Worker cap from OPRADIUS_THREADS (0 or unset means auto)."""
-    raw = os.environ.get("OPRADIUS_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"OPRADIUS_THREADS must be an integer, got {raw!r}") from exc
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, tasks))
+def family_radii(fam: ExtremalFamily, tol: float,
+                 coarse: int | None = None) -> tuple[RadiusEstimate, RadiusEstimate]:
+    """Certified numerical radii of A and A^-1, each swept over one period.
+
+    P Delta rotates A by e^{2 i pi/n} and hence A^-1 by e^{-2 i pi/n};
+    numerical_radius measures that claim and folds its residual into the gap.
+    """
+    pair = symmetry_pair(fam.n)
+    pd = pair.P @ pair.Delta
+    w = numerical_radius(fam.A, tol=tol, coarse=coarse, rotation=(pd, fam.n))
+    w_inv = numerical_radius(inverse(fam.A), tol=tol, coarse=coarse,
+                             rotation=(pd, -fam.n))
+    return w, w_inv
 
 
 def _scaling_row(n: int, radius_tol: float, coarse: int | None) -> ScalingRow:
     fam = build(n)
     eps = 1.0 / np.cos(np.pi / n) - 1.0
     delta = float(singular_values(fam.A)[0]) - 1.0
-    w = numerical_radius(fam.A, tol=radius_tol, coarse=coarse).value
-    w_inv = numerical_radius(inverse(fam.A), tol=radius_tol, coarse=coarse).value
-    return ScalingRow(n=n, eps=float(eps), delta=delta, w=w, w_inv=w_inv)
+    w, w_inv = family_radii(fam, radius_tol, coarse)
+    return ScalingRow(n=n, eps=float(eps), delta=delta, w=w.value, w_inv=w_inv.value)
 
 
 def scaling_experiment(k_min: int, k_max: int, radius_tol: float = 1e-6,
@@ -329,21 +322,14 @@ def scaling_experiment(k_min: int, k_max: int, radius_tol: float = 1e-6,
 
     The least-squares slope of log(delta) versus log(eps) estimates the decay
     exponent of the norm excess in the radius excess (1/4 asymptotically).
-    Rows are computed concurrently when OPRADIUS_THREADS allows; the table is
-    always assembled in ascending n order, so the output does not depend on
-    scheduling.
+    Rows are listed in ascending n.
     """
     if not 1 <= k_min <= k_max:
         raise ValueError("need 1 <= k_min <= k_max")
     ns = [8 * k + 4 for k in range(k_min, k_max + 1)]
     if ns[-1] > MAX_DIM:
         raise ValueError(f"k_max gives n = {ns[-1]} > {MAX_DIM}")
-    workers = worker_count(len(ns))
-    if workers == 1:
-        rows = [_scaling_row(n, radius_tol, coarse) for n in ns]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda n: _scaling_row(n, radius_tol, coarse), ns))
+    rows = [_scaling_row(n, radius_tol, coarse) for n in ns]
     logs_eps = np.log([row.eps for row in rows])
     logs_delta = np.log([row.delta for row in rows])
     if len(rows) >= 2:

@@ -19,6 +19,19 @@ best * (1/cos(d/2) - 1) drops below the requested tolerance. Convergence is
 quadratic in d, so a handful of rounds past the coarse grid suffices even for
 tolerances near 1e-12.
 
+When the caller claims a rotation symmetry U* A U ~ e^{2 pi i/m} A, the sweep
+covers one period [0, 2 pi/|m|] on a closed grid instead of the whole circle.
+The claim is checked, not trusted: with r = ||U* A U - e^{2 pi i/m} A||_F,
+unitary invariance gives |h(theta + 2 pi/m) - h(theta)| <= r, and a copy of
+theta* lies within |m|//2 shifts of the period, so on the period
+
+    h(theta) >= w cos(theta - phi) - slack,   slack = (|m| // 2) r,
+
+for some phi in [0, 2 pi/|m|]. The certificate becomes
+w <= (best + slack) / cos(d/2) and intervals are pruned below
+best * cos(d/2) - slack. A claim whose slack exceeds tol/2 is ignored and the
+full circle is swept, so a false claim costs time, never correctness.
+
 For 1 < rho < 2 the rho-radius is the sphere maximum of
 
     g(h) = (1 - 1/rho) |<Ah, h>| + sqrt((1 - 1/rho)^2 |<Ah, h>|^2
@@ -56,6 +69,9 @@ DEFAULT_SEED = 1729
 TOL_MIN = 1e-12
 TOL_MAX = 1e-2
 _MAX_ROUNDS = 64
+# Largest stacked batch of rotated Hermitian parts built at once; larger
+# batches are evaluated in chunks so n = 500 sweeps stay in bounded memory.
+_BATCH_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -101,23 +117,31 @@ def _rotated_hermitian(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return (ph[:, None, None] * a + np.conj(ph)[:, None, None] * a.conj().T) / 2
 
 
+def _chunks(a: np.ndarray, thetas: np.ndarray):
+    """Split thetas so each stacked batch of rotated matrices fits _BATCH_BYTES."""
+    step = max(1, _BATCH_BYTES // a.nbytes)
+    return (thetas[i:i + step] for i in range(0, thetas.size, step))
+
+
 def _support_values(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """lambda_max of the rotated Hermitian part, batched over angles."""
     if thetas.size == 0:
         return np.empty(0)
-    return np.linalg.eigvalsh(_rotated_hermitian(a, thetas))[..., -1]
+    return np.concatenate([np.linalg.eigvalsh(_rotated_hermitian(a, t))[..., -1]
+                           for t in _chunks(a, thetas)])
 
 
 def support_points(a, thetas) -> list[SupportPoint]:
     """Boundary samples of the numerical range at the given support angles."""
     a = as_matrix(a)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    lam, vec = np.linalg.eigh(_rotated_hermitian(a, thetas))
     out = []
-    for k in range(thetas.size):
-        v = vec[k, :, -1]
-        z = complex(v.conj() @ (a @ v))
-        out.append(SupportPoint(float(thetas[k]), float(lam[k, -1]), z))
+    for chunk in _chunks(a, thetas):
+        lam, vec = np.linalg.eigh(_rotated_hermitian(a, chunk))
+        for k in range(chunk.size):
+            v = vec[k, :, -1]
+            z = complex(v.conj() @ (a @ v))
+            out.append(SupportPoint(float(chunk[k]), float(lam[k, -1]), z))
     return out
 
 
@@ -133,6 +157,13 @@ def range_boundary(a, samples: int = 256) -> list[SupportPoint]:
     return support_points(a, thetas)
 
 
+def _certified_gap(best: float, width: float, slack: float) -> float:
+    # (best + slack) / cos(width/2) - best, arranged so that slack = 0 gives
+    # exactly the bits of the plain full-circle bound
+    c = np.cos(width / 2)
+    return best * (1.0 / c - 1.0) + slack / c
+
+
 def _default_coarse(dim: int) -> int:
     # Smaller coarse grids at large dimension: the certified refinement makes
     # the final accuracy independent of this choice.
@@ -143,11 +174,30 @@ def _default_coarse(dim: int) -> int:
     return 256
 
 
-def numerical_radius(a, tol: float = 1e-9, coarse: int | None = None) -> RadiusEstimate:
+def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
+    """(|m|, (|m| // 2) ||U* A U - e^{2 pi i/m} A||_F) for a claimed rotation."""
+    u, m = rotation
+    u = np.asarray(u)
+    if u.shape != a.shape:
+        raise ValueError(f"rotation matrix has shape {u.shape}, expected {a.shape}")
+    if not isinstance(m, (int, np.integer)) or m == 0:
+        raise ValueError(f"rotation order must be a nonzero integer, got {m!r}")
+    m = int(m)
+    resid = u.conj().T @ a @ u - np.exp(2j * np.pi / m) * a
+    return abs(m), (abs(m) // 2) * float(np.linalg.norm(resid))
+
+
+def numerical_radius(a, tol: float = 1e-9, coarse: int | None = None,
+                     rotation: tuple[np.ndarray, int] | None = None) -> RadiusEstimate:
     """Numerical radius w(A) = sup |<Ah, h>| over unit vectors, certified.
 
     The returned value is a lower bound on w(A) within `tol` of it; the
     actual certified gap is stored in the tolerance field.
+
+    rotation=(U, m) claims U* A U ~ e^{2 pi i/m} A for a unitary U. The
+    claim is measured; when its slack is at most tol/2 only one period of
+    the support function is swept and the slack is folded into the gap,
+    otherwise the claim is ignored and the full circle is swept.
     """
     a = as_matrix(a)
     if not TOL_MIN <= tol <= TOL_MAX:
@@ -159,25 +209,33 @@ def numerical_radius(a, tol: float = 1e-9, coarse: int | None = None) -> RadiusE
         coarse = _default_coarse(n)
     if coarse < 8:
         raise ValueError("coarse grid must have at least 8 points")
+    order, slack = _rotation_slack(a, rotation) if rotation is not None else (1, 0.0)
 
-    thetas = 2 * np.pi * np.arange(coarse) / coarse
-    vals = _support_values(a, thetas)
+    # intervals of the current generation: [left, left + width]
+    if slack <= tol / 2 and order > 1:
+        # one period, closed grid: both endpoints are evaluated
+        points = max(8, -(-coarse // order))
+        period = 2 * np.pi / order
+        thetas = period * np.arange(points) / (points - 1)
+        vals = _support_values(a, thetas)
+        left, h_left, h_right = thetas[:-1], vals[:-1], vals[1:]
+        width = period / (points - 1)
+    else:
+        slack = 0.0
+        thetas = 2 * np.pi * np.arange(coarse) / coarse
+        vals = _support_values(a, thetas)
+        left, h_left, h_right = thetas, vals, np.roll(vals, -1)
+        width = 2 * np.pi / coarse
     k = int(np.argmax(vals))
     best = float(vals[k])
     best_theta = float(thetas[k])
 
-    # intervals of the current generation: [left, left + width]
-    left = thetas
-    h_left = vals
-    h_right = np.roll(vals, -1)
-    width = 2 * np.pi / coarse
-
     for _ in range(_MAX_ROUNDS):
-        gap = best * (1.0 / np.cos(width / 2) - 1.0)
+        gap = _certified_gap(best, width, slack)
         if gap <= tol or left.size == 0:
             break
         guard = 1e-12 * max(1.0, abs(best))
-        threshold = best * np.cos(width / 2) - guard
+        threshold = best * np.cos(width / 2) - guard - slack
         keep = (h_left >= threshold) | (h_right >= threshold)
         left, h_left, h_right = left[keep], h_left[keep], h_right[keep]
         if left.size == 0:
@@ -193,7 +251,7 @@ def numerical_radius(a, tol: float = 1e-9, coarse: int | None = None) -> RadiusE
         h_right = np.concatenate([h_mid, h_right])
         width /= 2
 
-    gap = best * (1.0 / np.cos(width / 2) - 1.0)
+    gap = _certified_gap(best, width, slack)
     _, vec = np.linalg.eigh(_rotated_hermitian(a, np.array([best_theta]))[0])
     witness = vec[:, -1] / np.linalg.norm(vec[:, -1])
     # |<Av, v>| >= h(best_theta) = best, and never exceeds w(A)

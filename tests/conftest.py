@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 
 
@@ -15,3 +17,10 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def seeded(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def perturb(fam, i: int, j: int, amount: float):
+    """Copy of an extremal family member with A[i, j] shifted."""
+    a = fam.A.copy()
+    a[i, j] += amount
+    return replace(fam, A=a)

@@ -120,6 +120,10 @@ class TestExtremalVerify:
         assert main(["extremal", "verify", "--n", "12"]) == 0
         assert "all passed" in capsys.readouterr().out
 
+    def test_largest_member_passes(self, capsys):
+        assert main(["extremal", "verify", "--n", "500"]) == 0
+        assert capsys.readouterr().out.endswith("all passed\n")
+
     def test_congruence_violation_exit_2(self, capsys):
         assert main(["extremal", "verify", "--n", "13"]) == 2
         assert "8k" in capsys.readouterr().err

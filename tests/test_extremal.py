@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import perturb
 from opradius import extremal, linalg
 from opradius.radii import numerical_radius
 
@@ -77,7 +78,7 @@ class TestSymmetry:
         np.testing.assert_array_equal(p_power, np.eye(12))
 
     def test_perturbation_detector(self, fam12):
-        bad = extremal.perturb(fam12, 0, 1, 1e-3)
+        bad = perturb(fam12, 0, 1, 1e-3)
         assert extremal.check_symmetry(bad) >= 1e-4
 
 
@@ -167,12 +168,52 @@ class TestScaling:
         with pytest.raises(ValueError, match="> 500"):
             extremal.scaling_experiment(1, 80)
 
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("OPRADIUS_THREADS", "3")
-        assert extremal.worker_count(10) == 3
-        assert extremal.worker_count(2) == 2
-        monkeypatch.setenv("OPRADIUS_THREADS", "0")
-        assert extremal.worker_count(1) == 1
-        monkeypatch.setenv("OPRADIUS_THREADS", "x")
-        with pytest.raises(ValueError, match="OPRADIUS_THREADS"):
-            extremal.worker_count(4)
+
+def assert_same_estimate(got, want):
+    assert got.value == want.value
+    assert got.tolerance == want.tolerance
+    np.testing.assert_array_equal(got.witness, want.witness)
+
+
+@pytest.fixture(scope="module")
+def pd12():
+    pair = extremal.symmetry_pair(12)
+    return pair.P @ pair.Delta
+
+
+class TestFamilyRadii:
+    def test_one_period_matches_full_circle(self):
+        tol = 1e-9
+        for n in (12, 20, 28, 36, 52):
+            fam = extremal.build(n)
+            for period, matrix in zip(extremal.family_radii(fam, tol),
+                                      (fam.A, linalg.inverse(fam.A))):
+                full = numerical_radius(matrix, tol=tol)
+                assert period.tolerance <= tol and full.tolerance <= tol
+                assert abs(period.value - full.value) <= period.tolerance + full.tolerance
+
+    def test_gap_includes_residual_slack(self, fam12, pd12):
+        # a claim off by ~7e-4 gives slack 6 * 7e-4 <= tol/2, so it is used;
+        # at tol 1e-2 the closed 8-point coarse grid already certifies
+        bad = perturb(fam12, 0, 1, 5e-4)
+        slack = 6 * np.linalg.norm(pd12.T @ bad.A @ pd12 - np.exp(2j * np.pi / 12) * bad.A)
+        assert 3e-3 < slack <= 5e-3
+        est = numerical_radius(bad.A, tol=1e-2, coarse=96, rotation=(pd12, 12))
+        assert slack <= est.tolerance <= 1e-2
+        assert est.value + est.tolerance >= numerical_radius(bad.A, tol=1e-12).value
+
+    def test_perturbed_claim_falls_back_to_full_circle(self, fam12, pd12):
+        bad = perturb(fam12, 0, 1, 1e-3)
+        got = numerical_radius(bad.A, tol=1e-9, rotation=(pd12, 12))
+        assert_same_estimate(got, numerical_radius(bad.A, tol=1e-9))
+
+    def test_wrong_direction_falls_back_to_full_circle(self, fam12, pd12):
+        ainv = linalg.inverse(fam12.A)
+        got = numerical_radius(ainv, tol=1e-9, rotation=(pd12, 12))
+        assert_same_estimate(got, numerical_radius(ainv, tol=1e-9))
+
+    def test_rejects_bad_rotation(self, fam12):
+        with pytest.raises(ValueError, match="shape"):
+            numerical_radius(fam12.A, rotation=(np.eye(3), 12))
+        with pytest.raises(ValueError, match="nonzero integer"):
+            numerical_radius(fam12.A, rotation=(np.eye(12), 0))

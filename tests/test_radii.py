@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_matrix, seeded
-from opradius import linalg
+from opradius import linalg, radii
 from opradius.extremal import build
 from opradius.radii import (numerical_radius, range_boundary, rho_radius,
                             sphere_maximize, spectral_radius, support_points)
@@ -81,6 +81,20 @@ class TestNumericalRadius:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             numerical_radius(np.array([[np.nan, 0], [0, 0]]))
+
+    def test_chunked_batches_match_one_batch(self, monkeypatch):
+        a = gaussian_matrix(seeded(45, 0), 6)
+        thetas = 2 * np.pi * np.arange(37) / 37
+        values = radii._support_values(a, thetas)
+        points = support_points(a, thetas)
+        est = numerical_radius(a, tol=1e-10)
+        # three 6 x 6 complex matrices per batch
+        monkeypatch.setattr(radii, "_BATCH_BYTES", 3 * a.nbytes)
+        np.testing.assert_array_equal(radii._support_values(a, thetas), values)
+        assert support_points(a, thetas) == points
+        chunked = numerical_radius(a, tol=1e-10)
+        assert (chunked.value, chunked.tolerance) == (est.value, est.tolerance)
+        np.testing.assert_array_equal(chunked.witness, est.witness)
 
 
 class TestRhoRadius:
