@@ -11,10 +11,9 @@ from .extremal import (CertificateCheck, CertificateReport, ExtremalFamily,
                        certificate_31, certificate_32, check_norm,
                        check_real_parts, check_symmetry, family_radii,
                        scaling_experiment, symmetry_pair)
-from .linalg import (HermitianEigen, PolarFactors, as_matrix, eig_hermitian,
-                     inverse, jacobi_eigh, load_matrix, matrix_from_payload,
-                     matrix_to_payload, operator_norm, polar, save_matrix,
-                     singular_values)
+from .linalg import (PolarFactors, as_matrix, inverse, load_matrix,
+                     matrix_from_payload, matrix_to_payload, operator_norm,
+                     polar, save_matrix, singular_values)
 from .radii import (DEFAULT_SEED, RadiusEstimate, SupportPoint,
                     numerical_radius, range_boundary, rho_radius,
                     sphere_maximize, spectral_radius, support_points)
@@ -30,9 +29,9 @@ __all__ = [
     "ScalingTable", "SymmetryPair", "build", "certificate_31",
     "certificate_32", "check_norm", "check_real_parts", "check_symmetry",
     "family_radii", "scaling_experiment", "symmetry_pair",
-    "HermitianEigen", "PolarFactors", "as_matrix", "eig_hermitian", "inverse",
-    "jacobi_eigh", "load_matrix", "matrix_from_payload", "matrix_to_payload",
-    "operator_norm", "polar", "save_matrix", "singular_values",
+    "PolarFactors", "as_matrix", "inverse", "load_matrix",
+    "matrix_from_payload", "matrix_to_payload", "operator_norm", "polar",
+    "save_matrix", "singular_values",
     "DEFAULT_SEED", "RadiusEstimate", "SupportPoint", "numerical_radius",
     "range_boundary", "rho_radius", "sphere_maximize", "spectral_radius",
     "support_points",

@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import extremal
-from .linalg import (inverse, load_matrix, matrix_to_payload, singular_values)
-from .radii import DEFAULT_SEED, numerical_radius, range_boundary, rho_radius
+from .linalg import (atomic_write, inverse, load_matrix, matrix_to_payload,
+                     singular_values)
+# numerical_radius stays bound here: perfbench's tracer self-test patches it.
+from .radii import (DEFAULT_SEED, numerical_radius,  # noqa: F401
+                    range_boundary, rho_radius)
 from .unitary import distance_to_unitaries, stampfli_gap_bound
 
 __all__ = ["main", "run", "random_test", "RandomTestSummary", "RunConfig",
@@ -41,7 +42,6 @@ _FORMATS = ("csv", "json", "text")
 class RunConfig:
     """Common knobs shared by every subcommand."""
 
-    subcommand: str
     seed: int = DEFAULT_SEED
     tol: float | None = None
     out: str | None = None
@@ -52,22 +52,9 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _atomic_write(out, text)
+        atomic_write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -81,15 +68,6 @@ def _csv_lines(header: str, rows, trailer: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _radius(a, rho: float, tol: float, seed: int):
-    """Radius value for the requested rho, certified where possible."""
-    if rho == 1.0:
-        return float(singular_values(a)[0])
-    if rho == 2.0:
-        return numerical_radius(a, tol=tol).value
-    return rho_radius(a, rho, restarts=32, tol=tol, seed=seed).value
-
-
 # ---------------------------------------------------------------------------
 # gap
 # ---------------------------------------------------------------------------
@@ -99,8 +77,8 @@ def _cmd_gap(cfg: RunConfig, ns) -> int:
     a = load_matrix(ns.matrix)
     rho = float(ns.rho)
     tol = cfg.tol if cfg.tol is not None else 1e-8
-    w = max(_radius(a, rho, tol, cfg.seed), 1.0)
-    w_inv = max(_radius(inverse(a), rho, tol, cfg.seed), 1.0)
+    w = max(rho_radius(a, rho, tol=tol, seed=cfg.seed).value, 1.0)
+    w_inv = max(rho_radius(inverse(a), rho, tol=tol, seed=cfg.seed).value, 1.0)
     gap = distance_to_unitaries(a)
     bound = stampfli_gap_bound(w, w_inv, rho)
     report = {
@@ -246,8 +224,8 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
         sub_seed = int(ss.generate_state(1)[0])
         dim = int(rng.integers(dim_min, dim_max + 1))
         a = _sample_matrix(rng, dim)
-        w = _radius(a, rho, tol, sub_seed)
-        w_inv = _radius(inverse(a), rho, tol, sub_seed)
+        w = rho_radius(a, rho, tol=tol, seed=sub_seed).value
+        w_inv = rho_radius(inverse(a), rho, tol=tol, seed=sub_seed).value
         t = np.sqrt(w_inv / w)
         scaled = t * a
         r = max(1.0, float(np.sqrt(w * w_inv)))
@@ -314,7 +292,7 @@ def _cmd_random_test(cfg: RunConfig, ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_reports(n: int, tol: float, seed: int) -> list[extremal.CertificateReport]:
+def _verify_reports(n: int, tol: float) -> list[extremal.CertificateReport]:
     fam = extremal.build(n)
     residual = extremal.check_symmetry(fam)
     symmetry = extremal.CertificateReport(
@@ -342,7 +320,7 @@ def _verify_reports(n: int, tol: float, seed: int) -> list[extremal.CertificateR
 def _cmd_extremal_verify(cfg: RunConfig, ns) -> int:
     tol = cfg.tol if cfg.tol is not None else 1e-8
     fmt = "json" if ns.json else cfg.fmt
-    reports = _verify_reports(ns.n, tol, cfg.seed)
+    reports = _verify_reports(ns.n, tol)
     ok = all(rep.all_pass for rep in reports)
     if fmt == "json":
         payload = {"n": ns.n, "all_pass": ok,
@@ -477,11 +455,7 @@ def run(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
-    subcommand = ns.subcommand
-    if subcommand == "extremal":
-        subcommand = f"extremal-{ns.extremal_command}"
-    cfg = RunConfig(subcommand=subcommand, seed=ns.seed, tol=ns.tol,
-                    out=ns.out, fmt=ns.fmt)
+    cfg = RunConfig(seed=ns.seed, tol=ns.tol, out=ns.out, fmt=ns.fmt)
     if cfg.tol is not None and not 1e-12 <= cfg.tol <= 1e-2:
         print("error: --tol must lie in [1e-12, 1e-2]", file=sys.stderr)
         return 2

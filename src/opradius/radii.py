@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, singular_values
+from .linalg import as_matrix
 
 __all__ = [
     "RadiusEstimate",
@@ -373,10 +373,8 @@ def rho_radius(
     if not a.any():
         return RadiusEstimate(0.0, "rho_radius", rho, 0.0, True, None)
     if rho == 1.0:
-        sv = singular_values(a)
-        gram = a.conj().T @ a
-        _, gv = np.linalg.eigh((gram + gram.conj().T) / 2)
-        return RadiusEstimate(float(sv[0]), "rho_radius", 1.0, 0.0, True, gv[:, -1])
+        _, s, vh = np.linalg.svd(a)
+        return RadiusEstimate(float(s[0]), "rho_radius", 1.0, 0.0, True, vh[0].conj())
     if rho == 2.0:
         est = numerical_radius(a, tol=min(max(tol, TOL_MIN), TOL_MAX))
         return RadiusEstimate(est.value, "rho_radius", 2.0, est.tolerance, True, est.witness)

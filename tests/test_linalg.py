@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import gaussian_matrix, haar_unitary, seeded
 from opradius import linalg
@@ -24,62 +22,18 @@ def singular_2x2_oracle(a):
 WITNESS = np.array([[1.0, 1.5], [0.0, -1.0]], dtype=complex)
 
 
-class TestEigHermitian:
-    def test_diagonal(self):
-        eig = linalg.eig_hermitian(np.diag([3.0, -1.0]).astype(complex))
-        np.testing.assert_allclose(eig.values, [-1.0, 3.0], atol=1e-14)
-
-    def test_offdiagonal_half(self):
-        eig = linalg.eig_hermitian(np.array([[0, 0.5], [0.5, 0]], dtype=complex))
-        np.testing.assert_allclose(eig.values, [-0.5, 0.5], atol=1e-14)
-
-    def test_family_hermitian_part_contractive(self):
-        a = build(12).A
-        eig = linalg.eig_hermitian((a + a.conj().T) / 2)
-        assert eig.values[-1] <= 1.0 + 1e-12
-
-    def test_reconstruction_and_orthonormality(self):
-        for i in range(8):
-            rng = seeded(101, i)
-            dim = int(rng.integers(2, 9))
-            h = gaussian_matrix(rng, dim)
-            h = (h + h.conj().T) / 2
-            eig = linalg.eig_hermitian(h)
-            resid = np.linalg.norm(h - (eig.vectors * eig.values) @ eig.vectors.conj().T)
-            assert resid <= 1e-11 * dim * max(np.linalg.norm(h), 1.0)
-            gram = eig.vectors.conj().T @ eig.vectors
-            assert np.linalg.norm(gram - np.eye(dim)) <= 1e-12 * dim
-            assert np.all(np.diff(eig.values) >= -1e-15)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            linalg.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+class TestAsMatrix:
+    def test_real_input_stays_real(self):
+        assert linalg.as_matrix([[1, 2], [3, 4]]).dtype == np.float64
+        assert linalg.as_matrix(np.eye(2, dtype=complex)).dtype == np.complex128
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            linalg.eig_hermitian(np.zeros((2, 3)))
+            linalg.as_matrix(np.zeros((2, 3)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            linalg.eig_hermitian(np.array([[np.inf, 0], [0, 0]]))
-
-
-class TestJacobi:
-    def test_matches_lapack_path(self):
-        for i in range(6):
-            rng = seeded(202, i)
-            dim = int(rng.integers(2, 13))
-            h = gaussian_matrix(rng, dim)
-            h = (h + h.conj().T) / 2
-            ref = linalg.eig_hermitian(h)
-            jac = linalg.jacobi_eigh(h)
-            np.testing.assert_allclose(jac.values, ref.values, atol=1e-11)
-            resid = np.linalg.norm(h - (jac.vectors * jac.values) @ jac.vectors.conj().T)
-            assert resid <= 1e-11 * dim
-
-    def test_diagonal_input(self):
-        jac = linalg.jacobi_eigh(np.diag([2.0, -1.0, 0.5]).astype(complex))
-        np.testing.assert_allclose(jac.values, [-1.0, 0.5, 2.0], atol=1e-14)
+            linalg.as_matrix(np.array([[np.inf, 0], [0, 0]]))
 
 
 class TestSingularValues:
@@ -111,9 +65,35 @@ class TestSingularValues:
             dim = int(rng.integers(2, 7))
             g = gaussian_matrix(rng, dim)
             hpd = g @ g.conj().T + np.eye(dim)
-            eig = linalg.eig_hermitian(hpd)
             np.testing.assert_allclose(linalg.singular_values(hpd),
-                                       eig.values[::-1], atol=1e-10)
+                                       np.linalg.eigvalsh(hpd)[::-1], atol=1e-10)
+
+
+def conditioned(s, index):
+    """Q1 diag(1, .7, .5, .3, .1, s) Q2 with Haar unitaries: sigma_min = s."""
+    rng = seeded(1313, index)
+    return haar_unitary(rng, 6) @ np.diag([1, .7, .5, .3, .1, s]) @ haar_unitary(rng, 6)
+
+
+class TestConditionRange:
+    # the documented floor is sigma_min/sigma_max = 1e-12; above it every
+    # kernel must stay accurate, below it inverse and polar must refuse.
+    # Eight draws each, since rounding decides the sign of the error.
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-9, 1e-11])
+    def test_accurate_above_floor(self, s):
+        for i in range(8):
+            a = conditioned(s, i)
+            assert abs(linalg.singular_values(a)[-1] - s) <= 1e-3 * s
+            linalg.inverse(a)
+            u = linalg.polar(a).unitary
+            assert np.linalg.norm(u.conj().T @ u - np.eye(6), 2) <= 1e-12
+
+    @pytest.mark.parametrize("kernel", [linalg.inverse, linalg.polar])
+    def test_rejects_below_floor(self, kernel):
+        for i in range(8):
+            with pytest.raises(np.linalg.LinAlgError):
+                kernel(conditioned(1e-13, i))
 
 
 class TestPolar:
@@ -193,16 +173,6 @@ class TestInverse:
     def test_rejects_singular(self):
         with pytest.raises(np.linalg.LinAlgError):
             linalg.inverse(np.zeros((2, 2)))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.floats(-10, 10), min_size=4, max_size=4))
-def test_eig_2x2_symmetric_property(entries):
-    h = np.array([[entries[0], entries[1]], [entries[1], entries[2]]], dtype=complex)
-    eig = linalg.eig_hermitian(h)
-    resid = np.linalg.norm(h - (eig.vectors * eig.values) @ eig.vectors.conj().T)
-    assert resid <= 1e-11 * max(np.linalg.norm(h), 1.0)
-    assert eig.values[0] <= eig.values[1] + 1e-12
 
 
 class TestMatrixIO:
