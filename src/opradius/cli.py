@@ -77,8 +77,8 @@ def _cmd_gap(cfg: RunConfig, ns) -> int:
     a = load_matrix(ns.matrix)
     rho = float(ns.rho)
     tol = cfg.tol if cfg.tol is not None else 1e-8
-    w = max(rho_radius(a, rho, tol=tol, seed=cfg.seed).value, 1.0)
-    w_inv = max(rho_radius(inverse(a), rho, tol=tol, seed=cfg.seed).value, 1.0)
+    w = max(rho_radius(a, rho, tol=tol).value, 1.0)
+    w_inv = max(rho_radius(inverse(a), rho, tol=tol).value, 1.0)
     gap = distance_to_unitaries(a)
     bound = stampfli_gap_bound(w, w_inv, rho)
     report = {
@@ -219,13 +219,12 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     worst_index = -1
     records = []
     for i in range(samples):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-        rng = np.random.default_rng(ss)
-        sub_seed = int(ss.generate_state(1)[0])
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         dim = int(rng.integers(dim_min, dim_max + 1))
         a = _sample_matrix(rng, dim)
-        w = rho_radius(a, rho, tol=tol, seed=sub_seed).value
-        w_inv = rho_radius(inverse(a), rho, tol=tol, seed=sub_seed).value
+        w = rho_radius(a, rho, tol=tol).value
+        w_inv = rho_radius(inverse(a), rho, tol=tol).value
         t = np.sqrt(w_inv / w)
         scaled = t * a
         r = max(1.0, float(np.sqrt(w * w_inv)))

@@ -293,8 +293,8 @@ class ScalingTable:
     slope: float    # least-squares slope of log(delta) against log(eps)
 
 
-def family_radii(fam: ExtremalFamily, tol: float,
-                 coarse: int | None = None) -> tuple[RadiusEstimate, RadiusEstimate]:
+def family_radii(fam: ExtremalFamily,
+                 tol: float) -> tuple[RadiusEstimate, RadiusEstimate]:
     """Certified numerical radii of A and A^-1, each swept over one period.
 
     P Delta rotates A by e^{2 i pi/n} and hence A^-1 by e^{-2 i pi/n};
@@ -302,22 +302,21 @@ def family_radii(fam: ExtremalFamily, tol: float,
     """
     pair = symmetry_pair(fam.n)
     pd = pair.P @ pair.Delta
-    w = numerical_radius(fam.A, tol=tol, coarse=coarse, rotation=(pd, fam.n))
-    w_inv = numerical_radius(inverse(fam.A), tol=tol, coarse=coarse,
-                             rotation=(pd, -fam.n))
+    w = numerical_radius(fam.A, tol=tol, rotation=(pd, fam.n))
+    w_inv = numerical_radius(inverse(fam.A), tol=tol, rotation=(pd, -fam.n))
     return w, w_inv
 
 
-def _scaling_row(n: int, radius_tol: float, coarse: int | None) -> ScalingRow:
+def _scaling_row(n: int, radius_tol: float) -> ScalingRow:
     fam = build(n)
     eps = 1.0 / np.cos(np.pi / n) - 1.0
     delta = float(singular_values(fam.A)[0]) - 1.0
-    w, w_inv = family_radii(fam, radius_tol, coarse)
+    w, w_inv = family_radii(fam, radius_tol)
     return ScalingRow(n=n, eps=float(eps), delta=delta, w=w.value, w_inv=w_inv.value)
 
 
-def scaling_experiment(k_min: int, k_max: int, radius_tol: float = 1e-6,
-                       coarse: int | None = None) -> ScalingTable:
+def scaling_experiment(k_min: int, k_max: int,
+                       radius_tol: float = 1e-6) -> ScalingTable:
     """Tabulate (n, eps, delta, w, w_inv) for n = 8k + 4, k = k_min..k_max.
 
     The least-squares slope of log(delta) versus log(eps) estimates the decay
@@ -329,7 +328,7 @@ def scaling_experiment(k_min: int, k_max: int, radius_tol: float = 1e-6,
     ns = [8 * k + 4 for k in range(k_min, k_max + 1)]
     if ns[-1] > MAX_DIM:
         raise ValueError(f"k_max gives n = {ns[-1]} > {MAX_DIM}")
-    rows = [_scaling_row(n, radius_tol, coarse) for n in ns]
+    rows = [_scaling_row(n, radius_tol) for n in ns]
     logs_eps = np.log([row.eps for row in rows])
     logs_delta = np.log([row.delta for row in rows])
     if len(rows) >= 2:

@@ -32,14 +32,35 @@ w <= (best + slack) / cos(d/2) and intervals are pruned below
 best * cos(d/2) - slack. A claim whose slack exceeds tol/2 is ignored and the
 full circle is swept, so a false claim costs time, never correctness.
 
-For 1 < rho < 2 the rho-radius is the sphere maximum of
+The operator rho-radius for 1 <= rho <= 2 is the sphere maximum of
 
-    g(h) = (1 - 1/rho) |<Ah, h>| + sqrt((1 - 1/rho)^2 |<Ah, h>|^2
-                                        + (2/rho - 1) ||Ah||^2),
+    g(h) = alpha |<Ah, h>| + sqrt(alpha^2 |<Ah, h>|^2 + beta ||Ah||^2),
+    alpha = 1 - 1/rho,  beta = 2/rho - 1.
 
-which is estimated by multistart projected gradient ascent; that path returns
-a certified lower bound (exact=False). rho = 1 and rho = 2 reduce to the
-operator norm and the numerical radius and are certified.
+rho = 1 gives the operator norm, taken from one SVD, and rho = 2 the
+numerical radius above. In between, writing |<Ah, h>| = max_theta
+<H_theta h, h> with H_theta = (e^{i theta} A + e^{-i theta} A*)/2 gives
+w_rho(A) = max_theta u*(theta), where u*(theta) is the largest root of the
+hyperbolic pencil u^2 I - 2 alpha u H_theta - beta A*A. That root is the top
+eigenvalue of the 2n x 2n Hermitian linearization
+
+    K_theta = [[2 alpha H_theta, sqrt(beta) |A|], [sqrt(beta) |A|, 0]],
+
+|A| = (A*A)^{1/2}: eliminating y = sqrt(beta) |A| x / u from an eigenvector
+[x; y] leaves (2 alpha H_theta + beta A*A / u) x = u x. The left side's top
+eigenvalue falls below u for every u > u*(theta), so u*(theta) is the
+maximum over unit h of the larger root alpha <H_theta h, h> + sqrt(alpha^2
+<H_theta h, h>^2 + beta ||Ah||^2) of the scalar pencil, and the maximum of
+that over theta is g(h). The same sweep certifies max_theta u*(theta). If
+h* attains w_rho and <Ah*, h*> = e^{-i theta*} |<Ah*, h*>|, then h* alone
+gives, with c = cos(theta - theta*),
+
+    u*(theta) >= alpha c t + sqrt(alpha^2 c^2 t^2 + beta s^2) >= c w_rho
+
+for c >= 0 (t = |<Ah*, h*>|, s = ||Ah*||), and u*(theta) >= 0 >= c w_rho
+otherwise: the cosine minorant again, so the gap, the prune threshold and
+the guard carry over unchanged. The value is max(best, g(x/||x||)) for the
+top eigenvector half x at the best angle, so it is attained up to rounding.
 """
 
 from __future__ import annotations
@@ -62,15 +83,19 @@ __all__ = [
     "DEFAULT_SEED",
 ]
 
-# Default seed for the multistart sphere optimizer; restarts are derived from
-# it deterministically, so repeated runs agree bit for bit.
+# Default seed of the sphere optimizer's random starts and of the CLI; runs
+# with the same seed agree bit for bit.
 DEFAULT_SEED = 1729
 
 TOL_MIN = 1e-12
 TOL_MAX = 1e-2
 _MAX_ROUNDS = 64
-# Largest stacked batch of rotated Hermitian parts built at once; larger
-# batches are evaluated in chunks so n = 500 sweeps stay in bounded memory.
+# Coarse grid of every sweep. Refinement makes the final accuracy independent
+# of it, so it only sets the cost.
+_COARSE = 64
+# Largest stacked batch of rotated Hermitian parts or pencil linearizations
+# built at once; larger batches are evaluated in chunks so n = 500 sweeps stay
+# in bounded memory.
 _BATCH_BYTES = 32 * 2**20
 
 
@@ -78,15 +103,15 @@ _BATCH_BYTES = 32 * 2**20
 class RadiusEstimate:
     """A computed radius plus method metadata.
 
-    value      computed radius (a certified lower bound within `tolerance`
-               of the true value when exact=True, a heuristic lower bound
-               otherwise).
+    value      computed radius, a certified lower bound within `tolerance`
+               of the true value.
     kind       one of operator_norm, numerical_radius, rho_radius,
                spectral_radius.
     rho        the rho parameter when kind == rho_radius, else None.
-    tolerance  certified gap for exact paths, requested tolerance otherwise.
-    exact      True when the value comes from a certified path (rho in {1, 2}
-               or the theta sweep with covered grid).
+    tolerance  certified gap: the true radius lies in [value, value + tolerance]
+               up to eigensolver rounding.
+    exact      True when the value comes from a certified path; every radius
+               this module returns is certified.
     witness    unit vector attaining the reported value, when available.
     """
 
@@ -117,9 +142,10 @@ def _rotated_hermitian(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return (ph[:, None, None] * a + np.conj(ph)[:, None, None] * a.conj().T) / 2
 
 
-def _chunks(a: np.ndarray, thetas: np.ndarray):
-    """Split thetas so each stacked batch of rotated matrices fits _BATCH_BYTES."""
-    step = max(1, _BATCH_BYTES // a.nbytes)
+def _chunks(thetas: np.ndarray, dim: int):
+    """Split thetas so each stacked batch of dim x dim complex matrices
+    fits _BATCH_BYTES."""
+    step = max(1, _BATCH_BYTES // (16 * dim * dim))
     return (thetas[i:i + step] for i in range(0, thetas.size, step))
 
 
@@ -128,7 +154,29 @@ def _support_values(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     if thetas.size == 0:
         return np.empty(0)
     return np.concatenate([np.linalg.eigvalsh(_rotated_hermitian(a, t))[..., -1]
-                           for t in _chunks(a, thetas)])
+                           for t in _chunks(thetas, a.shape[0])])
+
+
+def _pencil_matrices(a: np.ndarray, two_alpha: float, off: np.ndarray,
+                     thetas: np.ndarray) -> np.ndarray:
+    """K_theta = [[2 alpha H_theta, off], [off, 0]] stacked over angles.
+
+    off is Hermitian, so the result is Hermitian.
+    """
+    n = a.shape[0]
+    k = np.zeros((thetas.size, 2 * n, 2 * n), dtype=np.complex128)
+    k[:, :n, :n] = two_alpha * _rotated_hermitian(a, thetas)
+    k[:, :n, n:] = off
+    k[:, n:, :n] = off
+    return k
+
+
+def _pencil_values(a: np.ndarray, two_alpha: float, off: np.ndarray,
+                   thetas: np.ndarray) -> np.ndarray:
+    """lambda_max(K_theta), the largest root u*(theta), batched over angles."""
+    return np.concatenate([
+        np.linalg.eigvalsh(_pencil_matrices(a, two_alpha, off, t))[..., -1]
+        for t in _chunks(thetas, 2 * a.shape[0])])
 
 
 def support_points(a, thetas) -> list[SupportPoint]:
@@ -136,7 +184,7 @@ def support_points(a, thetas) -> list[SupportPoint]:
     a = as_matrix(a)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     out = []
-    for chunk in _chunks(a, thetas):
+    for chunk in _chunks(thetas, a.shape[0]):
         lam, vec = np.linalg.eigh(_rotated_hermitian(a, chunk))
         for k in range(chunk.size):
             v = vec[k, :, -1]
@@ -164,16 +212,6 @@ def _certified_gap(best: float, width: float, slack: float) -> float:
     return best * (1.0 / c - 1.0) + slack / c
 
 
-def _default_coarse(dim: int) -> int:
-    # Smaller coarse grids at large dimension: the certified refinement makes
-    # the final accuracy independent of this choice.
-    if dim <= 64:
-        return 1024
-    if dim <= 128:
-        return 512
-    return 256
-
-
 def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
     """(|m|, (|m| // 2) ||U* A U - e^{2 pi i/m} A||_F) for a claimed rotation."""
     u, m = rotation
@@ -187,43 +225,28 @@ def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
     return abs(m), (abs(m) // 2) * float(np.linalg.norm(resid))
 
 
-def numerical_radius(a, tol: float = 1e-9, coarse: int | None = None,
-                     rotation: tuple[np.ndarray, int] | None = None) -> RadiusEstimate:
-    """Numerical radius w(A) = sup |<Ah, h>| over unit vectors, certified.
+def _sweep(values, tol: float, coarse: int, order: int = 1,
+           slack: float = 0.0) -> tuple[float, float, float]:
+    """Certified maximum (best, best_theta, gap) of a function of theta.
 
-    The returned value is a lower bound on w(A) within `tol` of it; the
-    actual certified gap is stored in the tolerance field.
-
-    rotation=(U, m) claims U* A U ~ e^{2 pi i/m} A for a unitary U. The
-    claim is measured; when its slack is at most tol/2 only one period of
-    the support function is swept and the slack is folded into the gap,
-    otherwise the claim is ignored and the full circle is swept.
+    values maps an array of angles to the function's values there. The
+    function must dominate w cos(theta - phi) - slack, where w is its maximum
+    and phi the angle of a maximizer; with order > 1 only the closed period
+    [0, 2 pi/order] is swept and phi must lie in it. The true maximum lies in
+    [best, best + gap].
     """
-    a = as_matrix(a)
-    if not TOL_MIN <= tol <= TOL_MAX:
-        raise ValueError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
-    n = a.shape[0]
-    if not a.any():
-        return RadiusEstimate(0.0, "numerical_radius", None, 0.0, True, None)
-    if coarse is None:
-        coarse = _default_coarse(n)
-    if coarse < 8:
-        raise ValueError("coarse grid must have at least 8 points")
-    order, slack = _rotation_slack(a, rotation) if rotation is not None else (1, 0.0)
-
     # intervals of the current generation: [left, left + width]
-    if slack <= tol / 2 and order > 1:
+    if order > 1:
         # one period, closed grid: both endpoints are evaluated
         points = max(8, -(-coarse // order))
         period = 2 * np.pi / order
         thetas = period * np.arange(points) / (points - 1)
-        vals = _support_values(a, thetas)
+        vals = values(thetas)
         left, h_left, h_right = thetas[:-1], vals[:-1], vals[1:]
         width = period / (points - 1)
     else:
-        slack = 0.0
         thetas = 2 * np.pi * np.arange(coarse) / coarse
-        vals = _support_values(a, thetas)
+        vals = values(thetas)
         left, h_left, h_right = thetas, vals, np.roll(vals, -1)
         width = 2 * np.pi / coarse
     k = int(np.argmax(vals))
@@ -241,7 +264,7 @@ def numerical_radius(a, tol: float = 1e-9, coarse: int | None = None,
         if left.size == 0:
             break
         mid = left + width / 2
-        h_mid = _support_values(a, mid)
+        h_mid = values(mid)
         j = int(np.argmax(h_mid))
         if float(h_mid[j]) > best:
             best = float(h_mid[j])
@@ -250,13 +273,38 @@ def numerical_radius(a, tol: float = 1e-9, coarse: int | None = None,
         h_left = np.concatenate([h_left, h_mid])
         h_right = np.concatenate([h_mid, h_right])
         width /= 2
+    return best, best_theta, float(_certified_gap(best, width, slack))
 
-    gap = _certified_gap(best, width, slack)
+
+def numerical_radius(a, tol: float = 1e-9, coarse: int = _COARSE,
+                     rotation: tuple[np.ndarray, int] | None = None) -> RadiusEstimate:
+    """Numerical radius w(A) = sup |<Ah, h>| over unit vectors, certified.
+
+    The returned value is a lower bound on w(A) within `tol` of it; the
+    actual certified gap is stored in the tolerance field.
+
+    rotation=(U, m) claims U* A U ~ e^{2 pi i/m} A for a unitary U. The
+    claim is measured; when its slack is at most tol/2 only one period of
+    the support function is swept and the slack is folded into the gap,
+    otherwise the claim is ignored and the full circle is swept.
+    """
+    a = as_matrix(a)
+    if not TOL_MIN <= tol <= TOL_MAX:
+        raise ValueError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
+    if not a.any():
+        return RadiusEstimate(0.0, "numerical_radius", None, 0.0, True, None)
+    if coarse < 8:
+        raise ValueError("coarse grid must have at least 8 points")
+    order, slack = _rotation_slack(a, rotation) if rotation is not None else (1, 0.0)
+    if slack > tol / 2:
+        order, slack = 1, 0.0
+    best, best_theta, gap = _sweep(lambda t: _support_values(a, t), tol, coarse,
+                                   order, slack)
     _, vec = np.linalg.eigh(_rotated_hermitian(a, np.array([best_theta]))[0])
     witness = vec[:, -1] / np.linalg.norm(vec[:, -1])
     # |<Av, v>| >= h(best_theta) = best, and never exceeds w(A)
     value = max(best, abs(complex(witness.conj() @ (a @ witness))))
-    return RadiusEstimate(float(value), "numerical_radius", None, float(gap), True, witness)
+    return RadiusEstimate(float(value), "numerical_radius", None, gap, True, witness)
 
 
 def spectral_radius(a) -> float:
@@ -304,9 +352,11 @@ def sphere_maximize(
     """Multistart projected gradient ascent for the rho-radius objective.
 
     Returns (best value, best unit vector). The value is a lower bound on the
-    true sphere maximum; with the default 32 restarts it is reliable at desk
-    dimensions but not certified. Deterministic for fixed (a, rho, restarts,
-    iters, seed); ties across restarts resolve to the lowest index.
+    true sphere maximum, not certified. No radius in this package is computed
+    with it: it is the independent oracle that acceptance criterion 09 and
+    the radii tests check the certified sweeps against. Deterministic for
+    fixed (a, rho, restarts, iters, seed); ties across restarts resolve to the
+    lowest index.
     """
     a = as_matrix(a)
     if restarts < 1:
@@ -349,34 +399,39 @@ def sphere_maximize(
     return float(g[i]), h[i]
 
 
-def rho_radius(
-    a,
-    rho: float,
-    restarts: int = 32,
-    tol: float = 1e-6,
-    seed: int = DEFAULT_SEED,
-) -> RadiusEstimate:
-    """Operator rho-radius w_rho(A) for 1 <= rho <= 2.
+def rho_radius(a, rho: float, tol: float = 1e-6) -> RadiusEstimate:
+    """Operator rho-radius w_rho(A) for 1 <= rho <= 2, certified.
 
-    rho = 1 is the operator norm and rho = 2 the numerical radius, both
-    certified. Intermediate rho is estimated by multistart sphere ascent and
-    reported with exact=False: the value is a certified lower bound and a
-    heuristic global maximum. rho outside [1, 2] is rejected; the restricted
-    sup formula for rho > 2 is deliberately unsupported.
+    rho = 1 is the operator norm, from one SVD, and rho = 2 the numerical
+    radius. In between, the maximum over theta of lambda_max(K_theta) is
+    swept with the same certified bisection (see the module docstring); the
+    value is a lower bound within the reported tolerance of w_rho(A) and is
+    attained by the witness up to rounding. tol is clamped into [1e-12, 1e-2].
+    rho outside [1, 2] is rejected; the restricted sup formula for rho > 2 is
+    deliberately unsupported.
     """
     a = as_matrix(a)
     if not 1.0 - 1e-12 <= rho <= 2.0 + 1e-12:
         raise ValueError("rho must lie in [1, 2]; the rho > 2 regime is unsupported")
     rho = min(max(rho, 1.0), 2.0)
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    tol = min(max(tol, TOL_MIN), TOL_MAX)
     if not a.any():
         return RadiusEstimate(0.0, "rho_radius", rho, 0.0, True, None)
-    if rho == 1.0:
-        _, s, vh = np.linalg.svd(a)
-        return RadiusEstimate(float(s[0]), "rho_radius", 1.0, 0.0, True, vh[0].conj())
     if rho == 2.0:
-        est = numerical_radius(a, tol=min(max(tol, TOL_MIN), TOL_MAX))
+        est = numerical_radius(a, tol=tol)
         return RadiusEstimate(est.value, "rho_radius", 2.0, est.tolerance, True, est.witness)
-    value, witness = sphere_maximize(a, rho, restarts=restarts, seed=seed)
-    return RadiusEstimate(value, "rho_radius", rho, float(tol), False, witness)
+    _, s, vh = np.linalg.svd(a)
+    if rho == 1.0:
+        return RadiusEstimate(float(s[0]), "rho_radius", 1.0, 0.0, True, vh[0].conj())
+    alpha = 1.0 - 1.0 / rho
+    beta = 2.0 / rho - 1.0
+    off = np.sqrt(beta) * ((vh.conj().T * s) @ vh)  # sqrt(beta) |A|
+    best, best_theta, gap = _sweep(lambda t: _pencil_values(a, 2 * alpha, off, t),
+                                   tol, _COARSE)
+    k = _pencil_matrices(a, 2 * alpha, off, np.array([best_theta]))[0]
+    _, vec = np.linalg.eigh(k)
+    x = vec[:a.shape[0], -1]
+    witness = x / np.linalg.norm(x)
+    # g(x) >= u*(best_theta) = best, and never exceeds w_rho(A)
+    g = float(_sphere_objective(a, witness[None, :], alpha, beta)[0][0])
+    return RadiusEstimate(max(best, g), "rho_radius", rho, gap, True, witness)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import psi_rho_upper
-from .linalg import as_matrix, polar, singular_values
+from .linalg import _check_invertible, as_matrix
 
 __all__ = ["UnitaryGap", "distance_to_unitaries", "stampfli_gap_bound"]
 
@@ -35,14 +35,13 @@ class UnitaryGap:
 
 def distance_to_unitaries(a) -> UnitaryGap:
     """Operator-norm distance from an invertible matrix to the unitaries."""
-    a = as_matrix(a)
-    sv = singular_values(a)
-    factors = polar(a)  # raises for singular input
-    norm_excess = float(sv[0] - 1.0)
-    inverse_excess = float(1.0 - sv[-1])
+    w, s, vh = np.linalg.svd(as_matrix(a))
+    _check_invertible(s)
+    norm_excess = float(s[0] - 1.0)
+    inverse_excess = float(1.0 - s[-1])
     return UnitaryGap(
         distance=max(norm_excess, inverse_excess),
-        nearest=factors.unitary,
+        nearest=w @ vh,
         norm_excess=norm_excess,
         inverse_excess=inverse_excess,
     )

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import gaussian_matrix, seeded
 from opradius import linalg, radii
-from opradius.extremal import build
+from opradius.extremal import build, symmetry_pair
 from opradius.radii import (numerical_radius, range_boundary, rho_radius,
                             sphere_maximize, spectral_radius, support_points)
 
@@ -108,7 +108,7 @@ class TestRhoRadius:
         assert oracle == pytest.approx(2.0 / 3.0, abs=1e-9)
         est = rho_radius(NILPOTENT, 1.5)
         assert est.value == pytest.approx(oracle, abs=1e-6)
-        assert not est.exact
+        assert est.exact
 
     def test_nilpotent_grid(self):
         for rho in (1.0, 1.25, 1.5, 1.75, 2.0):
@@ -166,9 +166,87 @@ class TestRhoRadius:
         with pytest.raises(ValueError, match="unsupported"):
             rho_radius(NILPOTENT, 0.5)
 
-    def test_rejects_bad_restarts(self):
-        with pytest.raises(ValueError, match="restarts"):
-            rho_radius(NILPOTENT, 1.5, restarts=0)
+
+class TestPencilSweep:
+    # the rho-radius for 1 < rho < 2 sweeps lambda_max of the 2n x 2n
+    # Hermitian linearization K_theta with the certified bisection
+
+    @staticmethod
+    def ensemble():
+        for i in range(50):
+            rng = seeded(51, i)
+            a = gaussian_matrix(rng, int(rng.integers(2, 9)))
+            yield i, a
+            yield i, linalg.inverse(a)
+
+    def test_certified_bound_holds_against_ascent(self):
+        for rho in (1.25, 1.5, 1.75):
+            for i, a in self.ensemble():
+                est = rho_radius(a, rho, tol=1e-8)
+                assert est.exact and est.tolerance <= 1e-8
+                direct, _ = sphere_maximize(a, rho, restarts=64, seed=2000 + i)
+                assert direct <= est.value + est.tolerance + 1e-12
+                assert abs(direct - est.value) <= 1e-6
+
+    def test_witness_attains_value(self):
+        a = gaussian_matrix(seeded(52, 0), 5)
+        for rho in (1.25, 1.5, 1.75):
+            est = rho_radius(a, rho, tol=1e-10)
+            assert np.linalg.norm(est.witness) == pytest.approx(1.0, abs=1e-12)
+            h = est.witness[None, :]
+            g = radii._sphere_objective(a, h, 1 - 1 / rho, 2 / rho - 1)[0][0]
+            assert g == pytest.approx(est.value, abs=1e-12)
+
+    def test_nilpotent(self):
+        for rho in (1.25, 1.5, 1.75):
+            est = rho_radius(NILPOTENT, rho, tol=1e-9)
+            assert est.exact and est.tolerance <= 1e-9
+            assert est.value == pytest.approx(1.0 / rho, abs=1e-9)
+
+    def test_continuous_at_both_ends(self):
+        for i in range(5):
+            a = gaussian_matrix(seeded(53, i), 2 + i)
+            near_one = rho_radius(a, 1.0 + 1e-9, tol=1e-8).value
+            assert near_one == pytest.approx(linalg.singular_values(a)[0], abs=1e-6)
+            near_two = rho_radius(a, 2.0 - 1e-9, tol=1e-8).value
+            assert near_two == pytest.approx(numerical_radius(a, tol=1e-8).value,
+                                             abs=1e-6)
+
+    def test_default_coarse_grid_matches_fine_grid(self):
+        tol = 1e-8
+        for i in range(10):
+            rng = seeded(54, i)
+            a = gaussian_matrix(rng, int(rng.integers(2, 9)))
+            fine = numerical_radius(a, tol=tol, coarse=1024)
+            default = numerical_radius(a, tol=tol)
+            assert default.tolerance <= tol
+            assert abs(default.value - fine.value) <= tol
+        for n in (12, 36, 100):
+            a = build(n).A
+            pair = symmetry_pair(n)
+            rotation = (pair.P @ pair.Delta, n)
+            fine = numerical_radius(a, tol=tol, coarse=1024, rotation=rotation)
+            default = numerical_radius(a, tol=tol, rotation=rotation)
+            assert default.tolerance <= tol
+            assert abs(default.value - fine.value) <= tol
+
+    def test_chunked_batches_match_one_batch(self, monkeypatch):
+        a = gaussian_matrix(seeded(55, 0), 6)
+        est = rho_radius(a, 1.5, tol=1e-10)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return eigvalsh(m, *args, **kwargs)
+
+        # three 12 x 12 complex linearizations per batch
+        monkeypatch.setattr(radii, "_BATCH_BYTES", 3 * 16 * 12 * 12)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        chunked = rho_radius(a, 1.5, tol=1e-10)
+        assert (chunked.value, chunked.tolerance) == (est.value, est.tolerance)
+        np.testing.assert_array_equal(chunked.witness, est.witness)
+        assert shapes and all(s[1:] == (12, 12) and s[0] <= 3 for s in shapes)
 
 
 class TestSweepVsSphere:
