@@ -15,7 +15,7 @@ from .linalg import (PolarFactors, as_matrix, inverse, load_matrix,
                      matrix_from_payload, matrix_to_payload, operator_norm,
                      polar, save_matrix, singular_values)
 from .radii import (DEFAULT_SEED, RadiusEstimate, SupportPoint,
-                    numerical_radius, range_boundary, rho_radius,
+                    numerical_radius, range_boundary, rho_radii, rho_radius,
                     sphere_maximize, spectral_radius, support_points)
 from .unitary import UnitaryGap, distance_to_unitaries, stampfli_gap_bound
 
@@ -33,7 +33,8 @@ __all__ = [
     "matrix_from_payload", "matrix_to_payload", "operator_norm", "polar",
     "save_matrix", "singular_values",
     "DEFAULT_SEED", "RadiusEstimate", "SupportPoint", "numerical_radius",
-    "range_boundary", "rho_radius", "sphere_maximize", "spectral_radius",
+    "range_boundary", "rho_radii", "rho_radius", "sphere_maximize",
+    "spectral_radius",
     "support_points",
     "UnitaryGap", "distance_to_unitaries", "stampfli_gap_bound",
     "__version__",

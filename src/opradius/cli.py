@@ -29,13 +29,16 @@ from .linalg import (atomic_write, inverse, load_matrix, matrix_to_payload,
                      singular_values)
 # numerical_radius stays bound here: perfbench's tracer self-test patches it.
 from .radii import (DEFAULT_SEED, numerical_radius,  # noqa: F401
-                    range_boundary, rho_radius)
+                    range_boundary, rho_radii, rho_radius)
 from .unitary import distance_to_unitaries, stampfli_gap_bound
 
 __all__ = ["main", "run", "random_test", "RandomTestSummary", "RunConfig",
            "DEFAULT_SEED"]
 
 _FORMATS = ("csv", "json", "text")
+# Bytes of sampled matrices and inverses that random_test holds at once; it
+# certifies them block by block, so large --dim-max runs stream.
+_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -196,6 +199,41 @@ def _sample_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     raise RuntimeError("could not draw a well-conditioned sample")
 
 
+def _draws(samples: int, dim_min: int, dim_max: int, seed: int):
+    """(index, dim, matrix) of every sample, each on its own substream."""
+    for i in range(samples):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        dim = int(rng.integers(dim_min, dim_max + 1))
+        yield i, dim, _sample_matrix(rng, dim)
+
+
+def _blocks(draws):
+    """Consecutive draws whose matrices and inverses fit _BLOCK_BYTES."""
+    block, size = [], 0
+    for draw in draws:
+        cost = 2 * 16 * draw[1] ** 2
+        if block and size + cost > _BLOCK_BYTES:
+            yield block
+            block, size = [], 0
+        block.append(draw)
+        size += cost
+    if block:
+        yield block
+
+
+def _block_radii(block, rho: float, tol: float) -> list[tuple[float, float]]:
+    """(w_rho(A), w_rho(A^-1)) per draw, from one lockstep sweep per size."""
+    radii = [None] * len(block)
+    for dim in sorted({d for _, d, _ in block}):
+        group = [j for j, (_, d, _) in enumerate(block) if d == dim]
+        mats = [block[j][2] for j in group]
+        ests = rho_radii(mats + [inverse(a) for a in mats], rho, tol=tol)
+        for pos, j in enumerate(group):
+            radii[j] = (ests[pos].value, ests[len(group) + pos].value)
+    return radii
+
+
 def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
                 seed: int = DEFAULT_SEED, tol: float = 1e-8) -> RandomTestSummary:
     """Randomized falsification sweep of ||A|| <= psi_rho_upper(r).
@@ -204,7 +242,8 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     substream keyed by (seed, index), rescales it so the matrix and its
     inverse share the same rho-radius r, and checks the norm bound with
     1e-6 relative slack. At rho = 2 the unitary-distance consequence
-    distance <= bound - 1 + 1e-8 is checked as well.
+    distance <= bound - 1 + 1e-8 is checked as well. Samples are certified
+    in blocks of bounded size, with one rho_radii sweep per matrix size.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -218,31 +257,26 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     worst = None
     worst_index = -1
     records = []
-    for i in range(samples):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        dim = int(rng.integers(dim_min, dim_max + 1))
-        a = _sample_matrix(rng, dim)
-        w = rho_radius(a, rho, tol=tol).value
-        w_inv = rho_radius(inverse(a), rho, tol=tol).value
-        t = np.sqrt(w_inv / w)
-        scaled = t * a
-        r = max(1.0, float(np.sqrt(w * w_inv)))
-        norm = float(singular_values(scaled)[0])
-        bound = bounds_mod.psi_rho_upper(rho, r)
-        ratio = norm / bound
-        violated = norm > bound * (1.0 + 1e-6)
-        if rho == 2.0:
-            gap = distance_to_unitaries(scaled)
-            if gap.distance > bound - 1.0 + 1e-8:
-                gap_violations += 1
-        if violated:
-            violations += 1
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = scaled
-            worst_index = i
-        records.append(SampleRecord(i, dim, r, norm, bound, float(ratio), violated))
+    for block in _blocks(_draws(samples, dim_min, dim_max, seed)):
+        for (i, dim, a), (w, w_inv) in zip(block, _block_radii(block, rho, tol)):
+            t = np.sqrt(w_inv / w)
+            scaled = t * a
+            r = max(1.0, float(np.sqrt(w * w_inv)))
+            norm = float(singular_values(scaled)[0])
+            bound = bounds_mod.psi_rho_upper(rho, r)
+            ratio = norm / bound
+            violated = norm > bound * (1.0 + 1e-6)
+            if rho == 2.0:
+                gap = distance_to_unitaries(scaled)
+                if gap.distance > bound - 1.0 + 1e-8:
+                    gap_violations += 1
+            if violated:
+                violations += 1
+            if ratio > max_ratio:
+                max_ratio = ratio
+                worst = scaled
+                worst_index = i
+            records.append(SampleRecord(i, dim, r, norm, bound, float(ratio), violated))
     return RandomTestSummary(
         rho=rho, samples=samples, dim_min=dim_min, dim_max=dim_max, seed=seed,
         violations=violations, gap_violations=gap_violations,

@@ -5,11 +5,12 @@ The numerical radius is the global maximum over theta of the support function
 
     h(theta) = lambda_max((e^{i theta} A + e^{-i theta} A*) / 2),
 
-sampled on a uniform coarse grid and then refined by certified interval
-bisection. The certificate uses the cosine minorant: if theta* attains the
-maximum w, then h(theta) >= w cos(theta - theta*) for every theta, because the
-maximizing boundary point alone contributes that much. Hence whenever the
-evaluated grid has spacing d, some evaluated point is within d/2 of theta* and
+sampled on a uniform 16-point coarse grid and then refined by certified
+interval bisection. The certificate uses the cosine minorant: if theta*
+attains the maximum w, then h(theta) >= w cos(theta - theta*) for every
+theta, because the maximizing boundary point alone contributes that much.
+Hence whenever the evaluated grid has spacing d, some evaluated point is
+within d/2 of theta* and
 
     w <= best_evaluated / cos(d / 2).
 
@@ -17,7 +18,17 @@ Intervals whose endpoints both fall below best * cos(d/2) cannot contain
 theta* and are discarded; the rest are bisected until the bracket
 best * (1/cos(d/2) - 1) drops below the requested tolerance. Convergence is
 quadratic in d, so a handful of rounds past the coarse grid suffices even for
-tolerances near 1e-12.
+tolerances near 1e-12, whatever the grid. The exception is a support function
+that is flat to within tol, as for a matrix whose numerical range is a disk
+about 0: nothing is pruned, so the sweep evaluates about 2 pi/sqrt(8 tol/w)
+angles (262,144 for the 2 x 2 nilpotent at tol 1e-10).
+
+Sweeps of many same-size matrices run in lockstep. Every interval carries the
+index of the matrix that owns it, one stacked eigvalsh call evaluates the
+live angles of all owners together, and each owner keeps its own best value,
+best angle, stopping round and gap. An owner's result is therefore bit for
+bit that of its own sweep, while the per-round Python overhead is paid once
+for the whole stack; a single matrix is the stack of one.
 
 When the caller claims a rotation symmetry U* A U ~ e^{2 pi i/m} A, the sweep
 covers one period [0, 2 pi/|m|] on a closed grid instead of the whole circle.
@@ -65,7 +76,7 @@ top eigenvector half x at the best angle, so it is attained up to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,6 +87,7 @@ __all__ = [
     "SupportPoint",
     "numerical_radius",
     "rho_radius",
+    "rho_radii",
     "spectral_radius",
     "range_boundary",
     "support_points",
@@ -92,27 +104,32 @@ TOL_MAX = 1e-2
 _MAX_ROUNDS = 64
 # Coarse grid of every sweep. Refinement makes the final accuracy independent
 # of it, so it only sets the cost.
-_COARSE = 64
-# Largest stacked batch of rotated Hermitian parts or pencil linearizations
-# built at once; larger batches are evaluated in chunks so n = 500 sweeps stay
-# in bounded memory.
-_BATCH_BYTES = 32 * 2**20
+_COARSE = 16
+# Largest stack of rotated Hermitian parts or pencil linearizations built at
+# once, counted as 16 dim^2 bytes per matrix. Building a stack takes about two
+# temporaries of its size, so the peak is a small multiple of this; longer
+# stacks are evaluated in chunks, which keeps n = 500 sweeps and lockstep
+# sweeps over many matrices in bounded memory.
+_BATCH_BYTES = 128 * 2**10
 
 
 @dataclass(frozen=True)
 class RadiusEstimate:
     """A computed radius plus method metadata.
 
-    value      computed radius, a certified lower bound within `tolerance`
-               of the true value.
-    kind       one of operator_norm, numerical_radius, rho_radius,
-               spectral_radius.
-    rho        the rho parameter when kind == rho_radius, else None.
-    tolerance  certified gap: the true radius lies in [value, value + tolerance]
-               up to eigensolver rounding.
-    exact      True when the value comes from a certified path; every radius
-               this module returns is certified.
-    witness    unit vector attaining the reported value, when available.
+    value        computed radius, a certified lower bound within `tolerance`
+                 of the true value.
+    kind         one of operator_norm, numerical_radius, rho_radius,
+                 spectral_radius.
+    rho          the rho parameter when kind == rho_radius, else None.
+    tolerance    certified gap: the true radius lies in [value, value +
+                 tolerance] up to eigensolver rounding.
+    exact        True when the value comes from a certified path; every radius
+                 this module returns is certified.
+    witness      unit vector attaining the reported value, when available.
+    evaluations  angles at which the sweep evaluated its function, coarse
+                 grid included; 0 when no sweep ran.
+    rounds       refinement rounds the sweep ran past the coarse grid.
     """
 
     value: float
@@ -121,6 +138,8 @@ class RadiusEstimate:
     tolerance: float
     exact: bool
     witness: np.ndarray | None
+    evaluations: int = 0
+    rounds: int = 0
 
 
 @dataclass(frozen=True)
@@ -137,55 +156,84 @@ class SupportPoint:
     boundary_point: complex
 
 
-def _rotated_hermitian(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    ph = np.exp(1j * thetas)
-    return (ph[:, None, None] * a + np.conj(ph)[:, None, None] * a.conj().T) / 2
+def _as_stack(mats) -> np.ndarray:
+    """Validate a sequence of same-size square matrices and stack it.
 
-
-def _chunks(thetas: np.ndarray, dim: int):
-    """Split thetas so each stacked batch of dim x dim complex matrices
-    fits _BATCH_BYTES."""
-    step = max(1, _BATCH_BYTES // (16 * dim * dim))
-    return (thetas[i:i + step] for i in range(0, thetas.size, step))
-
-
-def _support_values(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_max of the rotated Hermitian part, batched over angles."""
-    if thetas.size == 0:
-        return np.empty(0)
-    return np.concatenate([np.linalg.eigvalsh(_rotated_hermitian(a, t))[..., -1]
-                           for t in _chunks(thetas, a.shape[0])])
-
-
-def _pencil_matrices(a: np.ndarray, two_alpha: float, off: np.ndarray,
-                     thetas: np.ndarray) -> np.ndarray:
-    """K_theta = [[2 alpha H_theta, off], [off, 0]] stacked over angles.
-
-    off is Hermitian, so the result is Hermitian.
+    Each matrix goes through as_matrix; the stack is complex128 when any
+    matrix is complex, else float64.
     """
-    n = a.shape[0]
-    k = np.zeros((thetas.size, 2 * n, 2 * n), dtype=np.complex128)
-    k[:, :n, :n] = two_alpha * _rotated_hermitian(a, thetas)
-    k[:, :n, n:] = off
-    k[:, n:, :n] = off
-    return k
+    stack = [as_matrix(m) for m in mats]
+    if not stack:
+        raise ValueError("need at least one matrix")
+    if len({m.shape for m in stack}) > 1:
+        raise ValueError("matrices of a stack must all have the same size")
+    return np.stack(stack)
 
 
-def _pencil_values(a: np.ndarray, two_alpha: float, off: np.ndarray,
-                   thetas: np.ndarray) -> np.ndarray:
-    """lambda_max(K_theta), the largest root u*(theta), batched over angles."""
-    return np.concatenate([
-        np.linalg.eigvalsh(_pencil_matrices(a, two_alpha, off, t))[..., -1]
-        for t in _chunks(thetas, 2 * a.shape[0])])
+def _chunks(count: int, dim: int):
+    """Slices of range(count) whose stacks of dim x dim complex matrices fit
+    _BATCH_BYTES."""
+    step = max(1, _BATCH_BYTES // (16 * dim * dim))
+    return (slice(i, i + step) for i in range(0, count, step))
+
+
+def _top_eigenvalues(build, dim: int, owner: np.ndarray,
+                     thetas: np.ndarray) -> np.ndarray:
+    """lambda_max of each matrix of build(owner, thetas), built in chunks."""
+    out = np.empty(thetas.size)
+    for s in _chunks(thetas.size, dim):
+        out[s] = np.linalg.eigvalsh(build(owner[s], thetas[s]))[..., -1]
+    return out
+
+
+def _top_eigenvectors(build, dim: int, thetas: np.ndarray) -> np.ndarray:
+    """Top eigenvector of build(i, thetas[i]) for every owner i, row by row."""
+    owner = np.arange(thetas.size)
+    return np.concatenate([np.linalg.eigh(build(owner[s], thetas[s]))[1][..., -1]
+                           for s in _chunks(thetas.size, dim)])
+
+
+def _hermitian_builder(a: np.ndarray):
+    """build(owner, thetas, out=None): the matrices
+    (e^{i theta} A + e^{-i theta} A*) / 2 for A = a[owner[i]] at thetas[i].
+
+    owner is an index array. The result is built in place, so a stack costs
+    about two of its size in temporaries.
+    """
+    ah = a.conj().transpose(0, 2, 1).astype(np.complex128)
+
+    def build(owner, thetas, out=None):
+        ph = np.exp(1j * thetas)[:, None, None]
+        h = np.multiply(ph, a[owner], out=out)
+        t = ah[owner]
+        h += np.multiply(np.conj(ph), t, out=t)
+        h /= 2
+        return h
+    return build
+
+
+def _support_values(a: np.ndarray, thetas: np.ndarray,
+                    owner: np.ndarray | None = None) -> np.ndarray:
+    """lambda_max of the rotated Hermitian part, batched over angles.
+
+    a is one matrix evaluated at every angle, or a stack of which matrix
+    owner[i] is evaluated at thetas[i].
+    """
+    if owner is None:
+        a, owner = a[None], np.zeros(thetas.size, dtype=np.intp)
+    return _top_eigenvalues(_hermitian_builder(a), a.shape[-1], owner, thetas)
 
 
 def support_points(a, thetas) -> list[SupportPoint]:
     """Boundary samples of the numerical range at the given support angles."""
     a = as_matrix(a)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    build = _hermitian_builder(a[None])
+    owner = np.zeros(thetas.size, dtype=np.intp)
     out = []
-    for chunk in _chunks(thetas, a.shape[0]):
-        lam, vec = np.linalg.eigh(_rotated_hermitian(a, chunk))
+    for s in _chunks(thetas.size, a.shape[0]):
+        chunk = thetas[s]
+        lam, vec = np.linalg.eigh(build(owner[s], chunk))
         for k in range(chunk.size):
             v = vec[k, :, -1]
             z = complex(v.conj() @ (a @ v))
@@ -205,7 +253,7 @@ def range_boundary(a, samples: int = 256) -> list[SupportPoint]:
     return support_points(a, thetas)
 
 
-def _certified_gap(best: float, width: float, slack: float) -> float:
+def _certified_gap(best, width: float, slack):
     # (best + slack) / cos(width/2) - best, arranged so that slack = 0 gives
     # exactly the bits of the plain full-circle bound
     c = np.cos(width / 2)
@@ -225,55 +273,109 @@ def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
     return abs(m), (abs(m) // 2) * float(np.linalg.norm(resid))
 
 
-def _sweep(values, tol: float, coarse: int, order: int = 1,
-           slack: float = 0.0) -> tuple[float, float, float]:
-    """Certified maximum (best, best_theta, gap) of a function of theta.
+@dataclass(frozen=True)
+class _Sweep:
+    """Per-owner results of a lockstep sweep, one array entry per owner."""
 
-    values maps an array of angles to the function's values there. The
-    function must dominate w cos(theta - phi) - slack, where w is its maximum
-    and phi the angle of a maximizer; with order > 1 only the closed period
-    [0, 2 pi/order] is swept and phi must lie in it. The true maximum lies in
-    [best, best + gap].
+    best: np.ndarray
+    best_theta: np.ndarray
+    gap: np.ndarray
+    evaluations: np.ndarray
+    rounds: np.ndarray
+
+
+def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
+           slack: float = 0.0) -> _Sweep:
+    """Certified maxima of `count` functions of theta, swept in lockstep.
+
+    values(owner, thetas) returns the value of function owner[i] at
+    thetas[i] for every i. Each function must dominate
+    w cos(theta - phi) - slack, where w is its maximum and phi the angle of a
+    maximizer; with order > 1 only the closed period [0, 2 pi/order] is swept
+    and phi must lie in it. Every interval carries the index of its owner,
+    and each owner keeps its own best value, best angle and stopping round,
+    so its result is bit for bit that of a sweep of its function alone. The
+    true maximum of function i lies in [best[i], best[i] + gap[i]].
     """
+    owners = np.arange(count)
     # intervals of the current generation: [left, left + width]
     if order > 1:
         # one period, closed grid: both endpoints are evaluated
         points = max(8, -(-coarse // order))
         period = 2 * np.pi / order
-        thetas = period * np.arange(points) / (points - 1)
-        vals = values(thetas)
-        left, h_left, h_right = thetas[:-1], vals[:-1], vals[1:]
+        grid = period * np.arange(points) / (points - 1)
+        vals = values(np.repeat(owners, points), np.tile(grid, count))
+        vals = vals.reshape(count, points)
+        left = np.tile(grid[:-1], count)
+        h_left, h_right = vals[:, :-1].ravel(), vals[:, 1:].ravel()
         width = period / (points - 1)
     else:
-        thetas = 2 * np.pi * np.arange(coarse) / coarse
-        vals = values(thetas)
-        left, h_left, h_right = thetas, vals, np.roll(vals, -1)
+        grid = 2 * np.pi * np.arange(coarse) / coarse
+        vals = values(np.repeat(owners, coarse), np.tile(grid, count))
+        vals = vals.reshape(count, coarse)
+        left = np.tile(grid, count)
+        h_left, h_right = vals.ravel(), np.roll(vals, -1, axis=1).ravel()
         width = 2 * np.pi / coarse
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    best_theta = float(thetas[k])
+    owner = np.repeat(owners, left.size // count)
+    k = np.argmax(vals, axis=1)
+    best = vals[owners, k]
+    best_theta = grid[k]
+    evaluations = np.full(count, grid.size)
+    rounds = np.zeros(count, dtype=int)
+    gap = np.empty(count)
+    live = np.ones(count, dtype=bool)
 
     for _ in range(_MAX_ROUNDS):
-        gap = _certified_gap(best, width, slack)
-        if gap <= tol or left.size == 0:
-            break
-        guard = 1e-12 * max(1.0, abs(best))
-        threshold = best * np.cos(width / 2) - guard - slack
-        keep = (h_left >= threshold) | (h_right >= threshold)
+        current = _certified_gap(best, width, slack)
+        done = live & (current <= tol)
+        guard = 1e-12 * np.maximum(1.0, np.abs(best))
+        threshold = (best * np.cos(width / 2) - guard - slack)[owner]
+        keep = ~done[owner] & ((h_left >= threshold) | (h_right >= threshold))
         left, h_left, h_right = left[keep], h_left[keep], h_right[keep]
-        if left.size == 0:
+        owner = owner[keep]
+        # an owner also stops when none of its intervals survives the prune
+        done |= live & (np.bincount(owner, minlength=count) == 0)
+        gap[done] = current[done]
+        live &= ~done
+        if owner.size == 0:
             break
         mid = left + width / 2
-        h_mid = values(mid)
-        j = int(np.argmax(h_mid))
-        if float(h_mid[j]) > best:
-            best = float(h_mid[j])
-            best_theta = float(mid[j])
+        h_mid = values(owner, mid)
+        # each owner's first largest midpoint, as np.argmax would pick it
+        top = np.full(count, -np.inf)
+        np.maximum.at(top, owner, h_mid)
+        at_top = np.flatnonzero(h_mid == top[owner])
+        first = np.full(count, h_mid.size)
+        np.minimum.at(first, owner[at_top], at_top)
+        better = live & (top > best)
+        best[better] = h_mid[first[better]]
+        best_theta[better] = mid[first[better]]
+        evaluations += np.bincount(owner, minlength=count)
+        rounds[live] += 1
         left = np.concatenate([left, mid])
         h_left = np.concatenate([h_left, h_mid])
         h_right = np.concatenate([h_mid, h_right])
+        owner = np.concatenate([owner, owner])
         width /= 2
-    return best, best_theta, float(_certified_gap(best, width, slack))
+    gap[live] = _certified_gap(best, width, slack)[live]
+    return _Sweep(best, best_theta, gap, evaluations, rounds)
+
+
+def _numerical_radii(mats: np.ndarray, tol: float, coarse: int, order: int = 1,
+                     slack: float = 0.0) -> list[RadiusEstimate]:
+    """Certified numerical radii of a stack of nonzero matrices, in lockstep."""
+    sw = _sweep(lambda owner, thetas: _support_values(mats, thetas, owner),
+                len(mats), tol, coarse, order, slack)
+    vecs = _top_eigenvectors(_hermitian_builder(mats), mats.shape[-1], sw.best_theta)
+    out = []
+    for i, a in enumerate(mats):
+        witness = vecs[i] / np.linalg.norm(vecs[i])
+        # |<Av, v>| >= h(best_theta) = best, and never exceeds w(A)
+        value = max(sw.best[i], abs(complex(witness.conj() @ (a @ witness))))
+        out.append(RadiusEstimate(float(value), "numerical_radius", None,
+                                  float(sw.gap[i]), True, witness,
+                                  int(sw.evaluations[i]), int(sw.rounds[i])))
+    return out
 
 
 def numerical_radius(a, tol: float = 1e-9, coarse: int = _COARSE,
@@ -298,13 +400,7 @@ def numerical_radius(a, tol: float = 1e-9, coarse: int = _COARSE,
     order, slack = _rotation_slack(a, rotation) if rotation is not None else (1, 0.0)
     if slack > tol / 2:
         order, slack = 1, 0.0
-    best, best_theta, gap = _sweep(lambda t: _support_values(a, t), tol, coarse,
-                                   order, slack)
-    _, vec = np.linalg.eigh(_rotated_hermitian(a, np.array([best_theta]))[0])
-    witness = vec[:, -1] / np.linalg.norm(vec[:, -1])
-    # |<Av, v>| >= h(best_theta) = best, and never exceeds w(A)
-    value = max(best, abs(complex(witness.conj() @ (a @ witness))))
-    return RadiusEstimate(float(value), "numerical_radius", None, gap, True, witness)
+    return _numerical_radii(a[None], tol, coarse, order, slack)[0]
 
 
 def spectral_radius(a) -> float:
@@ -399,6 +495,70 @@ def sphere_maximize(
     return float(g[i]), h[i]
 
 
+def rho_radii(mats, rho: float, tol: float = 1e-6) -> list[RadiusEstimate]:
+    """Operator rho-radii of a stack of same-size matrices, swept in lockstep.
+
+    Entry i equals rho_radius(mats[i], rho, tol) bit for bit: one certified
+    sweep evaluates the live angles of every matrix together, and each matrix
+    keeps its own best value, stopping round and gap. Zero matrices get value
+    0, gap 0 and no witness.
+    """
+    mats = _as_stack(mats)
+    if not 1.0 - 1e-12 <= rho <= 2.0 + 1e-12:
+        raise ValueError("rho must lie in [1, 2]; the rho > 2 regime is unsupported")
+    rho = min(max(rho, 1.0), 2.0)
+    tol = min(max(tol, TOL_MIN), TOL_MAX)
+    out = [RadiusEstimate(0.0, "rho_radius", rho, 0.0, True, None)] * len(mats)
+    nonzero = np.flatnonzero(mats.reshape(len(mats), -1).any(axis=1))
+    if nonzero.size:
+        live = mats if nonzero.size == len(mats) else mats[nonzero]
+        for i, est in zip(nonzero, _rho_radii(live, rho, tol)):
+            out[i] = est
+    return out
+
+
+def _rho_radii(mats: np.ndarray, rho: float, tol: float) -> list[RadiusEstimate]:
+    """rho_radii of a stack of nonzero matrices, for a clamped rho and tol."""
+    if rho == 2.0:
+        return [replace(est, kind="rho_radius", rho=2.0)
+                for est in _numerical_radii(mats, tol, _COARSE)]
+    s, vh = np.linalg.svd(mats)[1:]
+    if rho == 1.0:
+        return [RadiusEstimate(float(s[i, 0]), "rho_radius", 1.0, 0.0, True,
+                               vh[i, 0].conj()) for i in range(len(mats))]
+    alpha = 1.0 - 1.0 / rho
+    beta = 2.0 / rho - 1.0
+    two_alpha = 2 * alpha
+    # sqrt(beta) |A| for every matrix of the stack
+    off = np.sqrt(beta) * ((vh.conj().transpose(0, 2, 1) * s[:, None, :]) @ vh)
+    hermitian = _hermitian_builder(mats)
+    n = mats.shape[-1]
+
+    def build(owner, thetas):
+        # K_theta = [[2 alpha H_theta, off], [off, 0]], Hermitian as off is
+        k = np.zeros((thetas.size, 2 * n, 2 * n), dtype=np.complex128)
+        top = hermitian(owner, thetas, out=k[:, :n, :n])
+        np.multiply(two_alpha, top, out=top)
+        block = off[owner]
+        k[:, :n, n:] = block
+        k[:, n:, :n] = block
+        return k
+
+    sw = _sweep(lambda owner, thetas: _top_eigenvalues(build, 2 * n, owner, thetas),
+                len(mats), tol, _COARSE)
+    vecs = _top_eigenvectors(build, 2 * n, sw.best_theta)
+    out = []
+    for i, a in enumerate(mats):
+        x = vecs[i, :n]
+        witness = x / np.linalg.norm(x)
+        # g(x) >= u*(best_theta) = best, and never exceeds w_rho(A)
+        g = float(_sphere_objective(a, witness[None, :], alpha, beta)[0][0])
+        out.append(RadiusEstimate(max(float(sw.best[i]), g), "rho_radius", rho,
+                                  float(sw.gap[i]), True, witness,
+                                  int(sw.evaluations[i]), int(sw.rounds[i])))
+    return out
+
+
 def rho_radius(a, rho: float, tol: float = 1e-6) -> RadiusEstimate:
     """Operator rho-radius w_rho(A) for 1 <= rho <= 2, certified.
 
@@ -408,30 +568,6 @@ def rho_radius(a, rho: float, tol: float = 1e-6) -> RadiusEstimate:
     value is a lower bound within the reported tolerance of w_rho(A) and is
     attained by the witness up to rounding. tol is clamped into [1e-12, 1e-2].
     rho outside [1, 2] is rejected; the restricted sup formula for rho > 2 is
-    deliberately unsupported.
+    deliberately unsupported. This is rho_radii on a stack of one.
     """
-    a = as_matrix(a)
-    if not 1.0 - 1e-12 <= rho <= 2.0 + 1e-12:
-        raise ValueError("rho must lie in [1, 2]; the rho > 2 regime is unsupported")
-    rho = min(max(rho, 1.0), 2.0)
-    tol = min(max(tol, TOL_MIN), TOL_MAX)
-    if not a.any():
-        return RadiusEstimate(0.0, "rho_radius", rho, 0.0, True, None)
-    if rho == 2.0:
-        est = numerical_radius(a, tol=tol)
-        return RadiusEstimate(est.value, "rho_radius", 2.0, est.tolerance, True, est.witness)
-    _, s, vh = np.linalg.svd(a)
-    if rho == 1.0:
-        return RadiusEstimate(float(s[0]), "rho_radius", 1.0, 0.0, True, vh[0].conj())
-    alpha = 1.0 - 1.0 / rho
-    beta = 2.0 / rho - 1.0
-    off = np.sqrt(beta) * ((vh.conj().T * s) @ vh)  # sqrt(beta) |A|
-    best, best_theta, gap = _sweep(lambda t: _pencil_values(a, 2 * alpha, off, t),
-                                   tol, _COARSE)
-    k = _pencil_matrices(a, 2 * alpha, off, np.array([best_theta]))[0]
-    _, vec = np.linalg.eigh(k)
-    x = vec[:a.shape[0], -1]
-    witness = x / np.linalg.norm(x)
-    # g(x) >= u*(best_theta) = best, and never exceeds w_rho(A)
-    g = float(_sphere_objective(a, witness[None, :], alpha, beta)[0][0])
-    return RadiusEstimate(max(best, g), "rho_radius", rho, gap, True, witness)
+    return rho_radii([a], rho, tol)[0]

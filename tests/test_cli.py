@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from opradius import bounds, linalg
+from opradius import bounds, cli, linalg
 from opradius.cli import main, random_test
-from opradius.radii import numerical_radius
+from opradius.radii import numerical_radius, rho_radius
 
 
 @pytest.fixture()
@@ -105,6 +105,43 @@ class TestRandomTest:
         r = max(1.0, wa)  # A is self-inverse, so both radii agree
         ratio = linalg.singular_values(w)[0] / bounds.psi_rho_upper(2.0, r)
         assert ratio == pytest.approx(2.0 / (2.0 + math.sqrt(3.0)), abs=1e-9)
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0])
+    def test_records_match_single_matrix_radii(self, rho):
+        # the lockstep sweeps per size give each sample exactly the radii of
+        # its own rho_radius calls
+        summary = random_test(2, 5, 16, rho, seed=13)
+        assert {rec.dim for rec in summary.records} == {2, 3, 4, 5}
+        for rec in summary.records:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=13, spawn_key=(rec.index,)))
+            dim = int(rng.integers(2, 6))
+            a = cli._sample_matrix(rng, dim)
+            w = rho_radius(a, rho, tol=1e-8).value
+            w_inv = rho_radius(linalg.inverse(a), rho, tol=1e-8).value
+            assert rec.dim == dim
+            assert rec.r == max(1.0, float(np.sqrt(w * w_inv)))
+            scaled = np.sqrt(w_inv / w) * a
+            assert rec.norm == float(linalg.singular_values(scaled)[0])
+
+    def test_blocks_do_not_change_records(self, monkeypatch):
+        whole = random_test(2, 5, 16, 1.5, seed=17)
+        calls = []
+        rho_radii = cli.rho_radii
+
+        def spy(mats, *args, **kwargs):
+            calls.append(len(mats))
+            return rho_radii(mats, *args, **kwargs)
+
+        # room for three 5 x 5 samples and their inverses per block
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 3 * 2 * 16 * 5 * 5)
+        monkeypatch.setattr(cli, "rho_radii", spy)
+        blocked = random_test(2, 5, 16, 1.5, seed=17)
+        assert len(calls) > 4 and sum(calls) == 2 * 16
+        assert blocked.records == whole.records
+        assert (blocked.max_ratio, blocked.worst_index) == (whole.max_ratio,
+                                                            whole.worst_index)
+        assert blocked.worst_case.tobytes() == whole.worst_case.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="samples"):

@@ -4,8 +4,9 @@ import pytest
 from conftest import gaussian_matrix, seeded
 from opradius import linalg, radii
 from opradius.extremal import build, symmetry_pair
-from opradius.radii import (numerical_radius, range_boundary, rho_radius,
-                            sphere_maximize, spectral_radius, support_points)
+from opradius.radii import (numerical_radius, range_boundary, rho_radii,
+                            rho_radius, sphere_maximize, spectral_radius,
+                            support_points)
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 WITNESS = np.array([[1.0, 1.5], [0.0, -1.0]], dtype=complex)
@@ -212,7 +213,9 @@ class TestPencilSweep:
             assert near_two == pytest.approx(numerical_radius(a, tol=1e-8).value,
                                              abs=1e-6)
 
-    def test_default_coarse_grid_matches_fine_grid(self):
+    def test_default_coarse_grid_matches_fine_grid(self, monkeypatch):
+        # the 16-point default grid against a 1024-point one: refinement
+        # makes the result independent of the grid
         tol = 1e-8
         for i in range(10):
             rng = seeded(54, i)
@@ -229,6 +232,20 @@ class TestPencilSweep:
             default = numerical_radius(a, tol=tol, rotation=rotation)
             assert default.tolerance <= tol
             assert abs(default.value - fine.value) <= tol
+        # the pencil sweep and the lockstep path; rho_radius and rho_radii
+        # take no grid argument, so the fine oracle patches the module's grid
+        mats = [gaussian_matrix(seeded(54, 10 + i), 5) for i in range(10)]
+        single = [rho_radius(a, 1.5, tol=tol) for a in mats]
+        lockstep = {rho: rho_radii(mats, rho, tol=tol) for rho in (1.5, 2.0)}
+        monkeypatch.setattr(radii, "_COARSE", 1024)
+        for a, default in zip(mats, single):
+            fine = rho_radius(a, 1.5, tol=tol)
+            assert default.tolerance <= tol
+            assert abs(default.value - fine.value) <= tol
+        for rho, defaults in lockstep.items():
+            for default, fine in zip(defaults, rho_radii(mats, rho, tol=tol)):
+                assert default.tolerance <= tol
+                assert abs(default.value - fine.value) <= tol
 
     def test_chunked_batches_match_one_batch(self, monkeypatch):
         a = gaussian_matrix(seeded(55, 0), 6)
@@ -247,6 +264,144 @@ class TestPencilSweep:
         assert (chunked.value, chunked.tolerance) == (est.value, est.tolerance)
         np.testing.assert_array_equal(chunked.witness, est.witness)
         assert shapes and all(s[1:] == (12, 12) and s[0] <= 3 for s in shapes)
+
+
+def reference_sweep(values, tol, coarse):
+    """The full-circle sweep of one function, one owner at a time.
+
+    Returns (best, best_theta, gap, evaluations, rounds).
+    """
+    thetas = 2 * np.pi * np.arange(coarse) / coarse
+    vals = values(thetas)
+    left, h_left, h_right = thetas, vals, np.roll(vals, -1)
+    width = 2 * np.pi / coarse
+    k = int(np.argmax(vals))
+    best, best_theta = float(vals[k]), float(thetas[k])
+    evaluations, rounds = coarse, 0
+    for _ in range(radii._MAX_ROUNDS):
+        if radii._certified_gap(best, width, 0.0) <= tol:
+            break
+        threshold = best * np.cos(width / 2) - 1e-12 * max(1.0, abs(best))
+        keep = (h_left >= threshold) | (h_right >= threshold)
+        left, h_left, h_right = left[keep], h_left[keep], h_right[keep]
+        if left.size == 0:
+            break
+        mid = left + width / 2
+        h_mid = values(mid)
+        evaluations += mid.size
+        rounds += 1
+        j = int(np.argmax(h_mid))
+        if float(h_mid[j]) > best:
+            best, best_theta = float(h_mid[j]), float(mid[j])
+        left = np.concatenate([left, mid])
+        h_left = np.concatenate([h_left, h_mid])
+        h_right = np.concatenate([h_mid, h_right])
+        width /= 2
+    return best, best_theta, float(radii._certified_gap(best, width, 0.0)), \
+        evaluations, rounds
+
+
+class TestLockstep:
+    # rho_radii sweeps a stack of same-size matrices together; every entry
+    # must be bit for bit the single-matrix result
+
+    @staticmethod
+    def stack():
+        mats = []
+        for i in range(10):
+            a = gaussian_matrix(seeded(56, i), 3)
+            mats += [a, linalg.inverse(a)]
+        mats.append(np.diag([0.5, -1.0, 2.0]))
+        # flat support function: W(N + 0) is a disk about the origin
+        mats.append(np.pad(NILPOTENT, ((0, 1), (0, 1))))
+        mats.append(np.zeros((3, 3)))
+        return np.array(mats, dtype=complex)
+
+    @staticmethod
+    def assert_same(got, want):
+        fields = ("value", "kind", "rho", "tolerance", "exact", "evaluations",
+                  "rounds")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        if want.witness is None:
+            assert got.witness is None
+        else:
+            assert got.witness.tobytes() == want.witness.tobytes()
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_engine_matches_one_owner_at_a_time(self, tol):
+        mats = self.stack()[:-2]
+        sw = radii._sweep(lambda owner, t: radii._support_values(mats, t, owner),
+                          len(mats), tol, radii._COARSE)
+        for i, a in enumerate(mats):
+            want = reference_sweep(lambda t: radii._support_values(a, t), tol,
+                                   radii._COARSE)
+            got = (sw.best[i], sw.best_theta[i], sw.gap[i], sw.evaluations[i],
+                   sw.rounds[i])
+            assert got == want
+
+    @pytest.mark.parametrize("rho", [1.0, 1.25, 1.5, 2.0])
+    def test_entries_match_single_matrix_sweeps(self, rho):
+        mats = self.stack()
+        ests = rho_radii(mats, rho, tol=1e-6)
+        assert len(ests) == len(mats) == 23
+        for a, est in zip(mats, ests):
+            self.assert_same(est, rho_radius(a, rho, tol=1e-6))
+        zero = ests[-1]
+        assert (zero.value, zero.tolerance, zero.witness) == (0.0, 0.0, None)
+        assert zero.evaluations == zero.rounds == 0
+        if rho == 1.0:
+            assert all(est.evaluations == 0 for est in ests)
+        else:
+            # the flat support function never prunes and refines longest
+            assert ests[-2].evaluations == max(est.evaluations for est in ests)
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0])
+    def test_chunks_split_and_span_owners(self, rho, monkeypatch):
+        mats = self.stack()
+        whole = rho_radii(mats, rho, tol=1e-6)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return eigvalsh(m, *args, **kwargs)
+
+        # seven 6 x 6 pencil linearizations or 28 3 x 3 Hermitian parts per
+        # chunk; neither divides an owner's 16 coarse angles
+        monkeypatch.setattr(radii, "_BATCH_BYTES", 7 * 16 * 6 * 6)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        chunked = rho_radii(mats, rho, tol=1e-6)
+        for got, want in zip(chunked, whole):
+            self.assert_same(got, want)
+        cap = 7 if rho < 2 else 28
+        assert max(s[0] for s in shapes) == cap
+        assert len(shapes) > sum(est.rounds > 0 for est in whole)
+
+    def test_stats_count_the_evaluations(self, monkeypatch):
+        a = gaussian_matrix(seeded(57, 0), 4)
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m, *args, **kwargs):
+            sizes.append(np.shape(m)[0])
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        est = numerical_radius(a, tol=1e-10)
+        # one batch for the coarse grid, then one per refinement round
+        assert sizes[0] == radii._COARSE
+        assert est.evaluations == sum(sizes)
+        assert est.rounds == len(sizes) - 1 > 0
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError, match="square"):
+            rho_radii(np.zeros((4, 2, 3)), 1.5)
+        with pytest.raises(ValueError, match="same size"):
+            rho_radii([np.eye(2), np.eye(3)], 1.5)
+        with pytest.raises(ValueError, match="at least one"):
+            rho_radii([], 1.5)
+        with pytest.raises(ValueError, match="unsupported"):
+            rho_radii([np.eye(2)], 2.5)
 
 
 class TestSweepVsSphere:
