@@ -200,6 +200,9 @@ def _hermitian_builder(a: np.ndarray):
     owner is an index array. The result is built in place, so a stack costs
     about two of its size in temporaries.
     """
+    # complex even for real a, so its gathered copy takes the product in
+    # place; the operand order keeps every entry bit for bit equal to the
+    # direct (ph A + conj(ph) A*) / 2
     ah = a.conj().transpose(0, 2, 1).astype(np.complex128)
 
     def build(owner, thetas, out=None):
