@@ -25,12 +25,12 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import extremal
-from .linalg import (atomic_write, inverse, load_matrix, matrix_to_payload,
-                     singular_values)
+from .linalg import (_inverse, atomic_write, inverse, load_matrix,
+                     matrix_to_payload, singular_values)
 # numerical_radius stays bound here: perfbench's tracer self-test patches it.
 from .radii import (DEFAULT_SEED, numerical_radius,  # noqa: F401
-                    range_boundary, rho_radii, rho_radius)
-from .unitary import distance_to_unitaries, stampfli_gap_bound
+                    range_boundary, rho_radii)
+from .unitary import _excesses, distance_to_unitaries, stampfli_gap_bound
 
 __all__ = ["main", "run", "random_test", "RandomTestSummary", "RunConfig",
            "DEFAULT_SEED"]
@@ -80,8 +80,8 @@ def _cmd_gap(cfg: RunConfig, ns) -> int:
     a = load_matrix(ns.matrix)
     rho = float(ns.rho)
     tol = cfg.tol if cfg.tol is not None else 1e-8
-    w = max(rho_radius(a, rho, tol=tol).value, 1.0)
-    w_inv = max(rho_radius(inverse(a), rho, tol=tol).value, 1.0)
+    w, w_inv = (max(est.value, 1.0)
+                for est in rho_radii([a, inverse(a)], rho, tol=tol))
     gap = distance_to_unitaries(a)
     bound = stampfli_gap_bound(w, w_inv, rho)
     report = {
@@ -187,25 +187,28 @@ class RandomTestSummary:
     records: tuple[SampleRecord, ...]
 
 
-def _sample_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    # complex Gaussian entries, mean 0 and variance 1/dim; redraw the rare
-    # near-singular sample so the inverse radius stays meaningful
+def _sample_matrix(rng: np.random.Generator,
+                   dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # complex Gaussian entries, mean 0 and variance 1/dim, returned with their
+    # singular values; redraw the rare near-singular sample so the inverse
+    # radius stays meaningful
     for _ in range(100):
         a = (rng.standard_normal((dim, dim))
              + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0 * dim)
-        sv = singular_values(a)
-        if sv[-1] > 1e-8 * sv[0]:
-            return a
+        s = singular_values(a)
+        if s[-1] > 1e-8 * s[0]:
+            return a, s
     raise RuntimeError("could not draw a well-conditioned sample")
 
 
 def _draws(samples: int, dim_min: int, dim_max: int, seed: int):
-    """(index, dim, matrix) of every sample, each on its own substream."""
+    """(index, dim, matrix, singular values) of every sample, each on its own
+    substream."""
     for i in range(samples):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         dim = int(rng.integers(dim_min, dim_max + 1))
-        yield i, dim, _sample_matrix(rng, dim)
+        yield (i, dim, *_sample_matrix(rng, dim))
 
 
 def _blocks(draws):
@@ -225,10 +228,11 @@ def _blocks(draws):
 def _block_radii(block, rho: float, tol: float) -> list[tuple[float, float]]:
     """(w_rho(A), w_rho(A^-1)) per draw, from one lockstep sweep per size."""
     radii = [None] * len(block)
-    for dim in sorted({d for _, d, _ in block}):
-        group = [j for j, (_, d, _) in enumerate(block) if d == dim]
+    for dim in sorted({draw[1] for draw in block}):
+        group = [j for j, draw in enumerate(block) if draw[1] == dim]
         mats = [block[j][2] for j in group]
-        ests = rho_radii(mats + [inverse(a) for a in mats], rho, tol=tol)
+        inverses = [_inverse(*block[j][2:]) for j in group]
+        ests = rho_radii(mats + inverses, rho, tol=tol)
         for pos, j in enumerate(group):
             radii[j] = (ests[pos].value, ests[len(group) + pos].value)
     return radii
@@ -244,6 +248,8 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     1e-6 relative slack. At rho = 2 the unitary-distance consequence
     distance <= bound - 1 + 1e-8 is checked as well. Samples are certified
     in blocks of bounded size, with one rho_radii sweep per matrix size.
+    Each sample's one SVD serves its invertibility check, its norm and its
+    unitary distance, which scale with it.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -258,23 +264,20 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     worst_index = -1
     records = []
     for block in _blocks(_draws(samples, dim_min, dim_max, seed)):
-        for (i, dim, a), (w, w_inv) in zip(block, _block_radii(block, rho, tol)):
+        for (i, dim, a, s), (w, w_inv) in zip(block, _block_radii(block, rho, tol)):
             t = np.sqrt(w_inv / w)
-            scaled = t * a
             r = max(1.0, float(np.sqrt(w * w_inv)))
-            norm = float(singular_values(scaled)[0])
+            norm = float(t * s[0])
             bound = bounds_mod.psi_rho_upper(rho, r)
             ratio = norm / bound
             violated = norm > bound * (1.0 + 1e-6)
-            if rho == 2.0:
-                gap = distance_to_unitaries(scaled)
-                if gap.distance > bound - 1.0 + 1e-8:
-                    gap_violations += 1
+            if rho == 2.0 and max(_excesses(t * s)) > bound - 1.0 + 1e-8:
+                gap_violations += 1
             if violated:
                 violations += 1
             if ratio > max_ratio:
                 max_ratio = ratio
-                worst = scaled
+                worst = t * a
                 worst_index = i
             records.append(SampleRecord(i, dim, r, norm, bound, float(ratio), violated))
     return RandomTestSummary(

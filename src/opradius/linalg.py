@@ -89,8 +89,20 @@ def _check_invertible(sv: np.ndarray) -> None:
 def inverse(a) -> np.ndarray:
     """Matrix inverse, rejecting inputs with sigma_min <= 1e-12 sigma_max."""
     a = as_matrix(a)
-    _check_invertible(singular_values(a))
+    return _inverse(a, singular_values(a))
+
+
+def _inverse(a: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """inverse(a) for a validated matrix whose singular values sv are known."""
+    _check_invertible(sv)
     return np.linalg.inv(a)
+
+
+def _polar_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W Vh, s, Vh) from the SVD A = W diag(s) Vh of an invertible matrix."""
+    w, s, vh = np.linalg.svd(as_matrix(a))
+    _check_invertible(s)
+    return w @ vh, s, vh
 
 
 def polar(a) -> PolarFactors:
@@ -100,9 +112,8 @@ def polar(a) -> PolarFactors:
     Sci. Stat. Comput. 7, 1986) and the positive factor Vh* diag(s) Vh; the
     unitary factor is the nearest unitary to A in operator norm.
     """
-    w, s, vh = np.linalg.svd(as_matrix(a))
-    _check_invertible(s)
-    return PolarFactors(w @ vh, (vh.conj().T * s) @ vh)
+    unitary, s, vh = _polar_svd(a)
+    return PolarFactors(unitary, (vh.conj().T * s) @ vh)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,27 @@ w <= (best + slack) / cos(d/2) and intervals are pruned below
 best * cos(d/2) - slack. A claim whose slack exceeds tol/2 is ignored and the
 full circle is swept, so a false claim costs time, never correctness.
 
+A complex symmetric A (A^T = A, as the extremal family and its inverse are)
+has real symmetric rotated Hermitian parts H_theta = Re(e^{i theta} A),
+the entrywise real part (Garcia & Putinar, Trans. AMS 358, 2006), which the
+float64 eigensolver takes at about a quarter of the complex cost. The
+symmetry is measured, not trusted. With A_s = (A + A^T)/2 and
+e = ||A - A^T||_F / 2, the real symmetric
+S_theta = cos(theta) Re A_s - sin(theta) Im A_s has top eigenvalue
+
+    f(theta) = max over real unit v of Re(e^{i theta} <Av, v>) <= h(theta),
+
+so its values and its top eigenvectors remain lower bounds and witnesses;
+and H_theta - S_theta is the rotated Hermitian part of (A - A^T)/2, whose
+norm is at most e, so
+
+    h(theta) - f(theta) <= e.
+
+Hence f(theta) >= w cos(theta - phi) - slack - e, and sweeping f with slack
++ e certifies w(A) itself. Each matrix of a stack takes this real path when
+slack + e <= tol/2, and the complex one otherwise. The rule is applied per
+matrix, so a stack entry is still bit for bit its own sweep.
+
 The operator rho-radius for 1 <= rho <= 2 is the sphere maximum of
 
     g(h) = alpha |<Ah, h>| + sqrt(alpha^2 |<Ah, h>|^2 + beta ||Ah||^2),
@@ -186,11 +207,14 @@ def _top_eigenvalues(build, dim: int, owner: np.ndarray,
     return out
 
 
-def _top_eigenvectors(build, dim: int, thetas: np.ndarray) -> np.ndarray:
-    """Top eigenvector of build(i, thetas[i]) for every owner i, row by row."""
-    owner = np.arange(thetas.size)
-    return np.concatenate([np.linalg.eigh(build(owner[s], thetas[s]))[1][..., -1]
-                           for s in _chunks(thetas.size, dim)])
+def _top_eigenvectors(build, dim: int, owner: np.ndarray,
+                      thetas: np.ndarray) -> np.ndarray:
+    """Top eigenvector of each matrix of build(owner, thetas), row by row, as
+    complex128."""
+    out = np.empty((thetas.size, dim), dtype=np.complex128)
+    for s in _chunks(thetas.size, dim):
+        out[s] = np.linalg.eigh(build(owner[s], thetas[s]))[1][..., -1]
+    return out
 
 
 def _hermitian_builder(a: np.ndarray):
@@ -215,16 +239,22 @@ def _hermitian_builder(a: np.ndarray):
     return build
 
 
-def _support_values(a: np.ndarray, thetas: np.ndarray,
-                    owner: np.ndarray | None = None) -> np.ndarray:
-    """lambda_max of the rotated Hermitian part, batched over angles.
-
-    a is one matrix evaluated at every angle, or a stack of which matrix
-    owner[i] is evaluated at thetas[i].
+def _symmetric_builder(a: np.ndarray):
+    """build(owner, thetas): the real symmetric matrices
+    cos(theta) Re A_s - sin(theta) Im A_s, A_s = (A + A^T) / 2, for
+    A = a[owner[i]] at thetas[i].
     """
-    if owner is None:
-        a, owner = a[None], np.zeros(thetas.size, dtype=np.intp)
-    return _top_eigenvalues(_hermitian_builder(a), a.shape[-1], owner, thetas)
+    sym = (a + a.transpose(0, 2, 1)) / 2
+    re, im = sym.real.copy(), sym.imag.copy()
+
+    def build(owner, thetas):
+        s = re[owner]
+        s *= np.cos(thetas)[:, None, None]
+        t = im[owner]
+        t *= np.sin(thetas)[:, None, None]
+        s -= t
+        return s
+    return build
 
 
 def support_points(a, thetas) -> list[SupportPoint]:
@@ -288,17 +318,18 @@ class _Sweep:
 
 
 def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
-           slack: float = 0.0) -> _Sweep:
+           slack: float | np.ndarray = 0.0) -> _Sweep:
     """Certified maxima of `count` functions of theta, swept in lockstep.
 
     values(owner, thetas) returns the value of function owner[i] at
     thetas[i] for every i. Each function must dominate
-    w cos(theta - phi) - slack, where w is its maximum and phi the angle of a
-    maximizer; with order > 1 only the closed period [0, 2 pi/order] is swept
-    and phi must lie in it. Every interval carries the index of its owner,
-    and each owner keeps its own best value, best angle and stopping round,
-    so its result is bit for bit that of a sweep of its function alone. The
-    true maximum of function i lies in [best[i], best[i] + gap[i]].
+    w cos(theta - phi) - slack, where w is its maximum, phi the angle of a
+    maximizer and slack a scalar or one value per owner; with order > 1 only
+    the closed period [0, 2 pi/order] is swept and phi must lie in it. Every
+    interval carries the index of its owner, and each owner keeps its own
+    best value, best angle and stopping round, so its result is bit for bit
+    that of a sweep of its function alone. The true maximum of function i
+    lies in [best[i], best[i] + gap[i]].
     """
     owners = np.arange(count)
     # intervals of the current generation: [left, left + width]
@@ -366,10 +397,29 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
 
 def _numerical_radii(mats: np.ndarray, tol: float, coarse: int, order: int = 1,
                      slack: float = 0.0) -> list[RadiusEstimate]:
-    """Certified numerical radii of a stack of nonzero matrices, in lockstep."""
-    sw = _sweep(lambda owner, thetas: _support_values(mats, thetas, owner),
-                len(mats), tol, coarse, order, slack)
-    vecs = _top_eigenvectors(_hermitian_builder(mats), mats.shape[-1], sw.best_theta)
+    """Certified numerical radii of a stack of nonzero matrices, in lockstep.
+
+    An owner whose skew part e = ||A - A^T||_F / 2 fits slack + e <= tol/2 is
+    swept on the real symmetric S_theta with slack + e, every other owner on
+    the complex H_theta (see the module docstring).
+    """
+    n = mats.shape[-1]
+    skew = np.linalg.norm(mats - mats.transpose(0, 2, 1), axis=(1, 2)) / 2
+    real = slack + skew <= tol / 2
+    kinds = ((~real, _hermitian_builder(mats)), (real, _symmetric_builder(mats)))
+
+    def solve(kernel, owner, thetas, out):
+        # each kind in stacks of its own: complex128 H_theta, float64 S_theta
+        for mask, build in kinds:
+            sel = mask[owner]
+            out[sel] = kernel(build, n, owner[sel], thetas[sel])
+        return out
+
+    sw = _sweep(lambda owner, thetas: solve(_top_eigenvalues, owner, thetas,
+                                            np.empty(thetas.size)),
+                len(mats), tol, coarse, order, np.where(real, slack + skew, slack))
+    vecs = solve(_top_eigenvectors, np.arange(len(mats)), sw.best_theta,
+                 np.empty((len(mats), n), dtype=np.complex128))
     out = []
     for i, a in enumerate(mats):
         witness = vecs[i] / np.linalg.norm(vecs[i])
@@ -549,7 +599,7 @@ def _rho_radii(mats: np.ndarray, rho: float, tol: float) -> list[RadiusEstimate]
 
     sw = _sweep(lambda owner, thetas: _top_eigenvalues(build, 2 * n, owner, thetas),
                 len(mats), tol, _COARSE)
-    vecs = _top_eigenvectors(build, 2 * n, sw.best_theta)
+    vecs = _top_eigenvectors(build, 2 * n, np.arange(len(mats)), sw.best_theta)
     out = []
     for i, a in enumerate(mats):
         x = vecs[i, :n]

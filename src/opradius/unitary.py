@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import psi_rho_upper
-from .linalg import _check_invertible, as_matrix
+from .linalg import _polar_svd
 
 __all__ = ["UnitaryGap", "distance_to_unitaries", "stampfli_gap_bound"]
 
@@ -33,15 +33,19 @@ class UnitaryGap:
     inverse_excess: float
 
 
+def _excesses(s: np.ndarray) -> tuple[float, float]:
+    """(||A|| - 1, 1 - 1/||A^-1||) from the descending singular values of A;
+    the distance to the unitaries is the larger of the two."""
+    return float(s[0] - 1.0), float(1.0 - s[-1])
+
+
 def distance_to_unitaries(a) -> UnitaryGap:
     """Operator-norm distance from an invertible matrix to the unitaries."""
-    w, s, vh = np.linalg.svd(as_matrix(a))
-    _check_invertible(s)
-    norm_excess = float(s[0] - 1.0)
-    inverse_excess = float(1.0 - s[-1])
+    nearest, s, _ = _polar_svd(a)
+    norm_excess, inverse_excess = _excesses(s)
     return UnitaryGap(
         distance=max(norm_excess, inverse_excess),
-        nearest=w @ vh,
+        nearest=nearest,
         norm_excess=norm_excess,
         inverse_excess=inverse_excess,
     )

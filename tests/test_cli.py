@@ -116,13 +116,17 @@ class TestRandomTest:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=13, spawn_key=(rec.index,)))
             dim = int(rng.integers(2, 6))
-            a = cli._sample_matrix(rng, dim)
+            a, s = cli._sample_matrix(rng, dim)
+            np.testing.assert_array_equal(s, linalg.singular_values(a))
             w = rho_radius(a, rho, tol=1e-8).value
             w_inv = rho_radius(linalg.inverse(a), rho, tol=1e-8).value
             assert rec.dim == dim
             assert rec.r == max(1.0, float(np.sqrt(w * w_inv)))
-            scaled = np.sqrt(w_inv / w) * a
-            assert rec.norm == float(linalg.singular_values(scaled)[0])
+            # ||tA|| = t ||A||, from the draw's own SVD
+            t = np.sqrt(w_inv / w)
+            assert rec.norm == float(t * s[0])
+            scaled = linalg.singular_values(t * a)[0]
+            assert rec.norm == pytest.approx(scaled, rel=1e-14, abs=0)
 
     def test_blocks_do_not_change_records(self, monkeypatch):
         whole = random_test(2, 5, 16, 1.5, seed=17)

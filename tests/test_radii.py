@@ -2,14 +2,36 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_matrix, seeded
-from opradius import linalg, radii
-from opradius.extremal import build, symmetry_pair
+from opradius import cli, linalg, radii
+from opradius.extremal import build, family_radii, symmetry_pair
 from opradius.radii import (numerical_radius, range_boundary, rho_radii,
                             rho_radius, sphere_maximize, spectral_radius,
                             support_points)
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 WITNESS = np.array([[1.0, 1.5], [0.0, -1.0]], dtype=complex)
+
+
+def support_values(a, thetas, owner=None):
+    """The support function h(theta) = lambda_max(H_theta) on the complex
+    path: of one matrix at every angle, or of a stack's matrix owner[i] at
+    thetas[i]."""
+    if owner is None:
+        a, owner = a[None], np.zeros(thetas.size, dtype=np.intp)
+    return radii._top_eigenvalues(radii._hermitian_builder(a), a.shape[-1],
+                                  owner, thetas)
+
+
+def complex_symmetric(rng, dim):
+    g = gaussian_matrix(rng, dim)
+    return (g + g.T) / 2
+
+
+def unit_skew(rng, dim):
+    """A complex skew-symmetric K with ||K||_F = 1: S + e K has skew part
+    ||(S + e K) - (S + e K)^T||_F / 2 = e for symmetric S."""
+    g = gaussian_matrix(rng, dim)
+    return (g - g.T) / np.linalg.norm(g - g.T)
 
 
 def nilpotent_rho_oracle(rho, grid=200001):
@@ -86,12 +108,12 @@ class TestNumericalRadius:
     def test_chunked_batches_match_one_batch(self, monkeypatch):
         a = gaussian_matrix(seeded(45, 0), 6)
         thetas = 2 * np.pi * np.arange(37) / 37
-        values = radii._support_values(a, thetas)
+        values = support_values(a, thetas)
         points = support_points(a, thetas)
         est = numerical_radius(a, tol=1e-10)
         # three 6 x 6 complex matrices per batch
         monkeypatch.setattr(radii, "_BATCH_BYTES", 3 * a.nbytes)
-        np.testing.assert_array_equal(radii._support_values(a, thetas), values)
+        np.testing.assert_array_equal(support_values(a, thetas), values)
         assert support_points(a, thetas) == points
         chunked = numerical_radius(a, tol=1e-10)
         assert (chunked.value, chunked.tolerance) == (est.value, est.tolerance)
@@ -330,10 +352,10 @@ class TestLockstep:
     @pytest.mark.parametrize("tol", [1e-6, 1e-10])
     def test_engine_matches_one_owner_at_a_time(self, tol):
         mats = self.stack()[:-2]
-        sw = radii._sweep(lambda owner, t: radii._support_values(mats, t, owner),
+        sw = radii._sweep(lambda owner, t: support_values(mats, t, owner),
                           len(mats), tol, radii._COARSE)
         for i, a in enumerate(mats):
-            want = reference_sweep(lambda t: radii._support_values(a, t), tol,
+            want = reference_sweep(lambda t: support_values(a, t), tol,
                                    radii._COARSE)
             got = (sw.best[i], sw.best_theta[i], sw.gap[i], sw.evaluations[i],
                    sw.rounds[i])
@@ -354,6 +376,24 @@ class TestLockstep:
         else:
             # the flat support function never prunes and refines longest
             assert ests[-2].evaluations == max(est.evaluations for est in ests)
+
+    def test_real_path_is_decided_per_matrix(self):
+        # complex symmetric, near-symmetric just inside and just outside the
+        # skew budget tol/2, and Gaussian matrices in one stack
+        tol = 1e-6
+        mats, real = [], []
+        for i in range(4):
+            rng = seeded(59, i)
+            sym = complex_symmetric(rng, 4)
+            k = unit_skew(rng, 4)
+            mats += [sym, sym + 0.99 * tol / 2 * k, sym + 1.01 * tol / 2 * k,
+                     gaussian_matrix(rng, 4)]
+            real += [True, True, False, False]
+        ests = rho_radii(mats, 2.0, tol=tol)
+        for a, est, on_real_path in zip(mats, ests, real):
+            self.assert_same(est, rho_radius(a, 2.0, tol=tol))
+            # the real path's witness is a real eigenvector
+            assert (not est.witness.imag.any()) == on_real_path
 
     @pytest.mark.parametrize("rho", [1.5, 2.0])
     def test_chunks_split_and_span_owners(self, rho, monkeypatch):
@@ -402,6 +442,69 @@ class TestLockstep:
             rho_radii([], 1.5)
         with pytest.raises(ValueError, match="unsupported"):
             rho_radii([np.eye(2)], 2.5)
+
+
+class TestRealPath:
+    # complex symmetric owners are swept on real symmetric matrices, with
+    # their skew part added to the slack
+
+    @staticmethod
+    def cases(tol):
+        """Complex symmetric matrices of size 2..8 plus skew perturbations
+        up to the budget tol/2. The even ones are normal with a doubly
+        repeated eigenvalue of largest modulus and are perturbed inside its
+        eigenspace, where the real sweep falls furthest below the support
+        function: a copy that leaves the skew part out of the slack fails
+        on them."""
+        out = []
+        for i in range(40):
+            rng = seeded(58, i)
+            dim = int(rng.integers(2, 9))
+            if i % 2:
+                sym, k = complex_symmetric(rng, dim), unit_skew(rng, dim)
+            else:
+                q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+                d = np.diag(gaussian_matrix(rng, dim)).copy()
+                phase = d[0] / abs(d[0])
+                d[:2] = 1.5 * np.abs(d).max() * phase
+                sym = (q * d) @ q.T
+                k = 1j * phase * (np.outer(q[:, 0], q[:, 1])
+                                  - np.outer(q[:, 1], q[:, 0])) / np.sqrt(2)
+            out += [sym + frac * tol / 2 * k for frac in (0.0, 0.5, 0.999)]
+        return out
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
+    def test_certificate_holds_against_complex_sweep(self, tol):
+        for a in self.cases(tol):
+            est = numerical_radius(a, tol=tol)
+            assert not est.witness.imag.any()
+            ref = radii._sweep(lambda owner, t: support_values(a, t), 1,
+                               1e-12, radii._COARSE)
+            w = ref.best[0]
+            assert est.value - 1e-12 <= w <= est.value + est.tolerance + 1e-12
+            assert est.tolerance <= tol
+            q = est.witness.conj() @ (a @ est.witness)
+            assert abs(q) == pytest.approx(est.value, abs=1e-12)
+
+    def test_kernel_dtypes(self, monkeypatch):
+        dtypes = []
+
+        def spy(kernel):
+            def call(m, *args, **kwargs):
+                dtypes.append(np.asarray(m).dtype)
+                return kernel(m, *args, **kwargs)
+            return call
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+        # the family and its inverse are symmetric to rounding
+        for n in (12, 100):
+            family_radii(build(n), 1e-8)
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+        dtypes.clear()
+        # Gaussian samples are not
+        cli.random_test(2, 8, 20, 2.0)
+        assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
 
 
 class TestSweepVsSphere:
