@@ -32,8 +32,7 @@ from .radii import (DEFAULT_SEED, numerical_radius,  # noqa: F401
                     range_boundary, rho_radii)
 from .unitary import _excesses, distance_to_unitaries, stampfli_gap_bound
 
-__all__ = ["main", "run", "random_test", "RandomTestSummary", "RunConfig",
-           "DEFAULT_SEED"]
+__all__ = ["main", "run", "random_test", "RandomTestSummary", "DEFAULT_SEED"]
 
 _FORMATS = ("csv", "json", "text")
 # Bytes of sampled matrices and inverses that random_test holds at once; it
@@ -42,24 +41,20 @@ _BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Common knobs shared by every subcommand."""
+class _Result:
+    """A subcommand's output in every format and its failed-check messages,
+    which run() renders, writes and maps to the exit code."""
 
-    seed: int = DEFAULT_SEED
-    tol: float | None = None
-    out: str | None = None
-    fmt: str = "text"
+    header: str
+    rows: list
+    payload: dict
+    text: str
+    trailer: str | None = None
+    failures: tuple[str, ...] = ()
 
 
 def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        atomic_write(out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _csv_lines(header: str, rows, trailer: str | None = None) -> str:
@@ -76,12 +71,11 @@ def _csv_lines(header: str, rows, trailer: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gap(cfg: RunConfig, ns) -> int:
+def _cmd_gap(ns) -> _Result:
     a = load_matrix(ns.matrix)
     rho = float(ns.rho)
-    tol = cfg.tol if cfg.tol is not None else 1e-8
     w, w_inv = (max(est.value, 1.0)
-                for est in rho_radii([a, inverse(a)], rho, tol=tol))
+                for est in rho_radii([a, inverse(a)], rho, tol=ns.tol))
     gap = distance_to_unitaries(a)
     bound = stampfli_gap_bound(w, w_inv, rho)
     report = {
@@ -93,18 +87,11 @@ def _cmd_gap(cfg: RunConfig, ns) -> int:
         "inverse_excess": gap.inverse_excess,
         "bound": bound,
     }
-    if cfg.fmt == "csv":
-        keys = list(report)
-        _emit(_csv_lines(",".join(keys), [tuple(report[k] for k in keys)]), cfg.out)
-    elif cfg.fmt == "text":
-        _emit("".join(f"{k} = {_fmt_float(v)}\n" for k, v in report.items()), cfg.out)
-    else:
-        _emit(json.dumps(report, indent=2) + "\n", cfg.out)
-    if gap.distance > bound + 1e-8:
-        print(f"check failed: distance {gap.distance:.12g} exceeds "
-              f"bound {bound:.12g}", file=sys.stderr)
-        return 1
-    return 0
+    failures = ((f"distance {gap.distance:.12g} exceeds bound {bound:.12g}",)
+                if gap.distance > bound + 1e-8 else ())
+    return _Result(",".join(report), [tuple(report.values())], report,
+                   "".join(f"{k} = {_fmt_float(v)}\n" for k, v in report.items()),
+                   failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -112,25 +99,19 @@ def _cmd_gap(cfg: RunConfig, ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bounds(cfg: RunConfig, ns) -> int:
+def _cmd_bounds(ns) -> _Result:
     curve = bounds_mod.bound_curve(ns.rho, ns.r_min, ns.r_max, ns.steps)
     rows = [(r.r, r.x_value, r.psi_upper, r.psi_lower, r.asymptotic)
             for r in curve.rows]
-    if cfg.fmt == "json":
-        payload = {
-            "rho": curve.rho,
-            "rows": [{"r": r.r, "X": r.x_value, "psi_upper": r.psi_upper,
-                      "psi_lower": r.psi_lower, "asymptotic": r.asymptotic}
-                     for r in curve.rows],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
-    elif cfg.fmt == "text":
-        head = f"{'r':>22} {'X':>22} {'psi_upper':>22} {'psi_lower':>22} {'asymptotic':>22}\n"
-        body = "".join(" ".join(f"{c:>22.15g}" for c in row) + "\n" for row in rows)
-        _emit(head + body, cfg.out)
-    else:
-        _emit(_csv_lines("r,X,psi_upper,psi_lower,asymptotic", rows), cfg.out)
-    return 0
+    payload = {
+        "rho": curve.rho,
+        "rows": [{"r": r.r, "X": r.x_value, "psi_upper": r.psi_upper,
+                  "psi_lower": r.psi_lower, "asymptotic": r.asymptotic}
+                 for r in curve.rows],
+    }
+    head = f"{'r':>22} {'X':>22} {'psi_upper':>22} {'psi_lower':>22} {'asymptotic':>22}\n"
+    body = "".join(" ".join(f"{c:>22.15g}" for c in row) + "\n" for row in rows)
+    return _Result("r,X,psi_upper,psi_lower,asymptotic", rows, payload, head + body)
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +119,17 @@ def _cmd_bounds(cfg: RunConfig, ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_range(cfg: RunConfig, ns) -> int:
+def _cmd_range(ns) -> _Result:
     a = load_matrix(ns.matrix)
     points = range_boundary(a, samples=ns.samples)
     rows = [(p.theta, p.support_value, p.boundary_point.real, p.boundary_point.imag)
             for p in points]
-    if cfg.fmt == "json":
-        payload = {"samples": ns.samples,
-                   "rows": [{"theta": r[0], "support_value": r[1],
-                             "re": r[2], "im": r[3]} for r in rows]}
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
-    elif cfg.fmt == "text":
-        _emit("".join(f"{r[0]:.12g} {r[1]:.12g} {r[2]:.12g} {r[3]:.12g}\n"
-                      for r in rows), cfg.out)
-    else:
-        _emit(_csv_lines("theta,support_value,re,im", rows), cfg.out)
-    return 0
+    payload = {"samples": ns.samples,
+               "rows": [{"theta": r[0], "support_value": r[1],
+                         "re": r[2], "im": r[3]} for r in rows]}
+    return _Result("theta,support_value,re,im", rows, payload,
+                   "".join(f"{r[0]:.12g} {r[1]:.12g} {r[2]:.12g} {r[3]:.12g}\n"
+                           for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -287,40 +263,33 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
         records=tuple(records))
 
 
-def _cmd_random_test(cfg: RunConfig, ns) -> int:
-    tol = cfg.tol if cfg.tol is not None else 1e-8
+def _cmd_random_test(ns) -> _Result:
     summary = random_test(ns.dim_min, ns.dim_max, ns.samples, float(ns.rho),
-                          seed=cfg.seed, tol=tol)
-    if cfg.fmt == "csv":
-        rows = [(r.index, r.dim, r.r, r.norm, r.bound, r.ratio, int(r.violated))
-                for r in summary.records]
-        _emit(_csv_lines("index,dim,r,norm,bound,ratio,violated", rows), cfg.out)
-    elif cfg.fmt == "text":
-        _emit(
-            f"rho = {summary.rho}\nsamples = {summary.samples}\n"
+                          seed=ns.seed, tol=ns.tol)
+    rows = [(r.index, r.dim, r.r, r.norm, r.bound, r.ratio, int(r.violated))
+            for r in summary.records]
+    payload = {
+        "rho": summary.rho,
+        "samples": summary.samples,
+        "dim_min": summary.dim_min,
+        "dim_max": summary.dim_max,
+        "seed": summary.seed,
+        "violations": summary.violations,
+        "gap_violations": summary.gap_violations,
+        "max_ratio": summary.max_ratio,
+        "worst_index": summary.worst_index,
+        "worst_case": matrix_to_payload(summary.worst_case),
+    }
+    text = (f"rho = {summary.rho}\nsamples = {summary.samples}\n"
             f"violations = {summary.violations}\n"
             f"gap_violations = {summary.gap_violations}\n"
             f"max_ratio = {_fmt_float(summary.max_ratio)}\n"
-            f"worst_index = {summary.worst_index}\n", cfg.out)
-    else:
-        payload = {
-            "rho": summary.rho,
-            "samples": summary.samples,
-            "dim_min": summary.dim_min,
-            "dim_max": summary.dim_max,
-            "seed": summary.seed,
-            "violations": summary.violations,
-            "gap_violations": summary.gap_violations,
-            "max_ratio": summary.max_ratio,
-            "worst_index": summary.worst_index,
-            "worst_case": matrix_to_payload(summary.worst_case),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
-    if summary.violations or summary.gap_violations:
-        print(f"check failed: {summary.violations} norm violations, "
-              f"{summary.gap_violations} gap violations", file=sys.stderr)
-        return 1
-    return 0
+            f"worst_index = {summary.worst_index}\n")
+    failures = ((f"{summary.violations} norm violations, "
+                 f"{summary.gap_violations} gap violations",)
+                if summary.violations or summary.gap_violations else ())
+    return _Result("index,dim,r,norm,bound,ratio,violated", rows, payload, text,
+                   failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -328,93 +297,46 @@ def _cmd_random_test(cfg: RunConfig, ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_reports(n: int, tol: float) -> list[extremal.CertificateReport]:
-    fam = extremal.build(n)
-    residual = extremal.check_symmetry(fam)
-    symmetry = extremal.CertificateReport(
-        "rotation_symmetry", n,
-        (extremal.CertificateCheck("conjugation_residual", residual, 1e-13,
-                                   residual <= 1e-13, 1e-13 - residual),))
-    cos_bound = float(1.0 / np.cos(np.pi / n))
-    w, w_inv = (est.value for est in extremal.family_radii(fam, tol))
-    radius = extremal.CertificateReport(
-        "radius_bound", n,
-        (extremal.CertificateCheck("w", w, cos_bound, w <= cos_bound + 1e-8,
-                                   cos_bound - w),
-         extremal.CertificateCheck("w_inv", w_inv, cos_bound,
-                                   w_inv <= cos_bound + 1e-8, cos_bound - w_inv)))
-    return [
-        symmetry,
-        extremal.check_norm(fam),
-        extremal.check_real_parts(fam),
-        extremal.certificate_31(fam),
-        extremal.certificate_32(fam),
-        radius,
-    ]
+def _cmd_extremal_verify(ns) -> _Result:
+    reports = extremal.verify(ns.n, ns.tol)
+    failures = tuple(f"{rep.label}.{name}" for rep in reports
+                     for name in rep.failures())
+    payload = {"n": ns.n, "all_pass": not failures,
+               "reports": [rep.to_dict() for rep in reports]}
+    rows = [(rep.label, c.name, c.value, c.bound, int(c.passed), c.slack)
+            for rep in reports for c in rep.checks]
+    lines = [f"n = {ns.n}"]
+    lines += [f"{'PASS' if c.passed else 'FAIL'}  {rep.label}.{c.name}: "
+              f"value={_fmt_float(c.value)} bound={_fmt_float(c.bound)}"
+              for rep in reports for c in rep.checks]
+    lines.append("FAILURES PRESENT" if failures else "all passed")
+    return _Result("report,check,value,bound,pass,slack", rows, payload,
+                   "\n".join(lines) + "\n", failures=failures)
 
 
-def _cmd_extremal_verify(cfg: RunConfig, ns) -> int:
-    tol = cfg.tol if cfg.tol is not None else 1e-8
-    fmt = "json" if ns.json else cfg.fmt
-    reports = _verify_reports(ns.n, tol)
-    ok = all(rep.all_pass for rep in reports)
-    if fmt == "json":
-        payload = {"n": ns.n, "all_pass": ok,
-                   "reports": [rep.to_dict() for rep in reports]}
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
-    elif fmt == "csv":
-        rows = [(rep.label, c.name, c.value, c.bound, int(c.passed), c.slack)
-                for rep in reports for c in rep.checks]
-        _emit(_csv_lines("report,check,value,bound,pass,slack", rows), cfg.out)
-    else:
-        lines = [f"n = {ns.n}"]
-        for rep in reports:
-            for c in rep.checks:
-                tag = "PASS" if c.passed else "FAIL"
-                lines.append(f"{tag}  {rep.label}.{c.name}: "
-                             f"value={_fmt_float(c.value)} bound={_fmt_float(c.bound)}")
-        lines.append("all passed" if ok else "FAILURES PRESENT")
-        _emit("\n".join(lines) + "\n", cfg.out)
-    if not ok:
-        failing = [f"{rep.label}.{name}" for rep in reports
-                   for name in rep.failures()]
-        print("check failed: " + ", ".join(failing), file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_extremal_scaling(cfg: RunConfig, ns) -> int:
-    tol = cfg.tol if cfg.tol is not None else 1e-6
-    table = extremal.scaling_experiment(ns.kmin, ns.kmax, radius_tol=tol)
+def _cmd_extremal_scaling(ns) -> _Result:
+    table = extremal.scaling_experiment(ns.kmin, ns.kmax, radius_tol=ns.tol)
     failures = []
     for row in table.rows:
         if abs(row.delta - 1.0 / (8.0 * np.sqrt(row.n))) > 1e-11:
             failures.append(f"norm excess identity at n={row.n}")
-        if row.w > 1.0 + row.eps + 1e-8:
-            failures.append(f"w bound at n={row.n}")
-        if row.w_inv > 1.0 + row.eps + 1e-8:
-            failures.append(f"w_inv bound at n={row.n}")
-    if cfg.fmt == "json":
-        payload = {
-            "kmin": ns.kmin, "kmax": ns.kmax, "slope": table.slope,
-            "rows": [{"n": r.n, "eps": r.eps, "delta": r.delta,
-                      "w": r.w, "w_inv": r.w_inv} for r in table.rows],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
-    elif cfg.fmt == "text":
-        lines = [f"{'n':>6} {'eps':>24} {'delta':>24} {'w':>24} {'w_inv':>24}"]
-        lines += [f"{r.n:>6} {r.eps:>24.15g} {r.delta:>24.15g} "
-                  f"{r.w:>24.15g} {r.w_inv:>24.15g}" for r in table.rows]
-        lines.append(f"slope = {_fmt_float(table.slope)}")
-        _emit("\n".join(lines) + "\n", cfg.out)
-    else:
-        rows = [(r.n, r.eps, r.delta, r.w, r.w_inv) for r in table.rows]
-        _emit(_csv_lines("n,eps,delta,w,w_inv", rows,
-                         trailer=f"# slope={_fmt_float(table.slope)}"), cfg.out)
-    if failures:
-        print("check failed: " + ", ".join(failures), file=sys.stderr)
-        return 1
-    return 0
+        for name, w in (("w", row.w), ("w_inv", row.w_inv)):
+            if w > 1.0 + row.eps + 1e-8:
+                failures.append(f"{name} bound at n={row.n}")
+    payload = {
+        "kmin": ns.kmin, "kmax": ns.kmax, "slope": table.slope,
+        "rows": [{"n": r.n, "eps": r.eps, "delta": r.delta,
+                  "w": r.w, "w_inv": r.w_inv} for r in table.rows],
+    }
+    lines = [f"{'n':>6} {'eps':>24} {'delta':>24} {'w':>24} {'w_inv':>24}"]
+    lines += [f"{r.n:>6} {r.eps:>24.15g} {r.delta:>24.15g} "
+              f"{r.w:>24.15g} {r.w_inv:>24.15g}" for r in table.rows]
+    lines.append(f"slope = {_fmt_float(table.slope)}")
+    return _Result("n,eps,delta,w,w_inv",
+                   [(r.n, r.eps, r.delta, r.w, r.w_inv) for r in table.rows],
+                   payload, "\n".join(lines) + "\n",
+                   trailer=f"# slope={_fmt_float(table.slope)}",
+                   failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +344,11 @@ def _cmd_extremal_scaling(cfg: RunConfig, ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, default_fmt: str) -> None:
+def _add_common(parser: argparse.ArgumentParser, default_fmt: str,
+                default_tol: float | None) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"PRNG seed (default {DEFAULT_SEED})")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=float, default=default_tol,
                         help="radius tolerance override")
     parser.add_argument("--out", default=None, help="write output to this file")
     parser.add_argument("--format", choices=_FORMATS, default=default_fmt,
@@ -441,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap", help="distance to the unitaries plus the psi bound")
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     p.add_argument("--rho", type=float, default=2.0)
-    _add_common(p, "json")
+    _add_common(p, "json", 1e-8)
     p.set_defaults(func=_cmd_gap)
 
     p = sub.add_parser("bounds", help="tabulate the bound envelopes")
@@ -449,13 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, default=1.0)
     p.add_argument("--r-max", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=101)
-    _add_common(p, "csv")
+    _add_common(p, "csv", None)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("range", help="sample the numerical-range boundary")
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     p.add_argument("--samples", type=int, default=256)
-    _add_common(p, "csv")
+    _add_common(p, "csv", None)
     p.set_defaults(func=_cmd_range)
 
     p = sub.add_parser("random-test", help="randomized norm-bound falsification")
@@ -463,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--dim-min", type=int, default=2)
     p.add_argument("--dim-max", type=int, default=8)
-    _add_common(p, "json")
+    _add_common(p, "json", 1e-8)
     p.set_defaults(func=_cmd_random_test)
 
     p = sub.add_parser("extremal", help="extremal-family commands")
@@ -472,34 +395,49 @@ def build_parser() -> argparse.ArgumentParser:
     pv = esub.add_parser("verify", help="run every certificate for one n")
     pv.add_argument("--n", type=int, required=True)
     pv.add_argument("--json", action="store_true", help="shorthand for --format json")
-    _add_common(pv, "text")
+    _add_common(pv, "text", 1e-8)
     pv.set_defaults(func=_cmd_extremal_verify)
 
     ps = esub.add_parser("scaling", help="norm excess vs radius excess table")
     ps.add_argument("--kmin", type=int, required=True)
     ps.add_argument("--kmax", type=int, required=True)
-    _add_common(ps, "csv")
+    _add_common(ps, "csv", 1e-6)
     ps.set_defaults(func=_cmd_extremal_scaling)
 
     return parser
 
 
 def run(argv=None) -> int:
-    """Parse argv, execute the subcommand, map errors to exit codes."""
+    """Parse argv, execute the subcommand, write its result in the chosen
+    format, and map failed checks and errors to exit codes."""
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
-    cfg = RunConfig(seed=ns.seed, tol=ns.tol, out=ns.out, fmt=ns.fmt)
-    if cfg.tol is not None and not 1e-12 <= cfg.tol <= 1e-2:
+    if ns.tol is not None and not 1e-12 <= ns.tol <= 1e-2:
         print("error: --tol must lie in [1e-12, 1e-2]", file=sys.stderr)
         return 2
     try:
-        return ns.func(cfg, ns)
+        result = ns.func(ns)
+        fmt = "json" if getattr(ns, "json", False) else ns.fmt
+        if fmt == "csv":
+            text = _csv_lines(result.header, result.rows, result.trailer)
+        elif fmt == "json":
+            text = json.dumps(result.payload, indent=2) + "\n"
+        else:
+            text = result.text
+        if ns.out:
+            atomic_write(ns.out, text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if result.failures:
+        print("check failed: " + ", ".join(result.failures), file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv=None) -> int:

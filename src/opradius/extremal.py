@@ -44,11 +44,12 @@ __all__ = [
     "certificate_31",
     "certificate_32",
     "family_radii",
+    "verify",
     "scaling_experiment",
 ]
 
 MAX_DIM = 500
-# global slack for certificate pass/fail decisions
+# _check's default slack for certificate pass/fail decisions
 CHECK_SLACK = 1e-10
 
 
@@ -107,10 +108,11 @@ class CertificateReport:
         }
 
 
-def _check(name: str, value: float, bound: float) -> CertificateCheck:
+def _check(name: str, value: float, bound: float,
+           slack: float = CHECK_SLACK) -> CertificateCheck:
     value = float(value)
     bound = float(bound)
-    return CertificateCheck(name, value, bound, value <= bound + CHECK_SLACK,
+    return CertificateCheck(name, value, bound, value <= bound + slack,
                             bound - value)
 
 
@@ -305,6 +307,30 @@ def family_radii(fam: ExtremalFamily,
     w = numerical_radius(fam.A, tol=tol, rotation=(pd, fam.n))
     w_inv = numerical_radius(inverse(fam.A), tol=tol, rotation=(pd, -fam.n))
     return w, w_inv
+
+
+def verify(n: int, tol: float) -> list[CertificateReport]:
+    """Build the member for n and run every certificate on it.
+
+    Besides the four certificate reports it checks the rotation residual of
+    check_symmetry against 1e-13 with no slack, and the family radii of A and
+    A^-1, swept to `tol`, against 1/cos(pi/n) with slack 1e-8.
+    """
+    fam = build(n)
+    residual = check_symmetry(fam)
+    cos_bound = 1.0 / np.cos(np.pi / n)
+    w, w_inv = family_radii(fam, tol)
+    return [
+        CertificateReport("rotation_symmetry", fam.n, (
+            _check("conjugation_residual", residual, 1e-13, slack=0.0),)),
+        check_norm(fam),
+        check_real_parts(fam),
+        certificate_31(fam),
+        certificate_32(fam),
+        CertificateReport("radius_bound", fam.n, (
+            _check("w", w.value, cos_bound, slack=1e-8),
+            _check("w_inv", w_inv.value, cos_bound, slack=1e-8))),
+    ]
 
 
 def _scaling_row(n: int, radius_tol: float) -> ScalingRow:

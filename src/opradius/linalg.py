@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,9 +160,15 @@ def save_matrix(path, a) -> None:
 
 
 def atomic_write(path, text: str) -> None:
-    """Write text to path through a temp file in its directory, then rename."""
+    """Write text to path through a temp file in its directory, then rename.
+
+    The temp file is created with mode 0o666 less the umask, the mode a plain
+    open(path, "w") gives a new file; the random name and O_EXCL keep it from
+    clobbering another writer's temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

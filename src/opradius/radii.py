@@ -140,8 +140,7 @@ class RadiusEstimate:
 
     value        computed radius, a certified lower bound within `tolerance`
                  of the true value.
-    kind         one of operator_norm, numerical_radius, rho_radius,
-                 spectral_radius.
+    kind         numerical_radius or rho_radius.
     rho          the rho parameter when kind == rho_radius, else None.
     tolerance    certified gap: the true radius lies in [value, value +
                  tolerance] up to eigensolver rounding.
@@ -395,7 +394,7 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
     return _Sweep(best, best_theta, gap, evaluations, rounds)
 
 
-def _numerical_radii(mats: np.ndarray, tol: float, coarse: int, order: int = 1,
+def _numerical_radii(mats: np.ndarray, tol: float, order: int = 1,
                      slack: float = 0.0) -> list[RadiusEstimate]:
     """Certified numerical radii of a stack of nonzero matrices, in lockstep.
 
@@ -417,7 +416,7 @@ def _numerical_radii(mats: np.ndarray, tol: float, coarse: int, order: int = 1,
 
     sw = _sweep(lambda owner, thetas: solve(_top_eigenvalues, owner, thetas,
                                             np.empty(thetas.size)),
-                len(mats), tol, coarse, order, np.where(real, slack + skew, slack))
+                len(mats), tol, _COARSE, order, np.where(real, slack + skew, slack))
     vecs = solve(_top_eigenvectors, np.arange(len(mats)), sw.best_theta,
                  np.empty((len(mats), n), dtype=np.complex128))
     out = []
@@ -431,7 +430,7 @@ def _numerical_radii(mats: np.ndarray, tol: float, coarse: int, order: int = 1,
     return out
 
 
-def numerical_radius(a, tol: float = 1e-9, coarse: int = _COARSE,
+def numerical_radius(a, tol: float = 1e-9,
                      rotation: tuple[np.ndarray, int] | None = None) -> RadiusEstimate:
     """Numerical radius w(A) = sup |<Ah, h>| over unit vectors, certified.
 
@@ -448,12 +447,10 @@ def numerical_radius(a, tol: float = 1e-9, coarse: int = _COARSE,
         raise ValueError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
     if not a.any():
         return RadiusEstimate(0.0, "numerical_radius", None, 0.0, True, None)
-    if coarse < 8:
-        raise ValueError("coarse grid must have at least 8 points")
     order, slack = _rotation_slack(a, rotation) if rotation is not None else (1, 0.0)
     if slack > tol / 2:
         order, slack = 1, 0.0
-    return _numerical_radii(a[None], tol, coarse, order, slack)[0]
+    return _numerical_radii(a[None], tol, order, slack)[0]
 
 
 def spectral_radius(a) -> float:
@@ -574,7 +571,7 @@ def _rho_radii(mats: np.ndarray, rho: float, tol: float) -> list[RadiusEstimate]
     """rho_radii of a stack of nonzero matrices, for a clamped rho and tol."""
     if rho == 2.0:
         return [replace(est, kind="rho_radius", rho=2.0)
-                for est in _numerical_radii(mats, tol, _COARSE)]
+                for est in _numerical_radii(mats, tol)]
     s, vh = np.linalg.svd(mats)[1:]
     if rho == 1.0:
         return [RadiusEstimate(float(s[i, 0]), "rho_radius", 1.0, 0.0, True,

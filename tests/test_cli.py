@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import re
+import stat
 
 import numpy as np
 import pytest
 
-from opradius import bounds, cli, linalg
+from opradius import bounds, cli, extremal, linalg
 from opradius.cli import main, random_test
 from opradius.radii import numerical_radius, rho_radius
 
@@ -40,6 +43,16 @@ class TestGap:
         path = tmp_path / "sing.json"
         linalg.save_matrix(path, np.zeros((2, 2)))
         assert main(["gap", "--matrix", str(path)]) == 2
+
+    def test_failed_bound_exits_1_after_the_report(self, witness_file, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(cli, "stampfli_gap_bound", lambda *args: 0.0)
+        assert main(["gap", "--matrix", witness_file]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["bound"] == 0.0
+        assert report["distance"] == pytest.approx(1.0, abs=1e-10)
+        assert captured.err.startswith("check failed: distance ")
 
 
 class TestBounds:
@@ -169,6 +182,16 @@ class TestExtremalVerify:
         assert main(["extremal", "verify", "--n", "13"]) == 2
         assert "8k" in capsys.readouterr().err
 
+    def test_failed_check_exits_1_and_is_named(self, capsys, monkeypatch):
+        monkeypatch.setattr(extremal, "check_symmetry", lambda fam: 1.0)
+        assert main(["extremal", "verify", "--n", "12", "--format", "text"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert any(line.startswith("FAIL  rotation_symmetry.conjugation_residual")
+                   for line in lines)
+        assert lines[-1] == "FAILURES PRESENT"
+        assert captured.err == "check failed: rotation_symmetry.conjugation_residual\n"
+
     def test_json_flag(self, tmp_path):
         out = tmp_path / "verify.json"
         assert main(["extremal", "verify", "--n", "12", "--json",
@@ -222,3 +245,65 @@ class TestCommonFlags:
         assert main(["bounds", "--steps", "2", "--out", str(out)]) == 0
         assert out.exists()
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_artifacts_get_the_umask_mode(self, tmp_path):
+        # the mode open(path, "w") would give a new file, also on overwrite
+        old = os.umask(0o022)
+        try:
+            out = tmp_path / "curve.csv"
+            matrix = tmp_path / "m.json"
+            for _ in range(2):
+                assert main(["bounds", "--steps", "2", "--out", str(out)]) == 0
+                linalg.save_matrix(matrix, np.eye(2))
+                for path in (out, matrix):
+                    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        finally:
+            os.umask(old)
+
+
+# argv, then the schema README documents: csv header, json keys and a
+# pattern for the first text line. "MATRIX" stands for a matrix file.
+SCHEMAS = {
+    "gap": (["gap", "--matrix", "MATRIX"],
+            "rho,w,w_inv,distance,norm_excess,inverse_excess,bound",
+            {"rho", "w", "w_inv", "distance", "norm_excess", "inverse_excess",
+             "bound"},
+            r"rho = 2"),
+    "bounds": (["bounds", "--steps", "3"],
+               "r,X,psi_upper,psi_lower,asymptotic", {"rho", "rows"},
+               r" +r +X +psi_upper +psi_lower +asymptotic"),
+    "range": (["range", "--matrix", "MATRIX", "--samples", "8"],
+              "theta,support_value,re,im", {"samples", "rows"},
+              r"0 \S+ \S+ \S+"),
+    "random-test": (["random-test", "--samples", "4"],
+                    "index,dim,r,norm,bound,ratio,violated",
+                    {"rho", "samples", "dim_min", "dim_max", "seed", "violations",
+                     "gap_violations", "max_ratio", "worst_index", "worst_case"},
+                    r"rho = 2\.0"),
+    "extremal-verify": (["extremal", "verify", "--n", "12"],
+                        "report,check,value,bound,pass,slack",
+                        {"n", "all_pass", "reports"}, r"n = 12"),
+    "extremal-scaling": (["extremal", "scaling", "--kmin", "1", "--kmax", "1"],
+                         "n,eps,delta,w,w_inv", {"kmin", "kmax", "slope", "rows"},
+                         r" +n +eps +delta +w +w_inv"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("name", list(SCHEMAS))
+def test_every_subcommand_in_every_format(name, fmt, witness_file, tmp_path,
+                                          capsys):
+    argv, header, keys, first_text_line = SCHEMAS[name]
+    argv = [witness_file if arg == "MATRIX" else arg for arg in argv]
+    argv += ["--format", fmt]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "artifact"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == stdout.encode("utf-8")
+    if fmt == "csv":
+        assert stdout.split("\n")[0] == header
+    elif fmt == "json":
+        assert set(json.loads(stdout)) == keys
+    else:
+        assert re.fullmatch(first_text_line, stdout.split("\n")[0])

@@ -237,37 +237,31 @@ class TestPencilSweep:
 
     def test_default_coarse_grid_matches_fine_grid(self, monkeypatch):
         # the 16-point default grid against a 1024-point one: refinement
-        # makes the result independent of the grid
+        # makes the result independent of the grid. No radius takes a grid
+        # argument, so the defaults are computed first and the fine oracle
+        # then patches the module's grid.
         tol = 1e-8
+        mats = []
         for i in range(10):
             rng = seeded(54, i)
-            a = gaussian_matrix(rng, int(rng.integers(2, 9)))
-            fine = numerical_radius(a, tol=tol, coarse=1024)
-            default = numerical_radius(a, tol=tol)
-            assert default.tolerance <= tol
-            assert abs(default.value - fine.value) <= tol
+            mats.append((gaussian_matrix(rng, int(rng.integers(2, 9))), None))
         for n in (12, 36, 100):
-            a = build(n).A
             pair = symmetry_pair(n)
-            rotation = (pair.P @ pair.Delta, n)
-            fine = numerical_radius(a, tol=tol, coarse=1024, rotation=rotation)
-            default = numerical_radius(a, tol=tol, rotation=rotation)
-            assert default.tolerance <= tol
-            assert abs(default.value - fine.value) <= tol
-        # the pencil sweep and the lockstep path; rho_radius and rho_radii
-        # take no grid argument, so the fine oracle patches the module's grid
-        mats = [gaussian_matrix(seeded(54, 10 + i), 5) for i in range(10)]
-        single = [rho_radius(a, 1.5, tol=tol) for a in mats]
-        lockstep = {rho: rho_radii(mats, rho, tol=tol) for rho in (1.5, 2.0)}
+            mats.append((build(n).A, (pair.P @ pair.Delta, n)))
+        # the pencil sweep and the lockstep path
+        stack = [gaussian_matrix(seeded(54, 10 + i), 5) for i in range(10)]
+
+        def radii_on_grid():
+            return ([numerical_radius(a, tol=tol, rotation=rot) for a, rot in mats]
+                    + [rho_radius(a, 1.5, tol=tol) for a in stack]
+                    + [est for rho in (1.5, 2.0)
+                       for est in rho_radii(stack, rho, tol=tol)])
+
+        defaults = radii_on_grid()
         monkeypatch.setattr(radii, "_COARSE", 1024)
-        for a, default in zip(mats, single):
-            fine = rho_radius(a, 1.5, tol=tol)
+        for default, fine in zip(defaults, radii_on_grid(), strict=True):
             assert default.tolerance <= tol
             assert abs(default.value - fine.value) <= tol
-        for rho, defaults in lockstep.items():
-            for default, fine in zip(defaults, rho_radii(mats, rho, tol=tol)):
-                assert default.tolerance <= tol
-                assert abs(default.value - fine.value) <= tol
 
     def test_chunked_batches_match_one_batch(self, monkeypatch):
         a = gaussian_matrix(seeded(55, 0), 6)
