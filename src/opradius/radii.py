@@ -23,12 +23,16 @@ that is flat to within tol, as for a matrix whose numerical range is a disk
 about 0: nothing is pruned, so the sweep evaluates about 2 pi/sqrt(8 tol/w)
 angles (262,144 for the 2 x 2 nilpotent at tol 1e-10).
 
-Sweeps of many same-size matrices run in lockstep. Every interval carries the
-index of the matrix that owns it, one stacked eigvalsh call evaluates the
-live angles of all owners together, and each owner keeps its own best value,
-best angle, stopping round and gap. An owner's result is therefore bit for
-bit that of its own sweep, while the per-round Python overhead is paid once
-for the whole stack; a single matrix is the stack of one.
+Every radius takes one pipeline over a stack of same-size matrices: zero
+matrices get value 0, rho = 1 reads the top singular pair, and any other rho
+sweeps a kernel per matrix (S_theta or H_theta below at rho = 2, K_theta in
+between) in lockstep, then takes eigenvectors and witnesses at the best angles.
+Every interval of the sweep carries the index of the matrix that owns it, one
+stacked eigvalsh call evaluates the live angles of all owners together, and
+each owner keeps its own best value, best angle, stopping round and gap. An
+owner's result is therefore bit for bit that of its own sweep, while the
+per-round Python overhead is paid once for the whole stack; a single matrix
+is the stack of one.
 
 When the caller claims a rotation symmetry U* A U ~ e^{2 pi i/m} A, the sweep
 covers one period [0, 2 pi/|m|] on a closed grid instead of the whole circle.
@@ -97,7 +101,7 @@ top eigenvector half x at the best angle, so it is attained up to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,8 +144,8 @@ class RadiusEstimate:
 
     value        computed radius, a certified lower bound within `tolerance`
                  of the true value.
-    kind         numerical_radius or rho_radius.
-    rho          the rho parameter when kind == rho_radius, else None.
+    rho          which radius: 1 is the operator norm and 2 the numerical
+                 radius, which numerical_radius reports as rho = 2.0.
     tolerance    certified gap: the true radius lies in [value, value +
                  tolerance] up to eigensolver rounding.
     exact        True when the value comes from a certified path; every radius
@@ -153,8 +157,7 @@ class RadiusEstimate:
     """
 
     value: float
-    kind: str
-    rho: float | None
+    rho: float
     tolerance: float
     exact: bool
     witness: np.ndarray | None
@@ -206,14 +209,16 @@ def _top_eigenvalues(build, dim: int, owner: np.ndarray,
     return out
 
 
-def _top_eigenvectors(build, dim: int, owner: np.ndarray,
-                      thetas: np.ndarray) -> np.ndarray:
-    """Top eigenvector of each matrix of build(owner, thetas), row by row, as
-    complex128."""
-    out = np.empty((thetas.size, dim), dtype=np.complex128)
+def _top_eigenpairs(build, dim: int, owner: np.ndarray,
+                    thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_max, top eigenvector) of each matrix of build(owner, thetas),
+    the vectors row by row as complex128."""
+    lam = np.empty(thetas.size)
+    vec = np.empty((thetas.size, dim), dtype=np.complex128)
     for s in _chunks(thetas.size, dim):
-        out[s] = np.linalg.eigh(build(owner[s], thetas[s]))[1][..., -1]
-    return out
+        w, v = np.linalg.eigh(build(owner[s], thetas[s]))
+        lam[s], vec[s] = w[..., -1], v[..., -1]
+    return lam, vec
 
 
 def _hermitian_builder(a: np.ndarray):
@@ -260,17 +265,10 @@ def support_points(a, thetas) -> list[SupportPoint]:
     """Boundary samples of the numerical range at the given support angles."""
     a = as_matrix(a)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    build = _hermitian_builder(a[None])
-    owner = np.zeros(thetas.size, dtype=np.intp)
-    out = []
-    for s in _chunks(thetas.size, a.shape[0]):
-        chunk = thetas[s]
-        lam, vec = np.linalg.eigh(build(owner[s], chunk))
-        for k in range(chunk.size):
-            v = vec[k, :, -1]
-            z = complex(v.conj() @ (a @ v))
-            out.append(SupportPoint(float(chunk[k]), float(lam[k, -1]), z))
-    return out
+    lam, vec = _top_eigenpairs(_hermitian_builder(a[None]), a.shape[0],
+                               np.zeros(thetas.size, dtype=np.intp), thetas)
+    return [SupportPoint(float(t), float(h), complex(v.conj() @ (a @ v)))
+            for t, h, v in zip(thetas, lam, vec)]
 
 
 def range_boundary(a, samples: int = 256) -> list[SupportPoint]:
@@ -331,29 +329,24 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
     lies in [best[i], best[i] + gap[i]].
     """
     owners = np.arange(count)
+    # one period on a closed grid of `segments` intervals; on the full circle
+    # h(2 pi) = h(0) closes the grid without an evaluation
+    period = 2 * np.pi / order
+    segments = coarse if order == 1 else max(8, -(-coarse // order)) - 1
+    grid = period * np.arange(segments + 1) / segments
+    points = segments + (order > 1)
+    vals = values(np.repeat(owners, points), np.tile(grid[:points], count))
+    vals = vals.reshape(count, points)[:, np.arange(segments + 1) % points]
     # intervals of the current generation: [left, left + width]
-    if order > 1:
-        # one period, closed grid: both endpoints are evaluated
-        points = max(8, -(-coarse // order))
-        period = 2 * np.pi / order
-        grid = period * np.arange(points) / (points - 1)
-        vals = values(np.repeat(owners, points), np.tile(grid, count))
-        vals = vals.reshape(count, points)
-        left = np.tile(grid[:-1], count)
-        h_left, h_right = vals[:, :-1].ravel(), vals[:, 1:].ravel()
-        width = period / (points - 1)
-    else:
-        grid = 2 * np.pi * np.arange(coarse) / coarse
-        vals = values(np.repeat(owners, coarse), np.tile(grid, count))
-        vals = vals.reshape(count, coarse)
-        left = np.tile(grid, count)
-        h_left, h_right = vals.ravel(), np.roll(vals, -1, axis=1).ravel()
-        width = 2 * np.pi / coarse
-    owner = np.repeat(owners, left.size // count)
+    left = np.tile(grid[:-1], count)
+    h_left, h_right = vals[:, :-1].ravel(), vals[:, 1:].ravel()
+    width = period / segments
+    owner = np.repeat(owners, segments)
+    # the first largest value is never the closing copy of h(0)
     k = np.argmax(vals, axis=1)
     best = vals[owners, k]
     best_theta = grid[k]
-    evaluations = np.full(count, grid.size)
+    evaluations = np.full(count, points)
     rounds = np.zeros(count, dtype=int)
     gap = np.empty(count)
     live = np.ones(count, dtype=bool)
@@ -394,39 +387,66 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
     return _Sweep(best, best_theta, gap, evaluations, rounds)
 
 
-def _numerical_radii(mats: np.ndarray, tol: float, order: int = 1,
-                     slack: float = 0.0) -> list[RadiusEstimate]:
-    """Certified numerical radii of a stack of nonzero matrices, in lockstep.
-
-    An owner whose skew part e = ||A - A^T||_F / 2 fits slack + e <= tol/2 is
-    swept on the real symmetric S_theta with slack + e, every other owner on
-    the complex H_theta (see the module docstring).
-    """
+def _radii(mats: np.ndarray, rho: float, tol: float, order: int = 1,
+           slack: float = 0.0) -> list[RadiusEstimate]:
+    """Certified rho-radii of a stack, for rho in [1, 2] and tol in range;
+    order and slack carry a measured rotation claim to the sweep. The module
+    docstring gives each kernel and the rule that picks it."""
+    out = [RadiusEstimate(0.0, rho, 0.0, True, None)] * len(mats)
+    nonzero = np.flatnonzero(mats.reshape(len(mats), -1).any(axis=1))
+    if not nonzero.size:
+        return out
+    if nonzero.size < len(mats):
+        mats = mats[nonzero]
     n = mats.shape[-1]
-    skew = np.linalg.norm(mats - mats.transpose(0, 2, 1), axis=(1, 2)) / 2
-    real = slack + skew <= tol / 2
-    kinds = ((~real, _hermitian_builder(mats)), (real, _symmetric_builder(mats)))
+    alpha, beta = 1.0 - 1.0 / rho, 2.0 / rho - 1.0
+    if rho == 2.0:
+        skew = np.linalg.norm(mats - mats.transpose(0, 2, 1), axis=(1, 2)) / 2
+        real = slack + skew <= tol / 2
+        kinds = ((~real, _hermitian_builder(mats)), (real, _symmetric_builder(mats)))
+        slack, dim = np.where(real, slack + skew, slack), n
+    else:
+        s, vh = np.linalg.svd(mats)[1:]
+        if rho == 1.0:
+            for i, j in enumerate(nonzero):
+                out[j] = RadiusEstimate(float(s[i, 0]), 1.0, 0.0, True, vh[i, 0].conj())
+            return out
+        off = np.sqrt(beta) * ((vh.conj().transpose(0, 2, 1) * s[:, None, :]) @ vh)
+        hermitian, dim = _hermitian_builder(mats), 2 * n
 
-    def solve(kernel, owner, thetas, out):
-        # each kind in stacks of its own: complex128 H_theta, float64 S_theta
+        def pencil(owner, thetas):
+            # K_theta = [[2 alpha H_theta, off], [off, 0]] with off =
+            # sqrt(beta) |A|, Hermitian as off is
+            k = np.zeros((thetas.size, dim, dim), dtype=np.complex128)
+            top = hermitian(owner, thetas, out=k[:, :n, :n])
+            np.multiply(2 * alpha, top, out=top)
+            k[:, :n, n:] = k[:, n:, :n] = off[owner]
+            return k
+        kinds = ((np.ones(len(mats), dtype=bool), pencil),)
+
+    def values(owner, thetas):
+        # one stack per kernel: float64 S_theta apart from complex128 H_theta
+        h = np.empty(thetas.size)
         for mask, build in kinds:
             sel = mask[owner]
-            out[sel] = kernel(build, n, owner[sel], thetas[sel])
-        return out
+            h[sel] = _top_eigenvalues(build, dim, owner[sel], thetas[sel])
+        return h
 
-    sw = _sweep(lambda owner, thetas: solve(_top_eigenvalues, owner, thetas,
-                                            np.empty(thetas.size)),
-                len(mats), tol, _COARSE, order, np.where(real, slack + skew, slack))
-    vecs = solve(_top_eigenvectors, np.arange(len(mats)), sw.best_theta,
-                 np.empty((len(mats), n), dtype=np.complex128))
-    out = []
+    sw = _sweep(values, len(mats), tol, _COARSE, order, slack)
+    owners = np.arange(len(mats))
+    vecs = np.empty((len(mats), dim), dtype=np.complex128)
+    for mask, build in kinds:
+        vecs[mask] = _top_eigenpairs(build, dim, owners[mask], sw.best_theta[mask])[1]
     for i, a in enumerate(mats):
-        witness = vecs[i] / np.linalg.norm(vecs[i])
-        # |<Av, v>| >= h(best_theta) = best, and never exceeds w(A)
-        value = max(sw.best[i], abs(complex(witness.conj() @ (a @ witness))))
-        out.append(RadiusEstimate(float(value), "numerical_radius", None,
-                                  float(sw.gap[i]), True, witness,
-                                  int(sw.evaluations[i]), int(sw.rounds[i])))
+        x = vecs[i, :n]
+        witness = x / np.linalg.norm(x)
+        # |<Av, v>| >= h(best_theta) at rho = 2, g(v) >= u*(best_theta) in
+        # between: at least best, and never above w_rho(A)
+        value = (abs(complex(witness.conj() @ (a @ witness))) if rho == 2.0 else
+                 float(_sphere_objective(a, witness[None, :], alpha, beta)[0][0]))
+        out[nonzero[i]] = RadiusEstimate(
+            max(float(sw.best[i]), value), rho, float(sw.gap[i]), True, witness,
+            int(sw.evaluations[i]), int(sw.rounds[i]))
     return out
 
 
@@ -445,12 +465,10 @@ def numerical_radius(a, tol: float = 1e-9,
     a = as_matrix(a)
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
-    if not a.any():
-        return RadiusEstimate(0.0, "numerical_radius", None, 0.0, True, None)
     order, slack = _rotation_slack(a, rotation) if rotation is not None else (1, 0.0)
     if slack > tol / 2:
         order, slack = 1, 0.0
-    return _numerical_radii(a[None], tol, order, slack)[0]
+    return _radii(a[None], 2.0, tol, order, slack)[0]
 
 
 def spectral_radius(a) -> float:
@@ -459,11 +477,7 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-# ---------------------------------------------------------------------------
-# Sphere maximization for the intermediate rho-radius.
-# ---------------------------------------------------------------------------
-
-
+# g on the unit sphere: the 1 < rho < 2 witness value and sphere_maximize's objective
 def _sphere_objective(a: np.ndarray, h: np.ndarray, alpha: float, beta: float):
     ah = h @ a.T
     q = np.sum(h.conj() * ah, axis=1)
@@ -555,58 +569,11 @@ def rho_radii(mats, rho: float, tol: float = 1e-6) -> list[RadiusEstimate]:
     """
     mats = _as_stack(mats)
     if not 1.0 - 1e-12 <= rho <= 2.0 + 1e-12:
-        raise ValueError("rho must lie in [1, 2]; the rho > 2 regime is unsupported")
+        raise ValueError(f"rho must lie in [1, 2], got {rho}"
+                         + ("; the rho > 2 regime is unsupported" if rho > 2 else ""))
     rho = min(max(rho, 1.0), 2.0)
     tol = min(max(tol, TOL_MIN), TOL_MAX)
-    out = [RadiusEstimate(0.0, "rho_radius", rho, 0.0, True, None)] * len(mats)
-    nonzero = np.flatnonzero(mats.reshape(len(mats), -1).any(axis=1))
-    if nonzero.size:
-        live = mats if nonzero.size == len(mats) else mats[nonzero]
-        for i, est in zip(nonzero, _rho_radii(live, rho, tol)):
-            out[i] = est
-    return out
-
-
-def _rho_radii(mats: np.ndarray, rho: float, tol: float) -> list[RadiusEstimate]:
-    """rho_radii of a stack of nonzero matrices, for a clamped rho and tol."""
-    if rho == 2.0:
-        return [replace(est, kind="rho_radius", rho=2.0)
-                for est in _numerical_radii(mats, tol)]
-    s, vh = np.linalg.svd(mats)[1:]
-    if rho == 1.0:
-        return [RadiusEstimate(float(s[i, 0]), "rho_radius", 1.0, 0.0, True,
-                               vh[i, 0].conj()) for i in range(len(mats))]
-    alpha = 1.0 - 1.0 / rho
-    beta = 2.0 / rho - 1.0
-    two_alpha = 2 * alpha
-    # sqrt(beta) |A| for every matrix of the stack
-    off = np.sqrt(beta) * ((vh.conj().transpose(0, 2, 1) * s[:, None, :]) @ vh)
-    hermitian = _hermitian_builder(mats)
-    n = mats.shape[-1]
-
-    def build(owner, thetas):
-        # K_theta = [[2 alpha H_theta, off], [off, 0]], Hermitian as off is
-        k = np.zeros((thetas.size, 2 * n, 2 * n), dtype=np.complex128)
-        top = hermitian(owner, thetas, out=k[:, :n, :n])
-        np.multiply(two_alpha, top, out=top)
-        block = off[owner]
-        k[:, :n, n:] = block
-        k[:, n:, :n] = block
-        return k
-
-    sw = _sweep(lambda owner, thetas: _top_eigenvalues(build, 2 * n, owner, thetas),
-                len(mats), tol, _COARSE)
-    vecs = _top_eigenvectors(build, 2 * n, np.arange(len(mats)), sw.best_theta)
-    out = []
-    for i, a in enumerate(mats):
-        x = vecs[i, :n]
-        witness = x / np.linalg.norm(x)
-        # g(x) >= u*(best_theta) = best, and never exceeds w_rho(A)
-        g = float(_sphere_objective(a, witness[None, :], alpha, beta)[0][0])
-        out.append(RadiusEstimate(max(float(sw.best[i]), g), "rho_radius", rho,
-                                  float(sw.gap[i]), True, witness,
-                                  int(sw.evaluations[i]), int(sw.rounds[i])))
-    return out
+    return _radii(mats, rho, tol)
 
 
 def rho_radius(a, rho: float, tol: float = 1e-6) -> RadiusEstimate:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,14 @@ from opradius.radii import numerical_radius
 def band_count_oracle(n, k, i):
     # brute-force count of j with 3k+2 <= |i-j| <= 5k+2, both 1-based
     return sum(1 for j in range(1, n + 1) if 3 * k + 2 <= abs(i - j) <= 5 * k + 2)
+
+
+def dense_symmetry_residual(fam):
+    """check_symmetry's residual from the dense products of its definition."""
+    pair = extremal.symmetry_pair(fam.n)
+    pd = pair.P @ pair.Delta
+    conj = pd.T @ fam.A @ pd
+    return float(np.max(np.abs(conj - np.exp(2j * np.pi / fam.n) * fam.A)))
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +89,23 @@ class TestSymmetry:
     def test_perturbation_detector(self, fam12):
         bad = perturb(fam12, 0, 1, 1e-3)
         assert extremal.check_symmetry(bad) >= 1e-4
+
+    def test_residual_matches_dense_products(self, fam12):
+        # index arithmetic gives the dense definition's residual bit for bit
+        for fam in (fam12, extremal.build(100), perturb(fam12, 0, 1, 1e-3)):
+            assert (extremal.check_symmetry(fam).hex()
+                    == dense_symmetry_residual(fam).hex())
+
+    def test_corrupted_construction_raises(self, fam12):
+        e = fam12.E.copy()
+        e[0, 1] = e[1, 0] = 1  # no longer a circulant
+        with pytest.raises(ArithmeticError, match=r"E-shift residual 1\.000e\+00"):
+            extremal.check_symmetry(replace(fam12, E=e))
+        d = fam12.D.copy()
+        d[3, 3] *= -1  # breaks d_{j+1} = e^{i pi/n} d_j at j = 2 and 3
+        with pytest.raises(ArithmeticError,
+                           match=r"D-shift residual 2\.000e\+00, E-shift residual 0\.000e\+00"):
+            extremal.check_symmetry(replace(fam12, D=d))
 
 
 class TestNormReport:
@@ -217,3 +243,6 @@ class TestFamilyRadii:
             numerical_radius(fam12.A, rotation=(np.eye(3), 12))
         with pytest.raises(ValueError, match="nonzero integer"):
             numerical_radius(fam12.A, rotation=(np.eye(12), 0))
+        # the claim is checked before a zero matrix is answered
+        with pytest.raises(ValueError, match="shape"):
+            numerical_radius(np.zeros((3, 3)), rotation=(np.eye(2), 3))
