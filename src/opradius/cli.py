@@ -28,7 +28,7 @@ from . import extremal
 from .linalg import (_inverse, atomic_write, inverse, load_matrix,
                      matrix_to_payload, singular_values)
 # numerical_radius stays bound here: perfbench's tracer self-test patches it.
-from .radii import (DEFAULT_SEED, numerical_radius,  # noqa: F401
+from .radii import (DEFAULT_SEED, _check_rho, numerical_radius,  # noqa: F401
                     range_boundary, rho_radii)
 from .unitary import _excesses, distance_to_unitaries, stampfli_gap_bound
 
@@ -225,14 +225,14 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     distance <= bound - 1 + 1e-8 is checked as well. Samples are certified
     in blocks of bounded size, with one rho_radii sweep per matrix size.
     Each sample's one SVD serves its invertibility check, its norm and its
-    unitary distance, which scale with it.
+    unitary distance, which scale with it. rho is checked and clamped into
+    [1, 2] by the same check as rho_radii.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 1 <= dim_min <= dim_max:
         raise ValueError("need 1 <= dim_min <= dim_max")
-    if not 1.0 <= rho <= 2.0:
-        raise ValueError("rho must lie in [1, 2]")
+    rho = _check_rho(rho)
     violations = 0
     gap_violations = 0
     max_ratio = -np.inf

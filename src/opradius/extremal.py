@@ -26,18 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, inverse, singular_values
+from .linalg import _signed_conjugate, as_matrix, inverse, singular_values
 from .radii import RadiusEstimate, numerical_radius
 
 __all__ = [
     "ExtremalFamily",
-    "SymmetryPair",
     "CertificateCheck",
     "CertificateReport",
     "ScalingRow",
     "ScalingTable",
     "build",
-    "symmetry_pair",
     "check_symmetry",
     "check_norm",
     "check_real_parts",
@@ -63,14 +61,6 @@ class ExtremalFamily:
     E: np.ndarray
     B: np.ndarray
     A: np.ndarray
-
-
-@dataclass(frozen=True)
-class SymmetryPair:
-    """Cyclic shift P (p_ij = 1 iff i = j+1 mod n) and Delta = diag(1,...,1,-1)."""
-
-    P: np.ndarray
-    Delta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -146,13 +136,9 @@ def build(n: int) -> ExtremalFamily:
     return ExtremalFamily(n=n, k=k, D=np.diag(d), E=band, B=b, A=a)
 
 
-def symmetry_pair(n: int) -> SymmetryPair:
-    """The rotation pair: P e_j = e_{j+1 mod n}, Delta flips the last axis."""
-    _validate_n(n)
-    p = np.zeros((n, n))
-    p[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    delta = np.diag(np.concatenate([np.ones(n - 1), [-1.0]]))
-    return SymmetryPair(P=p, Delta=delta)
+def _signed_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, signs) of P Delta: P e_j = e_{j+1 mod n}, Delta = diag(1, ..., 1, -1)."""
+    return (np.arange(n) + 1) % n, np.r_[np.ones(n - 1), -1.0]
 
 
 def check_symmetry(fam: ExtremalFamily) -> float:
@@ -163,26 +149,24 @@ def check_symmetry(fam: ExtremalFamily) -> float:
     if either fails; those only depend on the construction, not on A, so a
     perturbed A still reports its own (large) residual.
 
-    P and Delta act by index arithmetic: (P^-1 M P)_ij = M_{i+1, j+1}
-    (indices mod n) and Delta flips the sign of the last index, so no dense
-    product is formed. The residuals equal those of the dense products bit
-    for bit, since those products only copy entries and flip signs.
+    P Delta, the signed permutation e_j -> signs[j] e_{j+1 mod n} with
+    signs = (1, ..., 1, -1), acts through the index-arithmetic conjugation of
+    numerical_radius's rotation claim, ((P Delta)^-1 M (P Delta))_ij =
+    signs[i] signs[j] M_{i+1, j+1}: no dense product is formed, and the
+    residuals equal the dense products' bit for bit.
     """
     n = fam.n
-    sign = np.ones(n)
-    sign[-1] = -1.0
+    perm, signs = _signed_shift(n)
 
     d = np.diag(fam.D)
-    d_resid = float(np.max(np.abs(
-        np.roll(d, -1) - np.exp(1j * np.pi / n) * (sign * d))))
-    e_resid = float(np.max(np.abs(np.roll(fam.E, -1, axis=(0, 1)) - fam.E)))
+    d_resid = float(np.max(np.abs(d[perm] - np.exp(1j * np.pi / n) * (signs * d))))
+    e_resid = float(np.max(np.abs(fam.E[np.ix_(perm, perm)] - fam.E)))
     if d_resid > 1e-13 or e_resid > 0:
         raise ArithmeticError(
             f"construction identities violated: D-shift residual {d_resid:.3e}, "
             f"E-shift residual {e_resid:.3e}")
 
-    # (P Delta)^-1 A (P Delta), as (P Delta)^-1 = (P Delta)^T
-    conj = np.roll(fam.A, -1, axis=(0, 1)) * np.outer(sign, sign)
+    conj = _signed_conjugate(fam.A, perm, signs)
     return float(np.max(np.abs(conj - np.exp(2j * np.pi / n) * fam.A)))
 
 
@@ -306,12 +290,12 @@ def family_radii(fam: ExtremalFamily,
     """Certified numerical radii of A and A^-1, each swept over one period.
 
     P Delta rotates A by e^{2 i pi/n} and hence A^-1 by e^{-2 i pi/n};
-    numerical_radius measures that claim and folds its residual into the gap.
+    numerical_radius takes P Delta as its signed permutation (perm, signs),
+    measures each claim and folds the residual into the gap.
     """
-    pair = symmetry_pair(fam.n)
-    pd = pair.P * np.diag(pair.Delta)  # P Delta: P with its columns signed
-    w = numerical_radius(fam.A, tol=tol, rotation=(pd, fam.n))
-    w_inv = numerical_radius(inverse(fam.A), tol=tol, rotation=(pd, -fam.n))
+    perm, signs = _signed_shift(fam.n)
+    w = numerical_radius(fam.A, tol=tol, rotation=(perm, signs, fam.n))
+    w_inv = numerical_radius(inverse(fam.A), tol=tol, rotation=(perm, signs, -fam.n))
     return w, w_inv
 
 

@@ -1,5 +1,6 @@
-"""Dense matrix kernels: singular values, polar decomposition, inversion, the
-JSON matrix file format, and atomic file writes.
+"""Dense matrix kernels: singular values, polar decomposition, inversion,
+conjugation by a signed permutation, the JSON matrix file format, and atomic
+file writes.
 
 Operators are square numpy arrays: complex input becomes complex128 and real
 input stays float64, so the real band and certificate matrices of the
@@ -22,7 +23,6 @@ __all__ = [
     "PolarFactors",
     "as_matrix",
     "singular_values",
-    "operator_norm",
     "polar",
     "inverse",
     "matrix_to_payload",
@@ -72,11 +72,6 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
-def operator_norm(a) -> float:
-    """Spectral norm, i.e. the largest singular value."""
-    return float(singular_values(a)[0])
-
-
 def _check_invertible(sv: np.ndarray) -> None:
     if sv[0] == 0.0 or sv[-1] <= CONDITION_FLOOR * sv[0]:
         raise np.linalg.LinAlgError(
@@ -113,6 +108,12 @@ def polar(a) -> PolarFactors:
     """
     unitary, s, vh = _polar_svd(a)
     return PolarFactors(unitary, (vh.conj().T * s) @ vh)
+
+
+def _signed_conjugate(a: np.ndarray, perm, signs) -> np.ndarray:
+    """U* A U for the signed permutation U e_j = signs[j] e_{perm[j]}: entry (i, j)
+    is signs[i] signs[j] A[perm[i], perm[j]], the dense product up to signed zeros."""
+    return a[np.ix_(perm, perm)] * np.outer(signs, signs)
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,14 @@ owner's result is therefore bit for bit that of its own sweep, while the
 per-round Python overhead is paid once for the whole stack; a single matrix
 is the stack of one.
 
-When the caller claims a rotation symmetry U* A U ~ e^{2 pi i/m} A, the sweep
-covers one period [0, 2 pi/|m|] on a closed grid instead of the whole circle.
-The claim is checked, not trusted: with r = ||U* A U - e^{2 pi i/m} A||_F,
-unitary invariance gives |h(theta + 2 pi/m) - h(theta)| <= r, and a copy of
-theta* lies within |m|//2 shifts of the period, so on the period
+When the caller claims a rotation symmetry U* A U ~ e^{2 pi i/m} A for a
+signed permutation U e_j = signs[j] e_{perm[j]}, every sign exactly +1 or -1
+and so U unitary by construction, the sweep covers one period [0, 2 pi/|m|]
+on a closed grid instead of the whole circle. U* A U is a gather of A's
+entries with sign flips, exact and without a dense product, and the rotation
+is checked, not trusted: with r = ||U* A U - e^{2 pi i/m} A||_F, unitary
+invariance gives |h(theta + 2 pi/m) - h(theta)| <= r, and a copy of theta*
+lies within |m|//2 shifts of the period, so on the period
 
     h(theta) >= w cos(theta - phi) - slack,   slack = (|m| // 2) r,
 
@@ -105,7 +108,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import _signed_conjugate, as_matrix
 
 __all__ = [
     "RadiusEstimate",
@@ -291,15 +294,18 @@ def _certified_gap(best, width: float, slack):
 
 
 def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
-    """(|m|, (|m| // 2) ||U* A U - e^{2 pi i/m} A||_F) for a claimed rotation."""
-    u, m = rotation
-    u = np.asarray(u)
-    if u.shape != a.shape:
-        raise ValueError(f"rotation matrix has shape {u.shape}, expected {a.shape}")
+    """(|m|, (|m| // 2) ||U* A U - e^{2 pi i/m} A||_F) for a claimed rotation
+    (perm, signs, m) by the signed permutation U e_j = signs[j] e_{perm[j]}."""
+    perm, signs, m = rotation
+    perm, signs, n = np.asarray(perm), np.asarray(signs), a.shape[0]
+    if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValueError(f"rotation perm must be a permutation of range({n})")
+    if signs.shape != (n,) or not np.all((signs == 1) | (signs == -1)):
+        raise ValueError(f"rotation signs must be {n} entries, each +1 or -1")
     if not isinstance(m, (int, np.integer)) or m == 0:
         raise ValueError(f"rotation order must be a nonzero integer, got {m!r}")
     m = int(m)
-    resid = u.conj().T @ a @ u - np.exp(2j * np.pi / m) * a
+    resid = _signed_conjugate(a, perm, signs) - np.exp(2j * np.pi / m) * a
     return abs(m), (abs(m) // 2) * float(np.linalg.norm(resid))
 
 
@@ -451,16 +457,18 @@ def _radii(mats: np.ndarray, rho: float, tol: float, order: int = 1,
 
 
 def numerical_radius(a, tol: float = 1e-9,
-                     rotation: tuple[np.ndarray, int] | None = None) -> RadiusEstimate:
+                     rotation: tuple | None = None) -> RadiusEstimate:
     """Numerical radius w(A) = sup |<Ah, h>| over unit vectors, certified.
 
     The returned value is a lower bound on w(A) within `tol` of it; the
     actual certified gap is stored in the tolerance field.
 
-    rotation=(U, m) claims U* A U ~ e^{2 pi i/m} A for a unitary U. The
-    claim is measured; when its slack is at most tol/2 only one period of
-    the support function is swept and the slack is folded into the gap,
-    otherwise the claim is ignored and the full circle is swept.
+    rotation=(perm, signs, m) claims U* A U ~ e^{2 pi i/m} A for the signed
+    permutation U e_j = signs[j] e_{perm[j]}: perm a permutation of range(n),
+    each sign exactly +1 or -1 (so U is unitary) and m a nonzero integer, else
+    ValueError. The claim is measured; when its slack is at most tol/2 only
+    one period of the support function is swept and the slack is folded into
+    the gap, otherwise the claim is ignored and the full circle is swept.
     """
     a = as_matrix(a)
     if not TOL_MIN <= tol <= TOL_MAX:
@@ -559,6 +567,14 @@ def sphere_maximize(
     return float(g[i]), h[i]
 
 
+def _check_rho(rho: float) -> float:
+    """rho clamped into [1, 2]; rho more than 1e-12 outside is rejected."""
+    if not 1.0 - 1e-12 <= rho <= 2.0 + 1e-12:
+        raise ValueError(f"rho must lie in [1, 2], got {rho}"
+                         + ("; the rho > 2 regime is unsupported" if rho > 2 else ""))
+    return min(max(rho, 1.0), 2.0)
+
+
 def rho_radii(mats, rho: float, tol: float = 1e-6) -> list[RadiusEstimate]:
     """Operator rho-radii of a stack of same-size matrices, swept in lockstep.
 
@@ -568,10 +584,7 @@ def rho_radii(mats, rho: float, tol: float = 1e-6) -> list[RadiusEstimate]:
     0, gap 0 and no witness.
     """
     mats = _as_stack(mats)
-    if not 1.0 - 1e-12 <= rho <= 2.0 + 1e-12:
-        raise ValueError(f"rho must lie in [1, 2], got {rho}"
-                         + ("; the rho > 2 regime is unsupported" if rho > 2 else ""))
-    rho = min(max(rho, 1.0), 2.0)
+    rho = _check_rho(rho)
     tol = min(max(tol, TOL_MIN), TOL_MAX)
     return _radii(mats, rho, tol)
 

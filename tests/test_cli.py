@@ -168,6 +168,25 @@ class TestRandomTest:
         with pytest.raises(ValueError, match="rho"):
             random_test(2, 4, 3, 2.5)
 
+    @pytest.mark.parametrize("rho, message", [
+        ("2.5", "error: rho must lie in [1, 2], got 2.5; "
+                "the rho > 2 regime is unsupported\n"),
+        ("0.5", "error: rho must lie in [1, 2], got 0.5\n")], ids=["2.5", "0.5"])
+    def test_bad_rho_is_named_like_gap(self, rho, message, witness_file, capsys):
+        # random-test and gap reject rho through the one check rho_radii uses
+        for argv in (["random-test", "--rho", rho],
+                     ["gap", "--matrix", witness_file, "--rho", rho]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == message
+
+    def test_rho_within_rounding_of_two_is_clamped(self):
+        # like rho_radii, random_test accepts rho within 1e-12 of [1, 2] and
+        # clamps it
+        near = random_test(2, 3, 2, 2.0 + 1e-13)
+        exact = random_test(2, 3, 2, 2.0)
+        assert near.rho == 2.0
+        assert near.records == exact.records
+
 
 class TestExtremalVerify:
     def test_n12_passes(self, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import perturb
-from opradius import extremal, linalg
+from opradius import extremal, linalg, radii
 from opradius.radii import numerical_radius
 
 
@@ -14,12 +14,31 @@ def band_count_oracle(n, k, i):
     return sum(1 for j in range(1, n + 1) if 3 * k + 2 <= abs(i - j) <= 5 * k + 2)
 
 
+def signed_shift(n):
+    """(perm, signs) of P Delta: P e_j = e_{j+1 mod n}, Delta = diag(1, ..., 1, -1)."""
+    return (np.arange(n) + 1) % n, np.r_[np.ones(n - 1), -1.0]
+
+
+def dense_pd(n):
+    """P Delta as a dense product of P (p_ij = 1 iff i = j+1 mod n) and Delta."""
+    p = np.zeros((n, n))
+    p[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+    return p @ np.diag(np.r_[np.ones(n - 1), -1.0])
+
+
 def dense_symmetry_residual(fam):
     """check_symmetry's residual from the dense products of its definition."""
-    pair = extremal.symmetry_pair(fam.n)
-    pd = pair.P @ pair.Delta
+    pd = dense_pd(fam.n)
     conj = pd.T @ fam.A @ pd
     return float(np.max(np.abs(conj - np.exp(2j * np.pi / fam.n) * fam.A)))
+
+
+def dense_rotation_slack(a, m):
+    """The rotation claim's slack (|m| // 2) ||U* A U - e^{2 pi i/m} A||_F
+    from dense products with U = P Delta."""
+    pd = dense_pd(a.shape[0])
+    return (abs(m) // 2) * float(np.linalg.norm(
+        pd.T @ a @ pd - np.exp(2j * np.pi / m) * a))
 
 
 @pytest.fixture(scope="module")
@@ -80,11 +99,14 @@ class TestSymmetry:
             assert extremal.check_symmetry(extremal.build(n)) <= 1e-13
 
     def test_pair_properties(self):
-        pair = extremal.symmetry_pair(12)
-        pd = pair.P @ pair.Delta
-        np.testing.assert_allclose(pd.T @ pd, np.eye(12), atol=0)
-        p_power = np.linalg.matrix_power(pair.P, 12)
-        np.testing.assert_array_equal(p_power, np.eye(12))
+        # the (perm, signs) pair check_symmetry and family_radii use is P Delta
+        perm, signs = extremal._signed_shift(12)
+        u = np.zeros((12, 12))
+        u[perm, np.arange(12)] = signs
+        np.testing.assert_array_equal(u, dense_pd(12))
+        np.testing.assert_array_equal(u.T @ u, np.eye(12))
+        np.testing.assert_array_equal(
+            np.linalg.matrix_power(np.abs(u), 12), np.eye(12))
 
     def test_perturbation_detector(self, fam12):
         bad = perturb(fam12, 0, 1, 1e-3)
@@ -202,9 +224,8 @@ def assert_same_estimate(got, want):
 
 
 @pytest.fixture(scope="module")
-def pd12():
-    pair = extremal.symmetry_pair(12)
-    return pair.P @ pair.Delta
+def shift12():
+    return signed_shift(12)
 
 
 class TestFamilyRadii:
@@ -218,31 +239,81 @@ class TestFamilyRadii:
                 assert period.tolerance <= tol and full.tolerance <= tol
                 assert abs(period.value - full.value) <= period.tolerance + full.tolerance
 
-    def test_gap_includes_residual_slack(self, fam12, pd12):
+    def test_gap_includes_residual_slack(self, fam12, shift12):
         # a claim off by ~7e-4 gives slack 6 * 7e-4 <= tol/2, so it is used;
         # at tol 1e-2 the closed 8-point coarse grid already certifies
         bad = perturb(fam12, 0, 1, 5e-4)
-        slack = 6 * np.linalg.norm(pd12.T @ bad.A @ pd12 - np.exp(2j * np.pi / 12) * bad.A)
+        slack = dense_rotation_slack(bad.A, 12)
         assert 3e-3 < slack <= 5e-3
-        est = numerical_radius(bad.A, tol=1e-2, rotation=(pd12, 12))
+        est = numerical_radius(bad.A, tol=1e-2, rotation=(*shift12, 12))
         assert slack <= est.tolerance <= 1e-2
         assert est.value + est.tolerance >= numerical_radius(bad.A, tol=1e-12).value
 
-    def test_perturbed_claim_falls_back_to_full_circle(self, fam12, pd12):
+    def test_perturbed_claim_falls_back_to_full_circle(self, fam12, shift12):
         bad = perturb(fam12, 0, 1, 1e-3)
-        got = numerical_radius(bad.A, tol=1e-9, rotation=(pd12, 12))
+        got = numerical_radius(bad.A, tol=1e-9, rotation=(*shift12, 12))
         assert_same_estimate(got, numerical_radius(bad.A, tol=1e-9))
 
-    def test_wrong_direction_falls_back_to_full_circle(self, fam12, pd12):
+    def test_wrong_direction_falls_back_to_full_circle(self, fam12, shift12):
         ainv = linalg.inverse(fam12.A)
-        got = numerical_radius(ainv, tol=1e-9, rotation=(pd12, 12))
+        got = numerical_radius(ainv, tol=1e-9, rotation=(*shift12, 12))
         assert_same_estimate(got, numerical_radius(ainv, tol=1e-9))
 
-    def test_rejects_bad_rotation(self, fam12):
-        with pytest.raises(ValueError, match="shape"):
-            numerical_radius(fam12.A, rotation=(np.eye(3), 12))
+    def test_slack_matches_dense_products(self, fam12, monkeypatch):
+        # the index-arithmetic slack of family_radii's claims on A (order n)
+        # and A^-1 (order -n) equals the dense-product one bit for bit
+        slacks = []
+        rotation_slack = radii._rotation_slack
+
+        def spy(a, rotation):
+            order, slack = rotation_slack(a, rotation)
+            slacks.append((a, rotation[2], slack))
+            return order, slack
+
+        monkeypatch.setattr(radii, "_rotation_slack", spy)
+        for fam in (fam12, extremal.build(100), perturb(fam12, 0, 1, 1e-3)):
+            slacks.clear()
+            extremal.family_radii(fam, 1e-8)
+            assert [m for _, m, _ in slacks] == [fam.n, -fam.n]
+            np.testing.assert_array_equal(slacks[1][0], linalg.inverse(fam.A))
+            for a, m, slack in slacks:
+                assert slack.hex() == dense_rotation_slack(a, m).hex()
+
+    def test_rejects_bad_rotation(self, fam12, shift12):
+        perm, signs = shift12
+        with pytest.raises(ValueError, match="permutation"):
+            numerical_radius(fam12.A, rotation=(perm[:3], signs[:3], 12))
         with pytest.raises(ValueError, match="nonzero integer"):
-            numerical_radius(fam12.A, rotation=(np.eye(12), 0))
+            numerical_radius(fam12.A, rotation=(perm, signs, 0))
         # the claim is checked before a zero matrix is answered
-        with pytest.raises(ValueError, match="shape"):
-            numerical_radius(np.zeros((3, 3)), rotation=(np.eye(2), 3))
+        with pytest.raises(ValueError, match="permutation"):
+            numerical_radius(np.zeros((3, 3)), rotation=([1, 0], [1, 1], 3))
+        # a claim is a signed permutation: signs exactly +-1, perm one-to-one
+        for bad_signs in (2 * signs, np.r_[signs[:-1], 0.5], np.r_[signs[:-1], 1j],
+                          signs[:-1]):
+            with pytest.raises(ValueError, match=r"\+1 or -1"):
+                numerical_radius(fam12.A, rotation=(perm, bad_signs, 12))
+        repeated = perm.copy()
+        repeated[3] = repeated[4]
+        for bad_perm in (repeated, perm + 1, perm.astype(float), perm[::2]):
+            with pytest.raises(ValueError, match="permutation of range"):
+                numerical_radius(fam12.A, rotation=(bad_perm, signs, 12))
+
+    def test_non_unitary_claim_cannot_be_stated(self):
+        # U* A U = omega A holds to rounding for the cyclic shift with its
+        # columns scaled by sqrt(1/3), sqrt(6), sqrt(1/2), but that U is not
+        # unitary and the radius it would certify on one period is 1, not 3.
+        # As a signed permutation the scaling cannot be stated, and the valid
+        # signed-shift claim is false, so the full circle is swept.
+        omega = np.exp(2j * np.pi / 3)
+        a = np.diag([1.0, 3.0 * omega, omega ** 2 / 2])
+        perm = np.array([1, 2, 0])
+        u = np.zeros((3, 3))
+        u[perm, np.arange(3)] = np.sqrt([1 / 3, 6, 1 / 2])
+        assert np.linalg.norm(u.T @ a @ u - omega * a) <= 1e-14
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            numerical_radius(a, 1e-9, rotation=(perm, u[perm, np.arange(3)], 3))
+        tol = 1e-9
+        got = numerical_radius(a, tol, rotation=(perm, np.ones(3), 3))
+        assert_same_estimate(got, numerical_radius(a, tol))
+        assert got.tolerance <= tol and abs(got.value - 3.0) <= tol

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import gaussian_matrix, haar_unitary, seeded
 from opradius import linalg
-from opradius.extremal import build, symmetry_pair
+from opradius.extremal import build
 
 
 def singular_2x2_oracle(a):
@@ -156,11 +156,6 @@ class TestInverse:
 
     def test_witness_is_self_inverse(self):
         np.testing.assert_allclose(linalg.inverse(WITNESS), WITNESS, atol=1e-14)
-
-    def test_rotation_pair_inverse_is_adjoint(self):
-        pair = symmetry_pair(12)
-        pd = (pair.P @ pair.Delta).astype(complex)
-        np.testing.assert_allclose(linalg.inverse(pd), pd.conj().T, atol=1e-13)
 
     def test_residual_contract(self):
         for i in range(5):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import gaussian_matrix, seeded
 from opradius import cli, linalg, radii
-from opradius.extremal import build, family_radii, symmetry_pair
+from opradius.extremal import build, family_radii
 from opradius.radii import (numerical_radius, range_boundary, rho_radii,
                             rho_radius, sphere_maximize, spectral_radius,
                             support_points)
@@ -251,8 +251,9 @@ class TestPencilSweep:
             rng = seeded(54, i)
             mats.append((gaussian_matrix(rng, int(rng.integers(2, 9))), None))
         for n in (12, 36, 100):
-            pair = symmetry_pair(n)
-            mats.append((build(n).A, (pair.P @ pair.Delta, n)))
+            # the family's claim: P Delta as the signed permutation j -> j + 1
+            mats.append((build(n).A, ((np.arange(n) + 1) % n,
+                                      np.r_[np.ones(n - 1), -1.0], n)))
         # the pencil sweep and the lockstep path
         stack = [gaussian_matrix(seeded(54, 10 + i), 5) for i in range(10)]
 
