@@ -73,7 +73,7 @@ def _csv_lines(header: str, rows, trailer: str | None = None) -> str:
 
 def _cmd_gap(ns) -> _Result:
     a = load_matrix(ns.matrix)
-    rho = float(ns.rho)
+    rho = _check_rho(float(ns.rho))
     w, w_inv = (max(est.value, 1.0)
                 for est in rho_radii([a, inverse(a)], rho, tol=ns.tol))
     gap = distance_to_unitaries(a)

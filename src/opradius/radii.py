@@ -5,23 +5,32 @@ The numerical radius is the global maximum over theta of the support function
 
     h(theta) = lambda_max((e^{i theta} A + e^{-i theta} A*) / 2),
 
-sampled on a uniform 16-point coarse grid and then refined by certified
-interval bisection. The certificate uses the cosine minorant: if theta*
-attains the maximum w, then h(theta) >= w cos(theta - theta*) for every
-theta, because the maximizing boundary point alone contributes that much.
-Hence whenever the evaluated grid has spacing d, some evaluated point is
-within d/2 of theta* and
+sampled on a uniform 16-point coarse grid and then refined interval by
+interval. The certificate uses the cosine minorant: if theta* attains the
+maximum w, then h(theta) >= w cos(theta - theta*) for every theta, because
+the maximizing boundary point alone contributes that much. If theta* lies in
+an interval [a, a + d], d < pi/2, that point lies behind the two support
+lines Re(e^{i a} z) = h(a) and Re(e^{i (a + d)} z) = h(a + d), so
 
-    w <= best_evaluated / cos(d / 2).
+    w <= V = |vertex of the two lines|   if its angle lies in the interval,
+    w <= V = max(h(a), h(a + d))         otherwise,
 
-Intervals whose endpoints both fall below best * cos(d/2) cannot contain
-theta* and are discarded; the rest are bisected until the bracket
-best * (1/cos(d/2) - 1) drops below the requested tolerance. Convergence is
-quadratic in d, so a handful of rounds past the coarse grid suffices even for
-tolerances near 1e-12, whatever the grid. The exception is a support function
-that is flat to within tol, as for a matrix whose numerical range is a disk
-about 0: nothing is pruned, so the sweep evaluates about 2 pi/sqrt(8 tol/w)
-angles (262,144 for the 2 x 2 nilpotent at tol 1e-10).
+the outer polygon of the support lines (Johnson, SIAM J. Numer. Anal. 15,
+1978); an endpoint value <= 0 rules theta* out of the interval. An interval
+is split at its vertex angle, clipped into its middle half, while V exceeds
+best + tol for the largest value best evaluated so far, so h is evaluated
+where the bound peaks (Piyavskii 1972; Shubert, SIAM J. Numer. Anal. 9,
+1972). An interval that stops being split leaves V behind, and the largest V
+less best is the certified gap; each V carries a rounding guard of 1e-12
+max(1, |best|), at most tol/2. Equal endpoint values put the vertex
+mid-interval at V = h/cos(d/2), and V never exceeds max(h(a), h(a + d)) /
+cos(d/2), the bound of uniform bisection. Convergence is therefore quadratic
+in d, and a handful of rounds past the coarse grid suffices even for
+tolerances near 1e-12, whatever the grid. The exception is a support
+function that is flat to within tol, as for a matrix whose numerical range
+is a disk about 0: every interval is split down to width sqrt(8 tol/w), so
+the sweep evaluates about 2 pi/sqrt(8 tol/w) angles (262,144 for the 2 x 2
+nilpotent at tol 1e-10).
 
 Every radius takes one pipeline over a stack of same-size matrices: zero
 matrices get value 0, rho = 1 reads the top singular pair, and any other rho
@@ -45,10 +54,10 @@ lies within |m|//2 shifts of the period, so on the period
 
     h(theta) >= w cos(theta - phi) - slack,   slack = (|m| // 2) r,
 
-for some phi in [0, 2 pi/|m|]. The certificate becomes
-w <= (best + slack) / cos(d/2) and intervals are pruned below
-best * cos(d/2) - slack. A claim whose slack exceeds tol/2 is ignored and the
-full circle is swept, so a false claim costs time, never correctness.
+for some phi in [0, 2 pi/|m|]. The vertex bound then takes h + slack in
+place of h at both endpoints, so the slack enters the gap. A claim whose
+slack exceeds tol/2 is ignored and the full circle is swept, so a false
+claim costs time, never correctness.
 
 A complex symmetric A (A^T = A, as the extremal family and its inverse are)
 has real symmetric rotated Hermitian parts H_theta = Re(e^{i theta} A),
@@ -97,9 +106,10 @@ gives, with c = cos(theta - theta*),
     u*(theta) >= alpha c t + sqrt(alpha^2 c^2 t^2 + beta s^2) >= c w_rho
 
 for c >= 0 (t = |<Ah*, h*>|, s = ||Ah*||), and u*(theta) >= 0 >= c w_rho
-otherwise: the cosine minorant again, so the gap, the prune threshold and
-the guard carry over unchanged. The value is max(best, g(x/||x||)) for the
-top eigenvector half x at the best angle, so it is attained up to rounding.
+otherwise: the cosine minorant again, so the vertex bound, the split rule
+and the guard carry over unchanged. The value is max(best, g(x/||x||)) for
+the top eigenvector half x at the best angle, so it is attained up to
+rounding.
 """
 
 from __future__ import annotations
@@ -286,16 +296,30 @@ def range_boundary(a, samples: int = 256) -> list[SupportPoint]:
     return support_points(a, thetas)
 
 
-def _certified_gap(best, width: float, slack):
-    # (best + slack) / cos(width/2) - best, arranged so that slack = 0 gives
-    # exactly the bits of the plain full-circle bound
-    c = np.cos(width / 2)
-    return best * (1.0 / c - 1.0) + slack / c
+def _vertex(p, q, d):
+    """(bound, split offset) of intervals [a, a + d], d < pi/2, from the
+    shifted endpoint values p = h(a) + slack and q = h(a + d) + slack.
+
+    A maximizer angle phi in the interval gives w cos(a - phi) <= p and
+    w cos(a + d - phi) <= q. The bound is the modulus of the vertex where
+    these two support lines meet when its angle lies in the interval, and
+    max(p, q) otherwise; it is -inf when p <= 0 or q <= 0, because w > 0
+    leaves no room for phi there. The offset is the vertex angle clipped
+    into [d/4, 3d/4].
+    """
+    sin, cos = np.sin(d), np.cos(d)
+    na, nb = q - p * cos, p - q * cos
+    top = np.where(na <= 0, p, np.where(nb <= 0, q, np.hypot(p, na / sin)))
+    top = np.where((p > 0) & (q > 0), top, -np.inf)
+    return top, np.clip(np.arctan2(na, p * sin), d / 4, 3 * d / 4)
 
 
 def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
     """(|m|, (|m| // 2) ||U* A U - e^{2 pi i/m} A||_F) for a claimed rotation
     (perm, signs, m) by the signed permutation U e_j = signs[j] e_{perm[j]}."""
+    if len(rotation) != 3:
+        raise ValueError(f"rotation must be (perm, signs, m), got {len(rotation)} "
+                         "entries")
     perm, signs, m = rotation
     perm, signs, n = np.asarray(perm), np.asarray(signs), a.shape[0]
     if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n)):
@@ -326,15 +350,22 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
 
     values(owner, thetas) returns the value of function owner[i] at
     thetas[i] for every i. Each function must dominate
-    w cos(theta - phi) - slack, where w is its maximum, phi the angle of a
-    maximizer and slack a scalar or one value per owner; with order > 1 only
-    the closed period [0, 2 pi/order] is swept and phi must lie in it. Every
-    interval carries the index of its owner, and each owner keeps its own
-    best value, best angle and stopping round, so its result is bit for bit
-    that of a sweep of its function alone. The true maximum of function i
-    lies in [best[i], best[i] + gap[i]].
+    w cos(theta - phi) - slack, where w > 0 is its maximum, phi the angle of
+    a maximizer and slack a scalar or one value per owner; with order > 1
+    only the closed period [0, 2 pi/order] is swept and phi must lie in it.
+
+    Every interval carries its own endpoints and the index of its owner, and
+    is bounded by _vertex: no phi in it allows a maximum above that bound.
+    An interval is split at its vertex angle while its bound plus a rounding
+    guard exceeds best + tol; once it stops, bound plus guard goes into its
+    owner's running maximum, which closes the owner's gap. The intervals of
+    each owner keep their order, and each owner keeps its own best value,
+    best angle and stopping round, so its result is bit for bit that of a
+    sweep of its function alone. The true maximum of function i lies in
+    [best[i], best[i] + gap[i]].
     """
     owners = np.arange(count)
+    slack = np.broadcast_to(slack, (count,))
     # one period on a closed grid of `segments` intervals; on the full circle
     # h(2 pi) = h(0) closes the grid without an evaluation
     period = 2 * np.pi / order
@@ -343,10 +374,9 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
     points = segments + (order > 1)
     vals = values(np.repeat(owners, points), np.tile(grid[:points], count))
     vals = vals.reshape(count, points)[:, np.arange(segments + 1) % points]
-    # intervals of the current generation: [left, left + width]
-    left = np.tile(grid[:-1], count)
+    # intervals [left, right] with their endpoint values
+    left, right = np.tile(grid[:-1], count), np.tile(grid[1:], count)
     h_left, h_right = vals[:, :-1].ravel(), vals[:, 1:].ravel()
-    width = period / segments
     owner = np.repeat(owners, segments)
     # the first largest value is never the closing copy of h(0)
     k = np.argmax(vals, axis=1)
@@ -354,43 +384,49 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
     best_theta = grid[k]
     evaluations = np.full(count, points)
     rounds = np.zeros(count, dtype=int)
-    gap = np.empty(count)
+    bound = np.full(count, -np.inf)
     live = np.ones(count, dtype=bool)
 
+    def bounds():
+        # rounding guard on every bound, at most tol/2 so that tol = 1e-12
+        # stays reachable for |best| > 1
+        guard = np.minimum(1e-12 * np.maximum(1.0, np.abs(best)), tol / 2)
+        s = slack[owner]
+        top, offset = _vertex(h_left + s, h_right + s, right - left)
+        return top + guard[owner], offset
+
     for _ in range(_MAX_ROUNDS):
-        current = _certified_gap(best, width, slack)
-        done = live & (current <= tol)
-        guard = 1e-12 * np.maximum(1.0, np.abs(best))
-        threshold = (best * np.cos(width / 2) - guard - slack)[owner]
-        keep = ~done[owner] & ((h_left >= threshold) | (h_right >= threshold))
-        left, h_left, h_right = left[keep], h_left[keep], h_right[keep]
-        owner = owner[keep]
-        # an owner also stops when none of its intervals survives the prune
-        done |= live & (np.bincount(owner, minlength=count) == 0)
-        gap[done] = current[done]
-        live &= ~done
+        upper, offset = bounds()
+        # upper - best, not best + tol: the final gap is the same difference
+        split = upper - best[owner] > tol
+        np.maximum.at(bound, owner[~split], upper[~split])
+        left, right, h_left, h_right, owner, offset = (
+            x[split] for x in (left, right, h_left, h_right, owner, offset))
+        # an owner stops when none of its intervals is split
+        live &= np.bincount(owner, minlength=count) > 0
         if owner.size == 0:
             break
-        mid = left + width / 2
-        h_mid = values(owner, mid)
-        # each owner's first largest midpoint, as np.argmax would pick it
+        cut = left + offset
+        h_cut = values(owner, cut)
+        # each owner's first largest new value, as np.argmax would pick it
         top = np.full(count, -np.inf)
-        np.maximum.at(top, owner, h_mid)
-        at_top = np.flatnonzero(h_mid == top[owner])
-        first = np.full(count, h_mid.size)
+        np.maximum.at(top, owner, h_cut)
+        at_top = np.flatnonzero(h_cut == top[owner])
+        first = np.full(count, h_cut.size)
         np.minimum.at(first, owner[at_top], at_top)
         better = live & (top > best)
-        best[better] = h_mid[first[better]]
-        best_theta[better] = mid[first[better]]
+        best[better] = h_cut[first[better]]
+        best_theta[better] = cut[first[better]]
         evaluations += np.bincount(owner, minlength=count)
         rounds[live] += 1
-        left = np.concatenate([left, mid])
-        h_left = np.concatenate([h_left, h_mid])
-        h_right = np.concatenate([h_mid, h_right])
+        left, right = np.concatenate([left, cut]), np.concatenate([cut, right])
+        h_left = np.concatenate([h_left, h_cut])
+        h_right = np.concatenate([h_cut, h_right])
         owner = np.concatenate([owner, owner])
-        width /= 2
-    gap[live] = _certified_gap(best, width, slack)[live]
-    return _Sweep(best, best_theta, gap, evaluations, rounds)
+    else:
+        # _MAX_ROUNDS ran out: the live intervals close their owners' gaps
+        np.maximum.at(bound, owner, bounds()[0])
+    return _Sweep(best, best_theta, bound - best, evaluations, rounds)
 
 
 def _radii(mats: np.ndarray, rho: float, tol: float, order: int = 1,
@@ -594,9 +630,10 @@ def rho_radius(a, rho: float, tol: float = 1e-6) -> RadiusEstimate:
 
     rho = 1 is the operator norm, from one SVD, and rho = 2 the numerical
     radius. In between, the maximum over theta of lambda_max(K_theta) is
-    swept with the same certified bisection (see the module docstring); the
-    value is a lower bound within the reported tolerance of w_rho(A) and is
-    attained by the witness up to rounding. tol is clamped into [1e-12, 1e-2].
+    swept with the same certified vertex refinement (see the module
+    docstring); the value is a lower bound within the reported tolerance of
+    w_rho(A) and is attained by the witness up to rounding. tol is clamped
+    into [1e-12, 1e-2].
     rho outside [1, 2] is rejected; the restricted sup formula for rho > 2 is
     deliberately unsupported. This is rho_radii on a stack of one.
     """

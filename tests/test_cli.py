@@ -54,6 +54,17 @@ class TestGap:
         assert report["distance"] == pytest.approx(1.0, abs=1e-10)
         assert captured.err.startswith("check failed: distance ")
 
+    def test_gap_echoes_the_clamped_rho(self, witness_file, capsys):
+        # gap clamps like random-test: it reports and bounds at rho = 2,
+        # which the text format prints as "2"
+        outs = []
+        for rho in ("2.0000000000001", "2"):
+            assert main(["gap", "--matrix", witness_file, "--rho", rho,
+                         "--format", "text"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].startswith("rho = 2\n")
+        assert outs[0] == outs[1]
+
 
 class TestBounds:
     def test_csv_shape(self, tmp_path):
@@ -186,7 +197,6 @@ class TestRandomTest:
         exact = random_test(2, 3, 2, 2.0)
         assert near.rho == 2.0
         assert near.records == exact.records
-
 
 class TestExtremalVerify:
     def test_n12_passes(self, capsys):

@@ -285,6 +285,10 @@ class TestFamilyRadii:
             numerical_radius(fam12.A, rotation=(perm[:3], signs[:3], 12))
         with pytest.raises(ValueError, match="nonzero integer"):
             numerical_radius(fam12.A, rotation=(perm, signs, 0))
+        # the dense form (U, m) is named as the wrong form, not unpacked
+        u = np.eye(12)[perm] * signs
+        with pytest.raises(ValueError, match=r"\(perm, signs, m\), got 2"):
+            numerical_radius(fam12.A, rotation=(u, 12))
         # the claim is checked before a zero matrix is answered
         with pytest.raises(ValueError, match="permutation"):
             numerical_radius(np.zeros((3, 3)), rotation=([1, 0], [1, 1], 3))

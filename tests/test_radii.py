@@ -289,38 +289,89 @@ class TestPencilSweep:
 
 
 def reference_sweep(values, tol, coarse):
-    """The full-circle sweep of one function, one owner at a time.
+    """The full-circle vertex-rule sweep of one function, one owner at a time.
 
     Returns (best, best_theta, gap, evaluations, rounds).
+    """
+    grid = 2 * np.pi * np.arange(coarse + 1) / coarse
+    vals = values(grid[:-1])
+    vals = np.append(vals, vals[0])
+    left, right, h_left, h_right = grid[:-1], grid[1:], vals[:-1], vals[1:]
+    k = int(np.argmax(vals))
+    best, best_theta = vals[k], grid[k]
+    evaluations, rounds, bound = coarse, 0, -np.inf
+
+    def bounds():
+        guard = min(1e-12 * max(1.0, abs(best)), tol / 2)
+        top, offset = radii._vertex(h_left, h_right, right - left)
+        return top + guard, offset
+
+    for _ in range(radii._MAX_ROUNDS):
+        top, offset = bounds()
+        split = top - best > tol
+        bound = max(bound, top[~split].max(initial=-np.inf))
+        left, right, h_left, h_right, offset = (
+            x[split] for x in (left, right, h_left, h_right, offset))
+        if left.size == 0:
+            break
+        cut = left + offset
+        h_cut = values(cut)
+        evaluations += cut.size
+        rounds += 1
+        j = int(np.argmax(h_cut))
+        if h_cut[j] > best:
+            best, best_theta = h_cut[j], cut[j]
+        left, right = np.concatenate([left, cut]), np.concatenate([cut, right])
+        h_left = np.concatenate([h_left, h_cut])
+        h_right = np.concatenate([h_cut, h_right])
+    else:
+        bound = max(bound, bounds()[0].max())
+    return best, best_theta, bound - best, evaluations, rounds
+
+
+def midpoint_sweep(values, tol, coarse=radii._COARSE):
+    """Baseline: the uniform-width bisection the vertex rule replaced. All
+    intervals share one width d; both endpoints below best cos(d/2) prune an
+    interval, and the sweep stops once best (1/cos(d/2) - 1) <= tol.
+
+    Returns (best, gap, evaluations).
     """
     thetas = 2 * np.pi * np.arange(coarse) / coarse
     vals = values(thetas)
     left, h_left, h_right = thetas, vals, np.roll(vals, -1)
     width = 2 * np.pi / coarse
-    k = int(np.argmax(vals))
-    best, best_theta = float(vals[k]), float(thetas[k])
-    evaluations, rounds = coarse, 0
+    best, evaluations = float(vals.max()), coarse
     for _ in range(radii._MAX_ROUNDS):
-        if radii._certified_gap(best, width, 0.0) <= tol:
+        if best * (1 / np.cos(width / 2) - 1) <= tol:
             break
         threshold = best * np.cos(width / 2) - 1e-12 * max(1.0, abs(best))
         keep = (h_left >= threshold) | (h_right >= threshold)
         left, h_left, h_right = left[keep], h_left[keep], h_right[keep]
-        if left.size == 0:
-            break
         mid = left + width / 2
         h_mid = values(mid)
         evaluations += mid.size
-        rounds += 1
-        j = int(np.argmax(h_mid))
-        if float(h_mid[j]) > best:
-            best, best_theta = float(h_mid[j]), float(mid[j])
+        best = max(best, float(h_mid.max()))
         left = np.concatenate([left, mid])
         h_left = np.concatenate([h_left, h_mid])
         h_right = np.concatenate([h_mid, h_right])
         width /= 2
-    return best, best_theta, float(radii._certified_gap(best, width, 0.0)), \
-        evaluations, rounds
+    return best, best * (1 / np.cos(width / 2) - 1), evaluations
+
+
+def pencil_values(a, rho):
+    """thetas -> lambda_max(K_theta) for 1 < rho < 2, built densely."""
+    alpha, beta = 1 - 1 / rho, 2 / rho - 1
+    _, s, vh = np.linalg.svd(a)
+    off = np.sqrt(beta) * (vh.conj().T * s) @ vh
+    n = a.shape[0]
+
+    def values(thetas):
+        k = np.zeros((thetas.size, 2 * n, 2 * n), dtype=complex)
+        ph = np.exp(1j * thetas)[:, None, None]
+        k[:, :n, :n] = alpha * (ph * a + np.conj(ph) * a.conj().T)
+        k[:, :n, n:] = k[:, n:, :n] = off
+        return np.linalg.eigvalsh(k)[:, -1]
+    return values
 
 
 class TestLockstep:
@@ -444,6 +495,80 @@ class TestLockstep:
             rho_radii([], 1.5)
         with pytest.raises(ValueError, match="unsupported"):
             rho_radii([np.eye(2)], 2.5)
+
+
+class TestVertexRule:
+    # each interval is bounded by the vertex of its two support lines and
+    # split where that bound peaks
+
+    @staticmethod
+    def bracket_cases():
+        """(label, matrix, rotation claim): Gaussian matrices, normal ones
+        whose support function has kinks, and the n = 12 family member with
+        its rotation claim."""
+        for n in (2, 3, 5, 8):
+            rng = seeded(60, n)
+            yield f"gaussian{n}", gaussian_matrix(rng, n), None
+            yield f"normal{n}", np.diag(gaussian_matrix(rng, n)[0]), None
+        n = 12
+        yield "family12", build(n).A, ((np.arange(n) + 1) % n,
+                                       np.r_[np.ones(n - 1), -1.0], n)
+
+    def test_vertex_of_a_point(self):
+        # w cos(theta - phi) is the support function of the one point
+        # w e^{-i phi}, so the vertex is that point, at angle phi
+        w, a, d = 1.7, 0.3, 0.4
+
+        def vertex(phi):
+            p, q = w * np.cos(a - phi), w * np.cos(a + d - phi)
+            top, offset = radii._vertex(np.array([p]), np.array([q]), np.array([d]))
+            return top[0], offset[0], max(p, q)
+
+        for phi in (0.45, 0.5, 0.55):
+            top, offset, _ = vertex(phi)
+            assert top == pytest.approx(w, rel=1e-14)
+            assert offset == pytest.approx(phi - a, abs=1e-14)
+        # a vertex outside the middle half is clipped into it
+        assert vertex(0.32)[:2] == (pytest.approx(w, rel=1e-14), d / 4)
+        # outside the interval the bound is the larger endpoint value
+        top, offset, larger = vertex(0.8)
+        assert (top, offset) == (larger, 3 * d / 4)
+        # an endpoint value <= 0 leaves no room for the maximizer
+        top = radii._vertex(np.array([-0.1]), np.array([1.0]), np.array([d]))[0]
+        assert top[0] == -np.inf
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
+    @pytest.mark.parametrize("rho", [1.25, 1.5, 2.0])
+    def test_brackets_a_tight_baseline_sweep(self, rho, tol):
+        # the baseline at tol 1e-12 and the vertex rule at tol bracket each
+        # other: value <= ref + gap_ref and ref <= value + tolerance
+        for label, a, rotation in self.bracket_cases():
+            if rho == 2.0:
+                est = numerical_radius(a, tol=tol, rotation=rotation)
+                values = lambda t, a=a: support_values(a, t)
+            else:
+                est = rho_radius(a, rho, tol=tol)
+                values = pencil_values(a, rho)
+            ref, gap_ref, _ = midpoint_sweep(values, 1e-12)
+            assert 0.0 <= est.tolerance <= tol, label
+            assert est.value <= ref + gap_ref, label
+            assert ref <= est.value + est.tolerance, label
+
+    def test_fewer_evaluations_than_midpoint_rule(self):
+        mats = [gaussian_matrix(seeded(61, i), 2 + i % 7) for i in range(20)]
+        for tol in (1e-6, 1e-10):
+            vertex = sum(numerical_radius(a, tol=tol).evaluations for a in mats)
+            midpoint = sum(midpoint_sweep(lambda t, a=a: support_values(a, t), tol)[2]
+                           for a in mats)
+            assert vertex < midpoint
+
+    def test_flat_support_costs_no_more(self):
+        # h is constant for the nilpotent: every vertex sits mid-interval and
+        # its bound is the midpoint rule's
+        for tol in (1e-6, 1e-8):
+            est = numerical_radius(NILPOTENT, tol=tol)
+            _, _, midpoint = midpoint_sweep(lambda t: support_values(NILPOTENT, t), tol)
+            assert est.evaluations <= midpoint
 
 
 class TestRealPath:
