@@ -26,8 +26,6 @@ __all__ = [
     "psi_upper",
     "x_rho",
     "psi_rho_upper",
-    "operative_bound",
-    "asymptotic_upper",
     "crossover_radius",
     "lower_witness",
     "midpoint_certificate",
@@ -41,14 +39,19 @@ _R_SLACK = 1e-12
 
 
 def _check_r(r: float) -> float:
+    """r clamped up to 1; r more than 1e-12 below 1, NaN or inf is rejected."""
     if r < 1.0 - _R_SLACK:
         raise ValueError(f"r must be >= 1, got {r}")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
     return max(float(r), 1.0)
 
 
 def _check_rho(rho: float) -> float:
+    """rho clamped into [1, 2]; rho more than 1e-12 outside, or NaN, is rejected."""
     if not 1.0 - _R_SLACK <= rho <= 2.0 + _R_SLACK:
-        raise ValueError(f"rho must lie in [1, 2], got {rho}")
+        raise ValueError(f"rho must lie in [1, 2], got {rho}"
+                         + ("; the rho > 2 regime is unsupported" if rho > 2 else ""))
     return min(max(float(rho), 1.0), 2.0)
 
 
@@ -88,20 +91,8 @@ def psi_rho_upper(rho: float, r: float) -> float:
     return x + _sqrt_sq_minus_one(x)
 
 
-def operative_bound(rho: float, r: float) -> float:
-    """min(psi_rho_upper, rho * r), the tighter of the two known bounds."""
-    return min(psi_rho_upper(rho, r), _check_rho(rho) * _check_r(r))
-
-
-def asymptotic_upper(eps: float, rho: float = 2.0) -> float:
-    """Leading-order envelope 1 + (8 (rho - 1) eps)^(1/4) for small eps."""
-    rho = _check_rho(rho)
-    if not 0.0 <= eps <= 0.1:
-        raise ValueError(f"eps must lie in [0, 0.1], got {eps}")
-    return 1.0 + (8.0 * (rho - 1.0) * eps) ** 0.25
-
-
 def _asymptotic_unchecked(eps: float, rho: float) -> float:
+    """Leading-order envelope 1 + (8 (rho - 1) eps)^(1/4) for small eps >= 0."""
     return 1.0 + (8.0 * (rho - 1.0) * max(eps, 0.0)) ** 0.25
 
 
@@ -198,12 +189,14 @@ def bound_curve(rho: float, r_min: float = 1.0, r_max: float = 2.0,
     """Tabulate X_rho, the psi envelopes, and the quartic asymptote on a grid.
 
     psi_lower is the certified lower envelope: the 2x2 witness value X(r) at
-    rho = 2, and the scaled-unitary value r otherwise.
+    rho = 2, and the scaled-unitary value r otherwise. Both ends of the grid
+    must be finite and >= 1.
     """
     rho = _check_rho(rho)
     r_min = _check_r(r_min)
     if r_max < r_min:
         raise ValueError("r_max must be >= r_min")
+    r_max = _check_r(r_max)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     rs = np.linspace(r_min, r_max, steps)

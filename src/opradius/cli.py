@@ -10,8 +10,9 @@ Subcommands
 
 Exit codes: 0 all embedded checks pass, 1 a numerical check failed (named on
 stderr), 2 usage or input errors. Artifacts are written atomically (temp file
-in the target directory, then rename). Default runs are bit-reproducible: the
-seed defaults to DEFAULT_SEED and all reductions are ordered.
+in the target directory, then rename). Default runs are bit-reproducible for
+the same numpy, BLAS build, BLAS thread count and CPU kernel: the seed
+defaults to DEFAULT_SEED and all reductions are ordered.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import extremal
+from .bounds import _check_rho
 from .linalg import (_inverse, atomic_write, inverse, load_matrix,
                      matrix_to_payload, singular_values)
 # numerical_radius stays bound here: perfbench's tracer self-test patches it.
-from .radii import (DEFAULT_SEED, _check_rho, numerical_radius,  # noqa: F401
+from .radii import (DEFAULT_SEED, _check_tol, numerical_radius,  # noqa: F401
                     range_boundary, rho_radii)
 from .unitary import _excesses, distance_to_unitaries, stampfli_gap_bound
 
@@ -225,14 +227,15 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     distance <= bound - 1 + 1e-8 is checked as well. Samples are certified
     in blocks of bounded size, with one rho_radii sweep per matrix size.
     Each sample's one SVD serves its invertibility check, its norm and its
-    unitary distance, which scale with it. rho is checked and clamped into
-    [1, 2] by the same check as rho_radii.
+    unitary distance, which scale with it. rho and tol go through the same
+    checks as in rho_radii, before any sample is drawn.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 1 <= dim_min <= dim_max:
         raise ValueError("need 1 <= dim_min <= dim_max")
     rho = _check_rho(rho)
+    tol = _check_tol(tol)
     violations = 0
     gap_violations = 0
     max_ratio = -np.inf
@@ -318,7 +321,7 @@ def _cmd_extremal_scaling(ns) -> _Result:
     table = extremal.scaling_experiment(ns.kmin, ns.kmax, radius_tol=ns.tol)
     failures = []
     for row in table.rows:
-        if abs(row.delta - 1.0 / (8.0 * np.sqrt(row.n))) > 1e-11:
+        if abs(row.delta - extremal._norm_excess(row.n)) > 1e-11:
             failures.append(f"norm excess identity at n={row.n}")
         for name, w in (("w", row.w), ("w_inv", row.w_inv)):
             if w > 1.0 + row.eps + 1e-8:
@@ -415,10 +418,9 @@ def run(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
-    if ns.tol is not None and not 1e-12 <= ns.tol <= 1e-2:
-        print("error: --tol must lie in [1e-12, 1e-2]", file=sys.stderr)
-        return 2
     try:
+        if ns.tol is not None:
+            _check_tol(ns.tol)
         result = ns.func(ns)
         fmt = "json" if getattr(ns, "json", False) else ns.fmt
         if fmt == "csv":

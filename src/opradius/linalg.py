@@ -1,4 +1,4 @@
-"""Dense matrix kernels: singular values, polar decomposition, inversion,
+"""Dense matrix kernels: singular values, the unitary polar factor, inversion,
 conjugation by a signed permutation, the JSON matrix file format, and atomic
 file writes.
 
@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "PolarFactors",
     "as_matrix",
     "singular_values",
-    "polar",
     "inverse",
     "matrix_to_payload",
     "matrix_from_payload",
@@ -33,14 +30,6 @@ __all__ = [
 
 # sigma_min/sigma_max below which a matrix is treated as singular.
 CONDITION_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class PolarFactors:
-    """Right polar decomposition A = unitary @ positive."""
-
-    unitary: np.ndarray
-    positive: np.ndarray
 
 
 def as_matrix(a) -> np.ndarray:
@@ -92,22 +81,16 @@ def _inverse(a: np.ndarray, sv: np.ndarray) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-def _polar_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W Vh, s, Vh) from the SVD A = W diag(s) Vh of an invertible matrix."""
+def _polar_svd(a) -> tuple[np.ndarray, np.ndarray]:
+    """(W Vh, s) from the SVD A = W diag(s) Vh of an invertible matrix.
+
+    W Vh is the unitary polar factor (Higham, SIAM J. Sci. Stat. Comput. 7,
+    1986), the nearest unitary to A in operator norm; matrices with
+    sigma_min <= 1e-12 sigma_max are rejected.
+    """
     w, s, vh = np.linalg.svd(as_matrix(a))
     _check_invertible(s)
-    return w @ vh, s, vh
-
-
-def polar(a) -> PolarFactors:
-    """Right polar decomposition of an invertible matrix.
-
-    With the SVD A = W diag(s) Vh, the unitary factor is W Vh (Higham, SIAM J.
-    Sci. Stat. Comput. 7, 1986) and the positive factor Vh* diag(s) Vh; the
-    unitary factor is the nearest unitary to A in operator norm.
-    """
-    unitary, s, vh = _polar_svd(a)
-    return PolarFactors(unitary, (vh.conj().T * s) @ vh)
+    return w @ vh, s
 
 
 def _signed_conjugate(a: np.ndarray, perm, signs) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Numerical radius, rho-radius for 1 <= rho <= 2, spectral radius, and
-numerical-range boundary sampling.
+"""Numerical radius, rho-radius for 1 <= rho <= 2, and numerical-range
+boundary sampling.
 
 The numerical radius is the global maximum over theta of the support function
 
@@ -118,6 +118,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _check_rho
 from .linalg import _signed_conjugate, as_matrix
 
 __all__ = [
@@ -126,7 +127,6 @@ __all__ = [
     "numerical_radius",
     "rho_radius",
     "rho_radii",
-    "spectral_radius",
     "range_boundary",
     "support_points",
     "sphere_maximize",
@@ -149,6 +149,13 @@ _COARSE = 16
 # stacks are evaluated in chunks, which keeps n = 500 sweeps and lockstep
 # sweeps over many matrices in bounded memory.
 _BATCH_BYTES = 128 * 2**10
+
+
+def _check_tol(tol: float) -> float:
+    """tol, unchanged; tol outside [TOL_MIN, TOL_MAX], or NaN, is rejected."""
+    if not TOL_MIN <= tol <= TOL_MAX:
+        raise ValueError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {tol}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -497,7 +504,8 @@ def numerical_radius(a, tol: float = 1e-9,
     """Numerical radius w(A) = sup |<Ah, h>| over unit vectors, certified.
 
     The returned value is a lower bound on w(A) within `tol` of it; the
-    actual certified gap is stored in the tolerance field.
+    actual certified gap is stored in the tolerance field. tol outside
+    [1e-12, 1e-2], or NaN, raises ValueError.
 
     rotation=(perm, signs, m) claims U* A U ~ e^{2 pi i/m} A for the signed
     permutation U e_j = signs[j] e_{perm[j]}: perm a permutation of range(n),
@@ -507,18 +515,11 @@ def numerical_radius(a, tol: float = 1e-9,
     the gap, otherwise the claim is ignored and the full circle is swept.
     """
     a = as_matrix(a)
-    if not TOL_MIN <= tol <= TOL_MAX:
-        raise ValueError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
+    tol = _check_tol(tol)
     order, slack = _rotation_slack(a, rotation) if rotation is not None else (1, 0.0)
     if slack > tol / 2:
         order, slack = 1, 0.0
     return _radii(a[None], 2.0, tol, order, slack)[0]
-
-
-def spectral_radius(a) -> float:
-    """Largest eigenvalue modulus, via the general (Schur-based) eigensolver."""
-    a = as_matrix(a)
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
 # g on the unit sphere: the 1 < rho < 2 witness value and sphere_maximize's objective
@@ -603,14 +604,6 @@ def sphere_maximize(
     return float(g[i]), h[i]
 
 
-def _check_rho(rho: float) -> float:
-    """rho clamped into [1, 2]; rho more than 1e-12 outside is rejected."""
-    if not 1.0 - 1e-12 <= rho <= 2.0 + 1e-12:
-        raise ValueError(f"rho must lie in [1, 2], got {rho}"
-                         + ("; the rho > 2 regime is unsupported" if rho > 2 else ""))
-    return min(max(rho, 1.0), 2.0)
-
-
 def rho_radii(mats, rho: float, tol: float = 1e-6) -> list[RadiusEstimate]:
     """Operator rho-radii of a stack of same-size matrices, swept in lockstep.
 
@@ -620,9 +613,7 @@ def rho_radii(mats, rho: float, tol: float = 1e-6) -> list[RadiusEstimate]:
     0, gap 0 and no witness.
     """
     mats = _as_stack(mats)
-    rho = _check_rho(rho)
-    tol = min(max(tol, TOL_MIN), TOL_MAX)
-    return _radii(mats, rho, tol)
+    return _radii(mats, _check_rho(rho), _check_tol(tol))
 
 
 def rho_radius(a, rho: float, tol: float = 1e-6) -> RadiusEstimate:
@@ -632,8 +623,8 @@ def rho_radius(a, rho: float, tol: float = 1e-6) -> RadiusEstimate:
     radius. In between, the maximum over theta of lambda_max(K_theta) is
     swept with the same certified vertex refinement (see the module
     docstring); the value is a lower bound within the reported tolerance of
-    w_rho(A) and is attained by the witness up to rounding. tol is clamped
-    into [1e-12, 1e-2].
+    w_rho(A) and is attained by the witness up to rounding. tol outside
+    [1e-12, 1e-2], or NaN, raises ValueError.
     rho outside [1, 2] is rejected; the restricted sup formula for rho > 2 is
     deliberately unsupported. This is rho_radii on a stack of one.
     """

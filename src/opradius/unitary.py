@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import psi_rho_upper
+from .bounds import _check_r, psi_rho_upper
 from .linalg import _polar_svd
 
 __all__ = ["UnitaryGap", "distance_to_unitaries", "stampfli_gap_bound"]
@@ -41,7 +41,7 @@ def _excesses(s: np.ndarray) -> tuple[float, float]:
 
 def distance_to_unitaries(a) -> UnitaryGap:
     """Operator-norm distance from an invertible matrix to the unitaries."""
-    nearest, s, _ = _polar_svd(a)
+    nearest, s = _polar_svd(a)
     norm_excess, inverse_excess = _excesses(s)
     return UnitaryGap(
         distance=max(norm_excess, inverse_excess),
@@ -55,10 +55,7 @@ def stampfli_gap_bound(w: float, w_inv: float, rho: float = 2.0) -> float:
     """Upper bound psi_rho_upper(max(w, w_inv)) - 1 on the unitary distance.
 
     w and w_inv are rho-radii of the matrix and of its inverse; both must be
-    >= 1 (up to 1e-12 slack), which always holds for genuine radii of an
-    invertible matrix.
+    finite and >= 1 (up to 1e-12 slack), which always holds for genuine radii
+    of an invertible matrix.
     """
-    if w < 1.0 - 1e-12 or w_inv < 1.0 - 1e-12:
-        raise ValueError("radii of an invertible matrix and its inverse are >= 1")
-    r = max(float(w), float(w_inv), 1.0)
-    return psi_rho_upper(rho, r) - 1.0
+    return psi_rho_upper(rho, max(_check_r(w), _check_r(w_inv))) - 1.0

@@ -47,6 +47,13 @@ class TestXandPsi:
         with pytest.raises(ValueError, match="r must be"):
             bounds.psi_upper(0.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_r(self, r):
+        with pytest.raises(ValueError, match="r must be"):
+            bounds.x_of_r(r)
+        with pytest.raises(ValueError, match="r must be"):
+            bounds.psi_rho_upper(1.5, r)
+
 
 class TestXRho:
     @settings(max_examples=100, deadline=None)
@@ -76,12 +83,6 @@ class TestXRho:
     def test_ando_li_endpoint(self):
         assert bounds.psi_rho_upper(1.5, 1.0) == pytest.approx(1.0, abs=1e-14)
 
-    def test_operative_bound_takes_min(self):
-        # at rho = 1 the linear bound rho * r is the tighter one
-        assert bounds.operative_bound(1.0, 1.5) == pytest.approx(1.5, abs=1e-14)
-        assert bounds.operative_bound(2.0, 1.25) == pytest.approx(
-            min(2 + math.sqrt(3), 2.5), abs=1e-14)
-
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError, match="rho"):
             bounds.x_rho(2.5, 1.2)
@@ -89,22 +90,28 @@ class TestXRho:
             bounds.psi_rho_upper(0.9, 1.2)
 
 
+def asymptote(eps, rho):
+    """The quartic asymptote that bound_curve tabulates at r = 1 + eps."""
+    return bounds.bound_curve(rho, 1.0 + eps, 1.0 + eps, 1).rows[0].asymptotic
+
+
 class TestAsymptotic:
     def test_zero_eps(self):
         for rho in (1.0, 1.5, 2.0):
-            assert bounds.asymptotic_upper(0.0, rho) == 1.0
+            assert asymptote(0.0, rho) == 1.0
 
     def test_vanishes_at_rho_one(self):
-        assert bounds.asymptotic_upper(1e-3, 1.0) == 1.0
+        assert asymptote(1e-3, 1.0) == 1.0
 
     def test_direct_evaluation(self):
-        assert bounds.asymptotic_upper(1e-4, 2.0) == pytest.approx(
-            1.0 + (8e-4) ** 0.25, abs=1e-15)
-        assert bounds.asymptotic_upper(1e-4, 2.0) == pytest.approx(1.1682, abs=1e-4)
+        # the grid sees eps as (1 + 1e-4) - 1, which is 1e-4 only to about 1e-17
+        assert asymptote(1e-4, 2.0) == pytest.approx(
+            1.0 + (8.0 * ((1.0 + 1e-4) - 1.0)) ** 0.25, abs=1e-15)
+        assert asymptote(1e-4, 2.0) == pytest.approx(1.1682, abs=1e-4)
 
     def test_tracks_psi_upper_to_sqrt_eps(self):
         eps = 1e-4
-        gap = bounds.psi_upper(1.0 + eps) - bounds.asymptotic_upper(eps, 2.0)
+        gap = bounds.psi_upper(1.0 + eps) - asymptote(eps, 2.0)
         assert 0.0 <= gap <= 5.0 * math.sqrt(eps)
 
     def test_quartic_rate_limit(self):
@@ -118,12 +125,6 @@ class TestAsymptotic:
         assert abs(ratios[-1] - target) <= 0.05 * target
         # monotone approach from above
         assert all(a >= b - 1e-12 for a, b in zip(ratios[:-1], ratios[1:]))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="eps"):
-            bounds.asymptotic_upper(0.2, 2.0)
-        with pytest.raises(ValueError, match="eps"):
-            bounds.asymptotic_upper(-1e-3, 2.0)
 
 
 class TestLowerWitness:
@@ -238,3 +239,10 @@ class TestBoundCurve:
             bounds.bound_curve(2.0, 1.5, 1.0, 5)
         with pytest.raises(ValueError, match="steps"):
             bounds.bound_curve(2.0, 1.0, 2.0, 0)
+
+    @pytest.mark.parametrize("r_min, r_max", [(math.nan, 2.0), (1.0, math.nan),
+                                              (1.0, math.inf), (math.inf, math.inf)])
+    def test_rejects_non_finite_ends(self, r_min, r_max):
+        # a NaN end used to tabulate NaN rows, an infinite one NaN steps
+        with pytest.raises(ValueError, match="r must be"):
+            bounds.bound_curve(2.0, r_min, r_max, 3)

@@ -3,10 +3,13 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import opradius
 from opradius import bounds, cli, extremal, linalg
 from opradius.cli import main, random_test
 from opradius.radii import numerical_radius, rho_radius
@@ -83,6 +86,15 @@ class TestBounds:
         assert set(payload) == {"rho", "rows"}
         assert set(payload["rows"][0]) == {"r", "X", "psi_upper", "psi_lower",
                                            "asymptotic"}
+
+    @pytest.mark.parametrize("flag, value", [("--r-min", "nan"), ("--r-max", "nan"),
+                                             ("--r-max", "inf")])
+    def test_non_finite_r_is_usage_error(self, flag, value, capsys):
+        # these used to print NaN rows and exit 0
+        assert main(["bounds", flag, value, "--steps", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: r must be ")
 
 
 class TestRange:
@@ -178,6 +190,8 @@ class TestRandomTest:
             random_test(5, 4, 3, 2.0)
         with pytest.raises(ValueError, match="rho"):
             random_test(2, 4, 3, 2.5)
+        with pytest.raises(ValueError, match="tol"):
+            random_test(2, 4, 3, 2.0, tol=0.5)
 
     @pytest.mark.parametrize("rho, message", [
         ("2.5", "error: rho must lie in [1, 2], got 2.5; "
@@ -189,6 +203,24 @@ class TestRandomTest:
                      ["gap", "--matrix", witness_file, "--rho", rho]):
             assert main(argv) == 2
             assert capsys.readouterr().err == message
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # README's reproducibility contract: at rho 1.5 the csv is the same
+        # with one BLAS thread and with two, run in fresh processes
+        src = os.path.dirname(os.path.dirname(opradius.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "opradius.cli", "random-test", "--rho", "1.5",
+                 "--samples", "200", "--format", "csv"],
+                capture_output=True, env=env, timeout=300, check=True)
+            outs.append(proc.stdout)
+        assert len(outs[0].splitlines()) == 201
+        assert outs[0] == outs[1]
 
     def test_rho_within_rounding_of_two_is_clamped(self):
         # like rho_radii, random_test accepts rho within 1e-12 of [1, 2] and
@@ -260,8 +292,11 @@ class TestExtremalScaling:
 
 
 class TestCommonFlags:
-    def test_tol_validation(self, witness_file):
+    def test_tol_validation(self, witness_file, capsys):
         assert main(["gap", "--matrix", witness_file, "--tol", "0.5"]) == 2
+        # the library's own range check words the error
+        assert capsys.readouterr().err == (
+            "error: tol must lie in [1e-12, 0.01], got 0.5\n")
 
     def test_unknown_subcommand_exit_2(self):
         assert main(["frobnicate"]) == 2

@@ -6,6 +6,7 @@ import pytest
 from conftest import gaussian_matrix, haar_unitary, seeded
 from opradius import linalg
 from opradius.extremal import build
+from opradius.unitary import distance_to_unitaries
 
 
 def singular_2x2_oracle(a):
@@ -77,8 +78,9 @@ def conditioned(s, index):
 
 class TestConditionRange:
     # the documented floor is sigma_min/sigma_max = 1e-12; above it every
-    # kernel must stay accurate, below it inverse and polar must refuse.
-    # Eight draws each, since rounding decides the sign of the error.
+    # kernel must stay accurate, below it inverse and the polar factor (whose
+    # one caller is distance_to_unitaries) must refuse. Eight draws each,
+    # since rounding decides the sign of the error.
 
     @pytest.mark.parametrize("s", [1e-6, 1e-9, 1e-11])
     def test_accurate_above_floor(self, s):
@@ -86,10 +88,11 @@ class TestConditionRange:
             a = conditioned(s, i)
             assert abs(linalg.singular_values(a)[-1] - s) <= 1e-3 * s
             linalg.inverse(a)
-            u = linalg.polar(a).unitary
+            u = distance_to_unitaries(a).nearest
             assert np.linalg.norm(u.conj().T @ u - np.eye(6), 2) <= 1e-12
 
-    @pytest.mark.parametrize("kernel", [linalg.inverse, linalg.polar])
+    @pytest.mark.parametrize("kernel", [linalg.inverse, distance_to_unitaries],
+                             ids=["inverse", "polar"])
     def test_rejects_below_floor(self, kernel):
         for i in range(8):
             with pytest.raises(np.linalg.LinAlgError):
@@ -97,32 +100,32 @@ class TestConditionRange:
 
 
 class TestPolar:
+    # the unitary polar factor, which distance_to_unitaries returns as `nearest`
+
     def test_scaled_identity(self):
-        pf = linalg.polar(2.0 * np.eye(3))
-        np.testing.assert_allclose(pf.unitary, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(pf.positive, 2.0 * np.eye(3), atol=1e-12)
+        u = distance_to_unitaries(2.0 * np.eye(3)).nearest
+        np.testing.assert_allclose(u, np.eye(3), atol=1e-12)
 
     def test_scalar(self):
-        pf = linalg.polar(np.array([[-3.0]]))
-        assert pf.unitary[0, 0] == pytest.approx(-1.0, abs=1e-14)
-        assert pf.positive[0, 0] == pytest.approx(3.0, abs=1e-14)
+        u = distance_to_unitaries(np.array([[-3.0]])).nearest
+        assert u[0, 0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_unitary_input(self):
         u = haar_unitary(seeded(505, 0), 4)
-        pf = linalg.polar(u)
-        np.testing.assert_allclose(pf.unitary, u, atol=1e-10)
-        np.testing.assert_allclose(pf.positive, np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(distance_to_unitaries(u).nearest, u, atol=1e-10)
 
     def test_factor_invariants(self):
+        # U is unitary and U* A is the positive factor: Hermitian, and
+        # positive definite as A is invertible
         for i in range(6):
             rng = seeded(606, i)
             dim = int(rng.integers(2, 8))
             a = gaussian_matrix(rng, dim) + np.eye(dim)
-            pf = linalg.polar(a)
-            np.testing.assert_allclose(pf.unitary.conj().T @ pf.unitary,
-                                       np.eye(dim), atol=1e-10)
-            np.testing.assert_allclose(pf.unitary @ pf.positive, a, atol=1e-10)
-            np.testing.assert_allclose(pf.positive, pf.positive.conj().T, atol=1e-12)
+            u = distance_to_unitaries(a).nearest
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-10)
+            p = u.conj().T @ a
+            np.testing.assert_allclose(p, p.conj().T, atol=1e-10)
+            assert np.linalg.eigvalsh((p + p.conj().T) / 2)[0] > 0
 
     def test_unitary_factor_attains_distance(self):
         # the polar factor is the operator-norm argmin over unitaries
@@ -133,20 +136,21 @@ class TestPolar:
             sv = linalg.singular_values(a)
             if sv[-1] <= 1e-6 * sv[0]:
                 continue
-            pf = linalg.polar(a)
-            dist = linalg.singular_values(a - pf.unitary)[0]
+            u = distance_to_unitaries(a).nearest
+            dist = linalg.singular_values(a - u)[0]
             assert dist == pytest.approx(max(sv[0] - 1, 1 - sv[-1]), abs=1e-9)
 
     def test_left_unitary_invariance(self):
         rng = seeded(808, 0)
         a = gaussian_matrix(rng, 5) + np.eye(5)
         u = haar_unitary(rng, 5)
-        left = linalg.polar(u @ a).unitary
-        np.testing.assert_allclose(left, u @ linalg.polar(a).unitary, atol=1e-9)
+        left = distance_to_unitaries(u @ a).nearest
+        np.testing.assert_allclose(left, u @ distance_to_unitaries(a).nearest,
+                                   atol=1e-9)
 
     def test_rejects_singular(self):
         with pytest.raises(np.linalg.LinAlgError):
-            linalg.polar(np.array([[1, 0], [0, 0]], dtype=complex))
+            distance_to_unitaries(np.array([[1, 0], [0, 0]], dtype=complex))
 
 
 class TestInverse:

@@ -5,8 +5,7 @@ from conftest import gaussian_matrix, seeded
 from opradius import cli, linalg, radii
 from opradius.extremal import build, family_radii
 from opradius.radii import (numerical_radius, range_boundary, rho_radii,
-                            rho_radius, sphere_maximize, spectral_radius,
-                            support_points)
+                            rho_radius, sphere_maximize, support_points)
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 WITNESS = np.array([[1.0, 1.5], [0.0, -1.0]], dtype=complex)
@@ -100,6 +99,8 @@ class TestNumericalRadius:
             numerical_radius(NILPOTENT, tol=1.0)
         with pytest.raises(ValueError, match="tol"):
             numerical_radius(NILPOTENT, tol=1e-13)
+        with pytest.raises(ValueError, match="tol"):
+            numerical_radius(NILPOTENT, tol=float("nan"))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -177,11 +178,21 @@ class TestRhoRadius:
                 rng = seeded(48, i)
                 a = gaussian_matrix(rng, int(rng.integers(2, 8)))
                 est = rho_radius(a, rho, tol=1e-8)
-                assert spectral_radius(a) <= est.value + 1e-6
+                assert np.abs(np.linalg.eigvals(a)).max() <= est.value + 1e-6
                 assert est.value <= rho * linalg.singular_values(a)[0] + 1e-9
 
     def test_zero_matrix(self):
         assert rho_radius(np.zeros((2, 2)), 1.5).value == 0.0
+
+    @pytest.mark.parametrize("tol", [float("nan"), 1.0, 1e-13])
+    def test_rejects_tol_out_of_range(self, tol):
+        # a NaN tol used to stop the sweep early and report tolerance=nan,
+        # and an out-of-range one was clamped without a word
+        a = gaussian_matrix(seeded(50, 0), 5)
+        with pytest.raises(ValueError, match="tol"):
+            rho_radius(a, 1.5, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            rho_radii([a, a], 2.0, tol=tol)
 
     def test_rejects_rho_above_two(self):
         # the message names the given rho; only rho > 2 is the unsupported
@@ -646,17 +657,6 @@ class TestSweepVsSphere:
             worst = max(worst, abs(sweep - direct))
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         assert worst <= 1e-6
-
-
-class TestSpectralRadius:
-    def test_diagonal(self):
-        assert spectral_radius(np.diag([2j, 1.0])) == pytest.approx(2.0, abs=1e-12)
-
-    def test_nilpotent(self):
-        assert spectral_radius(NILPOTENT) == pytest.approx(0.0, abs=1e-8)
-
-    def test_witness(self):
-        assert spectral_radius(WITNESS) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestRangeBoundary:

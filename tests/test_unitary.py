@@ -77,6 +77,14 @@ class TestGapBound:
         with pytest.raises(ValueError, match=">= 1"):
             stampfli_gap_bound(0.5, 1.0, 2.0)
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_rejects_non_finite_radii(self, w):
+        # a NaN radius used to give a NaN bound
+        with pytest.raises(ValueError, match="r must be"):
+            stampfli_gap_bound(w, 1.2)
+        with pytest.raises(ValueError, match="r must be"):
+            stampfli_gap_bound(1.2, w)
+
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError, match="rho"):
             stampfli_gap_bound(1.1, 1.1, 2.5)
