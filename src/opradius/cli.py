@@ -326,8 +326,10 @@ def _cmd_extremal_scaling(ns) -> _Result:
         for name, w in (("w", row.w), ("w_inv", row.w_inv)):
             if w > 1.0 + row.eps + 1e-8:
                 failures.append(f"{name} bound at n={row.n}")
+    # a single row fits no slope: JSON has null for it, not NaN
     payload = {
-        "kmin": ns.kmin, "kmax": ns.kmax, "slope": table.slope,
+        "kmin": ns.kmin, "kmax": ns.kmax,
+        "slope": table.slope if len(table.rows) >= 2 else None,
         "rows": [{"n": r.n, "eps": r.eps, "delta": r.delta,
                   "w": r.w, "w_inv": r.w_inv} for r in table.rows],
     }
@@ -426,7 +428,7 @@ def run(argv=None) -> int:
         if fmt == "csv":
             text = _csv_lines(result.header, result.rows, result.trailer)
         elif fmt == "json":
-            text = json.dumps(result.payload, indent=2) + "\n"
+            text = json.dumps(result.payload, indent=2, allow_nan=False) + "\n"
         else:
             text = result.text
         if ns.out:

@@ -252,7 +252,7 @@ def certificate_32(fam: ExtremalFamily) -> CertificateReport:
     e = fam.E.astype(float)
     m1 = -np.outer(cot, cot) * e * scale
     m2 = e * scale
-    f = np.linalg.solve(np.eye(n) + e * scale, e @ e)
+    f = np.linalg.solve(fam.B, e @ e)
     m3 = np.outer(cot, cot) * f / (4.0 * n ** 3)
     m4 = -f / (4.0 * n ** 3)
     m2_norm = float(singular_values(m2)[0])

@@ -290,6 +290,51 @@ class TestExtremalScaling:
     def test_bad_range_exit_2(self):
         assert main(["extremal", "scaling", "--kmin", "3", "--kmax", "1"]) == 2
 
+    def test_single_row_json_slope_is_null(self, capsys):
+        # RFC 8259 has no NaN; the csv trailer and the text keep "nan"
+        assert main(["extremal", "scaling", "--kmin", "1", "--kmax", "1",
+                     "--format", "json"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["slope"] is None and len(payload["rows"]) == 1
+        assert main(["extremal", "scaling", "--kmin", "1", "--kmax", "1"]) == 0
+        assert capsys.readouterr().out.endswith("# slope=nan\n")
+
+    def test_json_refuses_non_finite_numbers(self, monkeypatch, capsys):
+        # no subcommand can print NaN or Infinity as json
+        monkeypatch.setattr(cli, "_cmd_bounds", lambda ns: cli._Result(
+            "x", [], {"x": float("inf")}, ""))
+        assert main(["bounds", "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_brackets_do_not_depend_on_blas_threads(self):
+        # the scaling bytes may differ between one BLAS thread and two, but
+        # each radius lies within its certified tolerance (the default --tol
+        # 1e-6) of the true value, so the two runs' brackets overlap
+        src = os.path.dirname(os.path.dirname(opradius.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "opradius.cli", "extremal", "scaling",
+                 "--kmin", "1", "--kmax", "18", "--format", "json"],
+                capture_output=True, env=env, timeout=300, check=True)
+            runs.append(json.loads(proc.stdout)["rows"])
+        one, two = runs
+        assert [r["n"] for r in one] == [r["n"] for r in two] == list(range(12, 149, 8))
+        for r1, r2 in zip(one, two):
+            assert abs(r1["w"] - r2["w"]) <= 1e-6
+            assert abs(r1["w_inv"] - r2["w_inv"]) <= 1e-6
+            for row in (r1, r2):
+                assert abs(row["delta"] - 1 / (8 * math.sqrt(row["n"]))) <= 1e-11
+
 
 class TestCommonFlags:
     def test_tol_validation(self, witness_file, capsys):

@@ -17,8 +17,8 @@ def support_values(a, thetas, owner=None):
     thetas[i]."""
     if owner is None:
         a, owner = a[None], np.zeros(thetas.size, dtype=np.intp)
-    return radii._top_eigenvalues(radii._hermitian_builder(a), a.shape[-1],
-                                  owner, thetas)
+    build = radii._rotation_builder(*radii._hermitian_parts(a))
+    return radii._top_eigenvalues(build, a.shape[-1], owner, thetas)
 
 
 def complex_symmetric(rng, dim):
@@ -383,6 +383,48 @@ def pencil_values(a, rho):
         k[:, :n, n:] = k[:, n:, :n] = off
         return np.linalg.eigvalsh(k)[:, -1]
     return values
+
+
+class TestRotationBuilder:
+    # every kernel is cos(theta) P + sin(theta) Q for one pair (P, Q)
+
+    @staticmethod
+    def case(dim, real):
+        """A stack of three matrices, 64 random angles and random owners."""
+        rng = seeded(71, dim)
+        a = np.array([gaussian_matrix(rng, dim) for _ in range(3)])
+        if real:
+            a = np.ascontiguousarray(a.real)
+        return a, rng.uniform(0, 2 * np.pi, 64), rng.integers(0, 3, 64)
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 20])
+    def test_hermitian_pair_is_the_rotated_hermitian_part(self, dim, real):
+        a, thetas, owner = self.case(dim, real)
+        build = radii._rotation_builder(*radii._hermitian_parts(a))
+        got = build(owner, thetas)
+        assert got.dtype == np.complex128
+        np.testing.assert_array_equal(got, got.conj().transpose(0, 2, 1))
+        ph = np.exp(1j * thetas)[:, None, None]
+        direct = (ph * a[owner] + np.conj(ph) * a[owner].conj().transpose(0, 2, 1)) / 2
+        assert np.max(np.abs(got - direct)) <= 1e-15 * np.max(np.abs(a))
+        # the pencil writes its top-left block in place
+        k = np.zeros((thetas.size, 2 * dim, 2 * dim), dtype=np.complex128)
+        build(owner, thetas, out=k[:, :dim, :dim])
+        assert k[:, :dim, :dim].tobytes() == got.tobytes()
+        assert not k[:, dim:].any() and not k[:, :, dim:].any()
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 20])
+    def test_real_pair_is_cos_re_minus_sin_im_of_the_symmetric_part(self, dim, real):
+        a, thetas, owner = self.case(dim, real)
+        got = radii._rotation_builder(*radii._real_parts(a))(owner, thetas)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, got.transpose(0, 2, 1))
+        sym = (a + a.transpose(0, 2, 1)) / 2
+        want = sym.real[owner] * np.cos(thetas)[:, None, None]
+        want -= sym.imag[owner] * np.sin(thetas)[:, None, None]
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLockstep:
