@@ -11,38 +11,35 @@ a circulant, every row sums to exactly n/4 = 2k + 1, and conjugation by the
 shift-and-sign unitary P Delta rotates A by e^{2 i pi / n}. Consequences that
 this module machine-checks:
 
-  * ||A|| = ||B|| = 1 + 1/(8 sqrt(n))   (constant row sums, Perron-Frobenius),
+  * ||E|| = n/4, ||M2|| = 1/(8 sqrt(n)) and ||A|| = ||B|| = 1 + 1/(8 sqrt(n)),
+    with E_opnorm_err, M2_opnorm_err, B_norm_err and A_vs_B_norm_gap derived
+    from the row sums r_i of E, M2 = c E and B: min r_i <= ||X|| <= max r_i for
+    symmetric nonnegative X (Perron-Frobenius); the gap also reads A's SVD,
   * the numerical range is invariant under rotation by 2 pi / n,
   * both Hermitian parts (A + A*)/2 and (A^-1 + (A^-1)*)/2 have norm <= 1,
     via explicit certificate matrices whose norms obey fixed rational bounds,
   * hence the numerical radii of A and A^-1 are at most 1/cos(pi/n) while the
     norm excess ||A|| - 1 = 1/(8 sqrt(n)) decays like the 1/4 power of the
     radius excess; scaling_experiment fits that exponent.
+
+A's SVD and inverse are computed once per family: verify runs 1 complex SVD,
+5 real SVDs and 1 inv, and a scaling row 1 complex SVD and 1 inv.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import _signed_conjugate, as_matrix, inverse, singular_values
+from .linalg import _inverse, _signed_conjugate, singular_values
 from .radii import RadiusEstimate, numerical_radius
 
 __all__ = [
-    "ExtremalFamily",
-    "CertificateCheck",
-    "CertificateReport",
-    "ScalingRow",
-    "ScalingTable",
-    "build",
-    "check_symmetry",
-    "check_norm",
-    "check_real_parts",
-    "certificate_31",
-    "certificate_32",
-    "family_radii",
-    "verify",
+    "ExtremalFamily", "CertificateCheck", "CertificateReport", "ScalingRow",
+    "ScalingTable", "build", "check_symmetry", "check_norm", "check_real_parts",
+    "certificate_31", "certificate_32", "family_radii", "verify",
     "scaling_experiment",
 ]
 
@@ -61,6 +58,14 @@ class ExtremalFamily:
     E: np.ndarray
     B: np.ndarray
     A: np.ndarray
+
+    @cached_property
+    def _a_sv(self) -> np.ndarray:
+        return singular_values(self.A)
+
+    @cached_property
+    def _a_inv(self) -> np.ndarray:
+        return _inverse(self.A, self._a_sv)
 
 
 @dataclass(frozen=True)
@@ -100,8 +105,7 @@ class CertificateReport:
 
 def _check(name: str, value: float, bound: float,
            slack: float = CHECK_SLACK) -> CertificateCheck:
-    value = float(value)
-    bound = float(bound)
+    value, bound = float(value), float(bound)
     return CertificateCheck(name, value, bound, value <= bound + slack,
                             bound - value)
 
@@ -125,8 +129,7 @@ def build(n: int) -> ExtremalFamily:
     dist = np.abs(np.subtract.outer(ell, ell))
     band = ((dist >= 3 * k + 2) & (dist <= 5 * k + 2)).astype(np.int64)
 
-    row_sums = band.sum(axis=1)
-    if not np.all(row_sums == n // 4):
+    if not np.all(band.sum(axis=1) == n // 4):
         raise AssertionError("band row sums must equal n/4 exactly")
     if not np.array_equal(band, band.T) or np.any(np.diag(band) != 0):
         raise AssertionError("band matrix must be symmetric with zero diagonal")
@@ -144,16 +147,13 @@ def _signed_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
 def check_symmetry(fam: ExtremalFamily) -> float:
     """Max-entry residual of (P Delta)^-1 A (P Delta) - e^{2 i pi/n} A.
 
-    Also verifies the two exact intermediate identities
-    P^-1 D P = e^{i pi/n} Delta D and P^-1 E P = E, raising ArithmeticError
-    if either fails; those only depend on the construction, not on A, so a
-    perturbed A still reports its own (large) residual.
+    Also verifies the exact construction identities P^-1 D P = e^{i pi/n} Delta D
+    and P^-1 E P = E, raising ArithmeticError if either fails; they do not
+    involve A, so a perturbed A still reports its own (large) residual.
 
-    P Delta, the signed permutation e_j -> signs[j] e_{j+1 mod n} with
-    signs = (1, ..., 1, -1), acts through the index-arithmetic conjugation of
-    numerical_radius's rotation claim, ((P Delta)^-1 M (P Delta))_ij =
-    signs[i] signs[j] M_{i+1, j+1}: no dense product is formed, and the
-    residuals equal the dense products' bit for bit.
+    P Delta, e_j -> signs[j] e_{j+1 mod n} with signs = (1, ..., 1, -1), acts by
+    index arithmetic, ((P Delta)^-1 M (P Delta))_ij = signs[i] signs[j]
+    M_{i+1, j+1}, which gives the dense products' residuals bit for bit.
     """
     n = fam.n
     perm, signs = _signed_shift(n)
@@ -174,19 +174,24 @@ def _norm_excess(n: int) -> float:
     return 1.0 / (8.0 * np.sqrt(n))
 
 
+def _bracket_err(x: np.ndarray, target: float) -> float:
+    """max |r_i - target| over X's row sums, a bound on | ||X|| - target | if X = X^T >= 0."""
+    if not (np.array_equal(x, x.T) and np.all(x >= 0)):
+        return float("inf")
+    return float(np.max(np.abs(x.sum(axis=1) - target)))
+
+
 def check_norm(fam: ExtremalFamily) -> CertificateReport:
-    """Verify ||A|| = ||B|| = 1 + 1/(8 sqrt(n)) and the row-sum eigenvector."""
+    """Verify ||A|| = ||B|| = 1 + 1/(8 sqrt(n)) and the row-sum eigenvector; the
+    norms come from B's row sums and the family's one SVD of A, no other SVD."""
     n = fam.n
     target = 1.0 + _norm_excess(n)
-    ones = np.ones(n)
-    image = fam.B @ ones
-    sigma_b = float(singular_values(fam.B)[0])
-    sigma_a = float(singular_values(fam.A)[0])
+    image = fam.B @ np.ones(n)
     checks = (
         _check("E_row_sum_err", float(np.max(np.abs(fam.E.sum(axis=1) - n // 4))), 0.0),
-        _check("B_ones_residual", float(np.max(np.abs(image - target * ones))), 1e-13),
-        _check("B_norm_err", abs(sigma_b - target), 1e-11),
-        _check("A_vs_B_norm_gap", abs(sigma_a - sigma_b), 1e-11),
+        _check("B_ones_residual", float(np.max(np.abs(image - target))), 1e-13),
+        _check("B_norm_err", _bracket_err(fam.B, target), 1e-11),
+        _check("A_vs_B_norm_gap", _bracket_err(fam.B, fam._a_sv[0]), 1e-11),
     )
     return CertificateReport("norm_identity", n, checks)
 
@@ -194,11 +199,8 @@ def check_norm(fam: ExtremalFamily) -> CertificateReport:
 def check_real_parts(fam: ExtremalFamily) -> CertificateReport:
     """Both Hermitian parts, of A and of A^-1, must have norm <= 1."""
     n = fam.n
-    re_a = (fam.A + fam.A.conj().T) / 2
-    ainv = inverse(fam.A)
-    re_ainv = (ainv + ainv.conj().T) / 2
-    lam_a = np.linalg.eigvalsh(re_a)
-    lam_i = np.linalg.eigvalsh(re_ainv)
+    lam_a = np.linalg.eigvalsh((fam.A + fam.A.conj().T) / 2)
+    lam_i = np.linalg.eigvalsh((fam._a_inv + fam._a_inv.conj().T) / 2)
     checks = (
         _check("reA_lambda_max", float(lam_a[-1]), 1.0),
         _check("reA_lambda_min_abs", float(-lam_a[0]), 1.0),
@@ -208,10 +210,14 @@ def check_real_parts(fam: ExtremalFamily) -> CertificateReport:
     return CertificateReport("hermitian_part_bound", n, checks)
 
 
-def _cotangents(n: int) -> np.ndarray:
+def _cot_band(fam: ExtremalFamily) -> tuple[float, np.ndarray, np.ndarray]:
+    """(scale, W, W * E * scale), scale = 1/(2 n^{3/2}) and W_ij = cot_i cot_j."""
     # cot((i - 1/2) pi / n) for i = 1..n; the argument stays inside (0, pi)
-    x = (np.arange(1, n + 1) - 0.5) * np.pi / n
-    return np.cos(x) / np.sin(x)
+    x = (np.arange(1, fam.n + 1) - 0.5) * np.pi / fam.n
+    cot = np.cos(x) / np.sin(x)
+    weights = np.outer(cot, cot)
+    scale = 1.0 / (2.0 * fam.n ** 1.5)
+    return scale, weights, weights * fam.E * scale
 
 
 def certificate_31(fam: ExtremalFamily) -> CertificateReport:
@@ -223,16 +229,14 @@ def certificate_31(fam: ExtremalFamily) -> CertificateReport:
     which is also checked directly through its minimum eigenvalue.
     """
     n = fam.n
-    scale = 1.0 / (2.0 * n ** 1.5)
-    cot = _cotangents(n)
-    m = np.outer(cot, cot) * fam.E * scale
-    e_norm = float(singular_values(fam.E.astype(float))[0])
+    scale, _, m = _cot_band(fam)
+    e_norm = float(np.max(fam.E.sum(axis=1)))  # >= ||E|| for symmetric 0/1 E
     m_norm = float(singular_values(m)[0])
     quad = 2.0 * np.eye(n) - m + fam.E * scale
-    lam_min = float(np.linalg.eigvalsh((quad + quad.T) / 2)[0])
+    lam_min = float(np.linalg.eigvalsh(quad)[0])
     checks = (
         _check("M_frobenius_sq", float(np.sum(m * m)), 9.0 / 32.0),
-        _check("E_opnorm_err", abs(e_norm - n / 4.0), 1e-11),
+        _check("E_opnorm_err", _bracket_err(fam.E, n / 4.0), 1e-11),
         _check("M_plus_E_opnorm", m_norm + e_norm * scale, 7.0 / 8.0),
         _check("quad_form_neg_min", -lam_min, 0.0),
     )
@@ -247,24 +251,22 @@ def certificate_32(fam: ExtremalFamily) -> CertificateReport:
     their norms obey 3/4, 1/(8 sqrt n), 1/14, 1/56 and sum below 1.
     """
     n = fam.n
-    scale = 1.0 / (2.0 * n ** 1.5)
-    cot = _cotangents(n)
+    scale, weights, m = _cot_band(fam)
     e = fam.E.astype(float)
-    m1 = -np.outer(cot, cot) * e * scale
+    m1 = -m
     m2 = e * scale
     f = np.linalg.solve(fam.B, e @ e)
-    m3 = np.outer(cot, cot) * f / (4.0 * n ** 3)
+    m3 = weights * f / (4.0 * n ** 3)
     m4 = -f / (4.0 * n ** 3)
-    m2_norm = float(singular_values(m2)[0])
-    e_maxnorm = float(np.max(np.abs(e).sum(axis=1)))
+    f_norm = float(singular_values(f)[0])
     checks = (
         _check("M1_opnorm", float(singular_values(m1)[0]), 3.0 / 4.0),
-        _check("M2_opnorm_err", abs(m2_norm - 1.0 / (8.0 * np.sqrt(n))), 1e-11),
-        _check("F_opnorm", float(singular_values(f)[0]), n * n / 14.0),
+        _check("M2_opnorm_err", _bracket_err(m2, _norm_excess(n)), 1e-11),
+        _check("F_opnorm", f_norm, n * n / 14.0),
         _check("M3_opnorm", float(singular_values(m3)[0]), 1.0 / 14.0),
-        _check("M4_opnorm", float(singular_values(m4)[0]), 1.0 / 56.0),
+        _check("M4_opnorm", f_norm / (4.0 * n ** 3), 1.0 / 56.0),
         _check("M_sum_opnorm", float(singular_values(m1 + m2 + m3 + m4)[0]), 1.0),
-        _check("E_maxnorm_err", abs(e_maxnorm - n / 4.0), 0.0),
+        _check("E_maxnorm_err", abs(float(np.max(np.abs(e).sum(axis=1))) - n / 4.0), 0.0),
         _check("F_entry_max", float(np.max(np.abs(f))), 2.0 * n / 7.0),
     )
     return CertificateReport("inverse_hermitian_part_certificate", n, checks)
@@ -295,7 +297,7 @@ def family_radii(fam: ExtremalFamily,
     """
     perm, signs = _signed_shift(fam.n)
     w = numerical_radius(fam.A, tol=tol, rotation=(perm, signs, fam.n))
-    w_inv = numerical_radius(inverse(fam.A), tol=tol, rotation=(perm, signs, -fam.n))
+    w_inv = numerical_radius(fam._a_inv, tol=tol, rotation=(perm, signs, -fam.n))
     return w, w_inv
 
 
@@ -326,7 +328,7 @@ def verify(n: int, tol: float) -> list[CertificateReport]:
 def _scaling_row(n: int, radius_tol: float) -> ScalingRow:
     fam = build(n)
     eps = 1.0 / np.cos(np.pi / n) - 1.0
-    delta = float(singular_values(fam.A)[0]) - 1.0
+    delta = float(fam._a_sv[0]) - 1.0
     w, w_inv = family_radii(fam, radius_tol)
     return ScalingRow(n=n, eps=float(eps), delta=delta, w=w.value, w_inv=w_inv.value)
 
@@ -345,10 +347,8 @@ def scaling_experiment(k_min: int, k_max: int,
     if ns[-1] > MAX_DIM:
         raise ValueError(f"k_max gives n = {ns[-1]} > {MAX_DIM}")
     rows = [_scaling_row(n, radius_tol) for n in ns]
-    logs_eps = np.log([row.eps for row in rows])
-    logs_delta = np.log([row.delta for row in rows])
+    slope = float("nan")
     if len(rows) >= 2:
-        slope = float(np.polyfit(logs_eps, logs_delta, 1)[0])
-    else:
-        slope = float("nan")
+        slope = float(np.polyfit(np.log([row.eps for row in rows]),
+                                 np.log([row.delta for row in rows]), 1)[0])
     return ScalingTable(tuple(rows), slope)

@@ -192,6 +192,98 @@ class TestCertificates:
             "M_frobenius_sq", "E_opnorm_err", "M_plus_E_opnorm", "quad_form_neg_min"}
 
 
+def measured_norm_errors(fam):
+    """The identity checks as SVD measurements: name -> (|measured - target|,
+    ||X||) for E_opnorm_err, B_norm_err, A_vs_B_norm_gap and M2_opnorm_err,
+    and M4_opnorm -> (||M4||, ||M4||)."""
+    n = fam.n
+    sigma = {}
+    e = fam.E.astype(float)
+    m2 = e / (2.0 * n ** 1.5)
+    m4 = -np.linalg.solve(fam.B, e @ e) / (4.0 * n ** 3)
+    for name, x in (("E", e), ("B", fam.B), ("A", fam.A), ("M2", m2), ("M4", m4)):
+        sigma[name] = float(np.linalg.svd(x, compute_uv=False)[0])
+    excess = 1.0 / (8.0 * math.sqrt(n))
+    return {
+        "E_opnorm_err": (abs(sigma["E"] - n / 4.0), sigma["E"]),
+        "B_norm_err": (abs(sigma["B"] - (1.0 + excess)), sigma["B"]),
+        "A_vs_B_norm_gap": (abs(sigma["A"] - sigma["B"]), sigma["B"]),
+        "M2_opnorm_err": (abs(sigma["M2"] - excess), sigma["M2"]),
+        "M4_opnorm": (sigma["M4"], sigma["M4"]),
+    }
+
+
+def derived_checks(fam):
+    reports = (extremal.check_norm(fam), extremal.certificate_31(fam),
+               extremal.certificate_32(fam))
+    return {c.name: c for rep in reports for c in rep.checks}
+
+
+class TestDerivedNorms:
+    """The norm identities are read from row sums and from the SVDs already
+    taken; the SVD measurements they replace are the oracle."""
+
+    @pytest.mark.parametrize("n", [12, 100, 252, 500])
+    def test_derived_values_match_svd_measurements(self, n):
+        # both sides are exact up to rounding, which stays below 8 n eps ||X||
+        fam = extremal.build(n)
+        checks = derived_checks(fam)
+        for name, (measured, norm) in measured_norm_errors(fam).items():
+            rounding = 8 * n * np.finfo(float).eps * norm
+            assert abs(checks[name].value - measured) <= rounding, (name, n)
+            assert checks[name].passed, (name, n)
+
+    def test_row_sum_off_by_one_fails_e_and_m2(self, fam12):
+        e = fam12.E.copy()
+        e[0, 0] = 1  # still symmetric and nonnegative; row 0 sums to n/4 + 1
+        checks = derived_checks(replace(fam12, E=e))
+        assert checks["E_opnorm_err"].value == 1.0
+        assert not checks["E_opnorm_err"].passed
+        assert not checks["M2_opnorm_err"].passed
+
+    def test_asymmetric_band_with_exact_row_sums_fails(self, fam12):
+        # the row-sum bracket holds only for symmetric X, so moving one entry
+        # within row 0 keeps every row sum at n/4 and must still fail
+        e = fam12.E.copy()
+        j_on, j_off = np.flatnonzero(e[0])[0], np.flatnonzero(e[0] == 0)[1]
+        e[0, j_on], e[0, j_off] = 0, 1
+        assert np.all(e.sum(axis=1) == 3)
+        checks = derived_checks(replace(fam12, E=e))
+        assert not checks["E_opnorm_err"].passed
+        assert not checks["M2_opnorm_err"].passed
+
+    def test_nudged_b_fails_norm_check(self, fam12):
+        for pairs in (((0, 1),), ((0, 1), (1, 0))):
+            b = fam12.B.copy()
+            for i, j in pairs:
+                b[i, j] += 1e-9
+            checks = derived_checks(replace(fam12, B=b))
+            assert not checks["B_norm_err"].passed, pairs
+            assert not checks["A_vs_B_norm_gap"].passed, pairs
+
+    def test_factorization_counts(self, monkeypatch):
+        # verify takes A's SVD and inverse once: 1 complex SVD, at most 5 real
+        # SVDs and 1 inv; a scaling row takes 1 complex SVD and 1 inv
+        counts = {"complex": 0, "real": 0, "inv": 0}
+        svd, inv = np.linalg.svd, np.linalg.inv
+
+        def counting_svd(a, *args, **kwargs):
+            counts["complex" if np.iscomplexobj(a) else "real"] += 1
+            return svd(a, *args, **kwargs)
+
+        def counting_inv(a, *args, **kwargs):
+            counts["inv"] += 1
+            return inv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        extremal.verify(100, 1e-8)
+        assert counts["complex"] == 1 and counts["real"] <= 5 and counts["inv"] == 1
+        counts.update(complex=0, real=0, inv=0)
+        extremal.scaling_experiment(1, 3)
+        assert counts == {"complex": 3, "real": 0, "inv": 3}
+
+
 class TestScaling:
     def test_small_run_rows_and_slope(self):
         table = extremal.scaling_experiment(1, 3)

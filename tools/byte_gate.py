@@ -44,6 +44,9 @@ INVOCATIONS = (
     + [["extremal", "verify", "--n", "12", "--json"]]
     + [["extremal", "scaling", "--kmin", "1", "--kmax", "3", "--format", fmt]
        for fmt in FORMATS]
+    # the benchmark's two family workloads
+    + [["extremal", "verify", "--n", "100", "--format", "csv"],
+       ["extremal", "scaling", "--kmin", "1", "--kmax", "8", "--format", "csv"]]
     + [
         ["gap", "--matrix", "{WITNESS}", "--tol", "0.5"],
         ["random-test", "--samples", "2", "--tol", "1e-13"],
