@@ -96,25 +96,14 @@ def _asymptotic_unchecked(eps: float, rho: float) -> float:
     return 1.0 + (8.0 * (rho - 1.0) * max(eps, 0.0)) ** 0.25
 
 
-def crossover_radius(tol: float = 1e-12) -> float:
-    """Root of psi_upper(r) = 2r on (1, 1.1), by bisection.
+def crossover_radius() -> float:
+    """Root sqrt(2 + sqrt 5)/2 of psi_upper(r) = 2r.
 
-    Below this radius the psi_upper envelope beats the generic 2r bound.
+    With r = cosh t, X(r) = e^t and the equation reads e^{4t} - e^{2t} - 1 = 0,
+    so e^{2t} is the golden ratio. Below this radius the psi_upper envelope
+    beats the generic 2r bound.
     """
-    lo, hi = 1.0, 1.1
-    flo = psi_upper(lo) - 2.0 * lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = psi_upper(mid) - 2.0 * mid
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    return math.sqrt(2.0 + math.sqrt(5.0)) / 2.0
 
 
 def lower_witness(r: float) -> tuple[np.ndarray, float]:

@@ -34,7 +34,7 @@ from .radii import (DEFAULT_SEED, _check_tol, numerical_radius,  # noqa: F401
                     range_boundary, rho_radii)
 from .unitary import _excesses, distance_to_unitaries, stampfli_gap_bound
 
-__all__ = ["main", "run", "random_test", "RandomTestSummary", "DEFAULT_SEED"]
+__all__ = ["main", "random_test", "RandomTestSummary", "DEFAULT_SEED"]
 
 _FORMATS = ("csv", "json", "text")
 # Bytes of sampled matrices and inverses that random_test holds at once; it
@@ -45,7 +45,7 @@ _BLOCK_BYTES = 2**20
 @dataclass(frozen=True)
 class _Result:
     """A subcommand's output in every format and its failed-check messages,
-    which run() renders, writes and maps to the exit code."""
+    which main() renders, writes and maps to the exit code."""
 
     header: str
     rows: list
@@ -76,10 +76,11 @@ def _csv_lines(header: str, rows, trailer: str | None = None) -> str:
 def _cmd_gap(ns) -> _Result:
     a = load_matrix(ns.matrix)
     rho = _check_rho(float(ns.rho))
-    w, w_inv = (max(est.value, 1.0)
-                for est in rho_radii([a, inverse(a)], rho, tol=ns.tol))
+    w, w_inv = (est.value for est in rho_radii([a, inverse(a)], rho, tol=ns.tol))
     gap = distance_to_unitaries(a)
-    bound = stampfli_gap_bound(w, w_inv, rho)
+    # the bound reads only the larger radius, which is >= 1 for an invertible
+    # matrix; the smaller may lie below 1, as w(0.5 I) = 0.5 does
+    bound = stampfli_gap_bound(max(w, 1.0), max(w_inv, 1.0), rho)
     report = {
         "rho": rho,
         "w": w,
@@ -203,19 +204,6 @@ def _blocks(draws):
         yield block
 
 
-def _block_radii(block, rho: float, tol: float) -> list[tuple[float, float]]:
-    """(w_rho(A), w_rho(A^-1)) per draw, from one lockstep sweep per size."""
-    radii = [None] * len(block)
-    for dim in sorted({draw[1] for draw in block}):
-        group = [j for j, draw in enumerate(block) if draw[1] == dim]
-        mats = [block[j][2] for j in group]
-        inverses = [_inverse(*block[j][2:]) for j in group]
-        ests = rho_radii(mats + inverses, rho, tol=tol)
-        for pos, j in enumerate(group):
-            radii[j] = (ests[pos].value, ests[len(group) + pos].value)
-    return radii
-
-
 def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
                 seed: int = DEFAULT_SEED, tol: float = 1e-8) -> RandomTestSummary:
     """Randomized falsification sweep of ||A|| <= psi_rho_upper(r).
@@ -225,7 +213,8 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     inverse share the same rho-radius r, and checks the norm bound with
     1e-6 relative slack. At rho = 2 the unitary-distance consequence
     distance <= bound - 1 + 1e-8 is checked as well. Samples are certified
-    in blocks of bounded size, with one rho_radii sweep per matrix size.
+    in blocks of bounded size, with one rho_radii call per block on its
+    matrices and their inverses.
     Each sample's one SVD serves its invertibility check, its norm and its
     unitary distance, which scale with it. rho and tol go through the same
     checks as in rho_radii, before any sample is drawn.
@@ -243,7 +232,10 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     worst_index = -1
     records = []
     for block in _blocks(_draws(samples, dim_min, dim_max, seed)):
-        for (i, dim, a, s), (w, w_inv) in zip(block, _block_radii(block, rho, tol)):
+        ests = rho_radii([a for _, _, a, _ in block]
+                         + [_inverse(a, s) for _, _, a, s in block], rho, tol=tol)
+        for (i, dim, a, s), est, est_inv in zip(block, ests, ests[len(block):]):
+            w, w_inv = est.value, est_inv.value
             t = np.sqrt(w_inv / w)
             r = max(1.0, float(np.sqrt(w * w_inv)))
             norm = float(t * s[0])
@@ -412,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
+def main(argv=None) -> int:
     """Parse argv, execute the subcommand, write its result in the chosen
     format, and map failed checks and errors to exit codes."""
     parser = build_parser()
@@ -442,10 +434,6 @@ def run(argv=None) -> int:
         print("check failed: " + ", ".join(result.failures), file=sys.stderr)
         return 1
     return 0
-
-
-def main(argv=None) -> int:
-    return run(argv)
 
 
 if __name__ == "__main__":

@@ -124,11 +124,14 @@ def matrix_from_payload(payload: dict) -> np.ndarray:
     if missing:
         raise ValueError(f"matrix payload is missing keys: {sorted(missing)}")
     n = payload["dim"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("matrix payload 'dim' must be a positive integer")
-    re = np.asarray(payload["re"], dtype=np.float64)
-    im = np.asarray(payload["im"], dtype=np.float64)
-    if re.shape != (n * n,) or im.shape != (n * n,):
+    try:
+        re = np.asarray(payload["re"], dtype=np.float64)
+        im = np.asarray(payload["im"], dtype=np.float64)
+    except (TypeError, ValueError):
+        re = im = None
+    if re is None or re.shape != (n * n,) or im.shape != (n * n,):
         raise ValueError("matrix payload 're'/'im' must hold dim*dim floats")
     return as_matrix((re + 1j * im).reshape(n, n))
 

@@ -34,10 +34,12 @@ is a disk about 0: every interval is split down to width sqrt(8 tol/w), so
 the sweep evaluates about 2 pi/sqrt(8 tol/w) angles (262,144 for the 2 x 2
 nilpotent at tol 1e-10).
 
-Every radius takes one pipeline over a stack of same-size matrices: zero
-matrices get value 0, rho = 1 reads the top singular pair, and any other rho
-sweeps a kernel per matrix (S_theta or H_theta below at rho = 2, K_theta in
-between) in lockstep, then takes eigenvectors and witnesses at the best angles.
+Every radius takes one pipeline over a stack of matrices of one size and
+dtype, and rho_radii makes one such stack per size and dtype of its input:
+zero matrices get value 0, rho = 1 reads the top singular pair, and any other
+rho sweeps a kernel per matrix (S_theta or H_theta below at rho = 2, K_theta
+in between) in lockstep, then takes eigenvectors and witnesses at the best
+angles.
 Every interval of the sweep carries the index of the matrix that owns it, one
 stacked eigvalsh call evaluates the live angles of all owners together, and
 each owner keeps its own best value, best angle, stopping round and gap. An
@@ -201,20 +203,6 @@ class SupportPoint:
     theta: float
     support_value: float
     boundary_point: complex
-
-
-def _as_stack(mats) -> np.ndarray:
-    """Validate a sequence of same-size square matrices and stack it.
-
-    Each matrix goes through as_matrix; the stack is complex128 when any
-    matrix is complex, else float64.
-    """
-    stack = [as_matrix(m) for m in mats]
-    if not stack:
-        raise ValueError("need at least one matrix")
-    if len({m.shape for m in stack}) > 1:
-        raise ValueError("matrices of a stack must all have the same size")
-    return np.stack(stack)
 
 
 def _chunks(count: int, dim: int):
@@ -599,15 +587,26 @@ def sphere_maximize(
 
 
 def rho_radii(mats, rho: float, tol: float = 1e-6) -> list[RadiusEstimate]:
-    """Operator rho-radii of a stack of same-size matrices, swept in lockstep.
+    """Operator rho-radii of any square matrices, swept in lockstep.
 
-    Entry i equals rho_radius(mats[i], rho, tol) bit for bit: one certified
-    sweep evaluates the live angles of every matrix together, and each matrix
-    keeps its own best value, stopping round and gap. Zero matrices get value
-    0, gap 0 and no witness.
+    Entry i equals rho_radius(mats[i], rho, tol) bit for bit: the matrices
+    are grouped by size and dtype, so each keeps the float64 or complex128
+    stack of its own call, and one certified sweep per group evaluates the
+    live angles of its matrices together, each keeping its own best value,
+    stopping round and gap. Zero matrices get value 0, gap 0 and no witness.
     """
-    mats = _as_stack(mats)
-    return _radii(mats, _check_rho(rho), _check_tol(tol))
+    mats = [as_matrix(m) for m in mats]
+    if not mats:
+        raise ValueError("need at least one matrix")
+    rho, tol = _check_rho(rho), _check_tol(tol)
+    groups = {}
+    for i, m in enumerate(mats):
+        groups.setdefault((m.shape, m.dtype), []).append(i)
+    out = [None] * len(mats)
+    for group in groups.values():
+        for i, est in zip(group, _radii(np.stack([mats[i] for i in group]), rho, tol)):
+            out[i] = est
+    return out
 
 
 def rho_radius(a, rho: float, tol: float = 1e-6) -> RadiusEstimate:

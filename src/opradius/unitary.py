@@ -55,7 +55,6 @@ def stampfli_gap_bound(w: float, w_inv: float, rho: float = 2.0) -> float:
     """Upper bound psi_rho_upper(max(w, w_inv)) - 1 on the unitary distance.
 
     w and w_inv are rho-radii of the matrix and of its inverse; both must be
-    finite and >= 1 (up to 1e-12 slack), which always holds for genuine radii
-    of an invertible matrix.
+    finite and >= 1 (up to 1e-12 slack).
     """
     return psi_rho_upper(rho, max(_check_r(w), _check_r(w_inv))) - 1.0

@@ -31,6 +31,8 @@ class TestXandPsi:
         root = bounds.crossover_radius()
         assert root == pytest.approx(1.0290855, abs=1e-6)
         assert bounds.psi_upper(root) == pytest.approx(2.0 * root, abs=1e-11)
+        # the closed form sqrt(2 + sqrt 5)/2 meets 2r to one ulp
+        assert abs(bounds.psi_upper(root) - 2.0 * root) <= np.spacing(2.0 * root)
         # at the published constant psi_upper is 2r to about 1e-5
         assert bounds.psi_upper(1.0290855) == pytest.approx(2 * 1.0290855, abs=1e-5)
 

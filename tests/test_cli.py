@@ -68,6 +68,24 @@ class TestGap:
         assert outs[0].startswith("rho = 2\n")
         assert outs[0] == outs[1]
 
+    def test_prints_radii_below_one(self, tmp_path, capsys):
+        # only the bound clamps the radii up to 1; w(0.5 I) = 0.5 and
+        # w(2 I) = 2 are printed as certified
+        path = tmp_path / "half.json"
+        linalg.save_matrix(path, 0.5 * np.eye(2))
+        assert main(["gap", "--matrix", str(path), "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == ["w = 0.5", "w_inv = 2"]
+
+    @pytest.mark.parametrize("payload", [
+        {"dim": True, "re": [1.0], "im": [0.0]},
+        {"dim": 1, "re": [{"a": 1}], "im": [0.0]}], ids=["bool-dim", "dict-entry"])
+    def test_malformed_matrix_file_is_usage_error(self, payload, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["gap", "--matrix", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: matrix payload ")
+
 
 class TestBounds:
     def test_csv_shape(self, tmp_path):
@@ -144,7 +162,7 @@ class TestRandomTest:
 
     @pytest.mark.parametrize("rho", [1.5, 2.0])
     def test_records_match_single_matrix_radii(self, rho):
-        # the lockstep sweeps per size give each sample exactly the radii of
+        # the lockstep sweeps per block give each sample exactly the radii of
         # its own rho_radius calls
         summary = random_test(2, 5, 16, rho, seed=13)
         assert {rec.dim for rec in summary.records} == {2, 3, 4, 5}
@@ -177,7 +195,9 @@ class TestRandomTest:
         monkeypatch.setattr(cli, "_BLOCK_BYTES", 3 * 2 * 16 * 5 * 5)
         monkeypatch.setattr(cli, "rho_radii", spy)
         blocked = random_test(2, 5, 16, 1.5, seed=17)
-        assert len(calls) > 4 and sum(calls) == 2 * 16
+        # one call per block, on its samples and their inverses
+        blocks = list(cli._blocks(cli._draws(16, 2, 5, 17)))
+        assert len(calls) == len(blocks) > 1 and sum(calls) == 2 * 16
         assert blocked.records == whole.records
         assert (blocked.max_ratio, blocked.worst_index) == (whole.max_ratio,
                                                             whole.worst_index)
