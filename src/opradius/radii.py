@@ -7,7 +7,7 @@ h(theta) = lambda_max(H_theta) of the rotated Hermitian part
     H_theta = Re(e^{i theta} A) = cos(theta) H + sin(theta) K,
     H = (A + A*)/2,  K = i (A - A*)/2,
 
-sampled on a uniform 16-point coarse grid and then refined interval by
+sampled on a uniform 8-point coarse grid and then refined interval by
 interval. The certificate uses the cosine minorant: if theta* attains the
 maximum w, then h(theta) >= w cos(theta - theta*) for every theta, because
 the maximizing boundary point alone contributes that much. If theta* lies in
@@ -32,7 +32,8 @@ tolerances near 1e-12, whatever the grid. The exception is a support
 function that is flat to within tol, as for a matrix whose numerical range
 is a disk about 0: every interval is split down to width sqrt(8 tol/w), so
 the sweep evaluates about 2 pi/sqrt(8 tol/w) angles (262,144 for the 2 x 2
-nilpotent at tol 1e-10).
+nilpotent at tol 1e-10, read from 131,072 eigensolves by the antipodal pairs
+at the end of this docstring).
 
 Every radius takes one pipeline over a stack of matrices of one size and
 dtype, and rho_radii makes one such stack per size and dtype of its input:
@@ -116,6 +117,25 @@ otherwise: the cosine minorant again, so the vertex bound, the split rule
 and the guard carry over unchanged. The value is max(best, g(x/||x||)) for
 the top eigenvector half x at the best angle, so it is attained up to
 rounding.
+
+One eigensolve gives two support values, at theta and at its antipode theta
++ pi (Johnson 1978), because every kernel above flips sign there:
+H_{theta + pi} = -H_theta and S_{theta + pi} = -S_theta, and with D =
+diag(I, -I), a real diagonal unitary,
+
+    D K_theta D = [[2 alpha H_theta, -sqrt(beta) |A|], [-sqrt(beta) |A|, 0]],
+
+so -D K_theta D = [[2 alpha H_{theta + pi}, sqrt(beta) |A|], [sqrt(beta)
+|A|, 0]] = K_{theta + pi}. A similarity keeps the spectrum, so f(theta + pi)
+= lambda_max(-kernel_theta) = -lambda_min(kernel_theta) for each of the three
+kernels. The full-circle sweep therefore covers the half circle [0, pi] in
+interval pairs ([l, r], [l + pi, r + pi]), each end of a pair carrying the
+values of both halves. A pair's bound is the larger of its two vertex bounds,
+it is split at the vertex angle of that half, and one eigensolve there gives
+the new values of both halves. The 8 coarse angles take 4 eigensolves, and a
+flat support function, which never prunes, takes half the eigensolves of the
+full circle: 262,144 -> 131,072 for the nilpotent at tol 1e-10. A rotation
+sweep's period is shorter than pi, so it reads only lambda_max.
 """
 
 from __future__ import annotations
@@ -146,9 +166,12 @@ DEFAULT_SEED = 1729
 TOL_MIN = 1e-12
 TOL_MAX = 1e-2
 _MAX_ROUNDS = 64
-# Coarse grid of every sweep. Refinement makes the final accuracy independent
-# of it, so it only sets the cost.
-_COARSE = 16
+# Coarse grid of every sweep, in angles of the full circle: its half circle
+# takes _COARSE/2 eigensolves in intervals of width 2 pi/_COARSE, which must be
+# below pi/2, and a rotation sweep takes max(8, ceil(_COARSE/order)) - 1
+# intervals of its period. Refinement makes the final accuracy independent of
+# it, so it only sets the cost.
+_COARSE = 8
 # Largest stack of rotated Hermitian parts or pencil linearizations built at
 # once, counted as 16 dim^2 bytes per matrix. Building a stack takes about two
 # temporaries of its size, so the peak is a small multiple of this; longer
@@ -177,8 +200,9 @@ class RadiusEstimate:
     exact        True when the value comes from a certified path; every radius
                  this module returns is certified.
     witness      unit vector attaining the reported value, when available.
-    evaluations  angles at which the sweep evaluated its function, coarse
-                 grid included; 0 when no sweep ran.
+    evaluations  eigenproblems the sweep solved, coarse grid included; on the
+                 full circle each gives the values at theta and theta + pi.
+                 0 when no sweep ran.
     rounds       refinement rounds the sweep ran past the coarse grid.
     """
 
@@ -214,10 +238,13 @@ def _chunks(count: int, dim: int):
 
 def _top_eigenvalues(build, dim: int, owner: np.ndarray,
                      thetas: np.ndarray) -> np.ndarray:
-    """lambda_max of each matrix of build(owner, thetas), built in chunks."""
-    out = np.empty(thetas.size)
+    """(lambda_max, -lambda_min) of each matrix of build(owner, thetas), one
+    row per matrix, built in chunks: the support values at theta and at
+    theta + pi of a kernel that flips sign there."""
+    out = np.empty((thetas.size, 2))
     for s in _chunks(thetas.size, dim):
-        out[s] = np.linalg.eigvalsh(build(owner[s], thetas[s]))[..., -1]
+        w = np.linalg.eigvalsh(build(owner[s], thetas[s]))
+        out[s, 0], out[s, 1] = w[..., -1], -w[..., 0]
     return out
 
 
@@ -336,40 +363,52 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
            slack: float | np.ndarray = 0.0) -> _Sweep:
     """Certified maxima of `count` functions of theta, swept in lockstep.
 
-    values(owner, thetas) returns the value of function owner[i] at
-    thetas[i] for every i. Each function must dominate
-    w cos(theta - phi) - slack, where w > 0 is its maximum, phi the angle of
-    a maximizer and slack a scalar or one value per owner; with order > 1
-    only the closed period [0, 2 pi/order] is swept and phi must lie in it.
+    values(owner, thetas) returns, for every i, the values of function
+    owner[i] at thetas[i] and at thetas[i] + pi, one row each. Each function
+    must dominate w cos(theta - phi) - slack, where w > 0 is its maximum, phi
+    the angle of a maximizer and slack a scalar or one value per owner.
 
-    Every interval carries its own endpoints and the index of its owner, and
-    is bounded by _vertex: no phi in it allows a maximum above that bound.
-    An interval is split at its vertex angle while its bound plus a rounding
-    guard exceeds best + tol; once it stops, bound plus guard goes into its
-    owner's running maximum, which closes the owner's gap. The intervals of
-    each owner keep their order, and each owner keeps its own best value,
-    best angle and stopping round, so its result is bit for bit that of a
-    sweep of its function alone. The true maximum of function i lies in
-    [best[i], best[i] + gap[i]].
+    On the full circle (order 1) the half circle [0, pi] is swept in interval
+    pairs ([l, r], [l + pi, r + pi]), each row of values giving one value to
+    each half. With order > 1 only the closed period [0, 2 pi/order] is
+    swept, phi must lie in it, and only the first value of each row is read.
+
+    Every interval pair carries its own endpoints and the index of its
+    owner, and each half is bounded by _vertex: no phi in it allows a
+    maximum above that bound. A pair is split, at the vertex angle of its
+    half with the larger bound, while that bound plus a rounding guard
+    exceeds best + tol; once it stops, bound plus guard goes into its owner's
+    running maximum, which closes the owner's gap. The pairs of each owner
+    keep their order, and each owner keeps its own best value, best angle
+    and stopping round, so its result is bit for bit that of a sweep of its
+    function alone. The true maximum of function i lies in [best[i], best[i]
+    + gap[i]]; evaluations[i] counts its rows of values.
     """
     owners = np.arange(count)
     slack = np.broadcast_to(slack, (count,))
-    # one period on a closed grid of `segments` intervals; on the full circle
-    # h(2 pi) = h(0) closes the grid without an evaluation
-    period = 2 * np.pi / order
-    segments = coarse if order == 1 else max(8, -(-coarse // order)) - 1
+    # the halves of an interval pair: both on the full circle, one otherwise
+    halves = 2 if order == 1 else 1
+    shift = np.pi * np.arange(halves)
+    # one period, or the half circle, on a closed grid of `segments` intervals
+    period = 2 * np.pi / order / halves
+    segments = coarse // 2 if order == 1 else max(8, -(-coarse // order)) - 1
     grid = period * np.arange(segments + 1) / segments
     points = segments + (order > 1)
     vals = values(np.repeat(owners, points), np.tile(grid[:points], count))
-    vals = vals.reshape(count, points)[:, np.arange(segments + 1) % points]
-    # intervals [left, right] with their endpoint values
+    vals = vals[:, :halves].reshape(count, points, halves)
+    # the first largest value in angle order, first half before second
+    flat = vals.transpose(0, 2, 1).reshape(count, -1)
+    k = np.argmax(flat, axis=1)
+    best = flat[owners, k]
+    best_theta = grid[k % points] + shift[k // points]
+    if order == 1:
+        # h(pi) and h(2 pi) close the half-circle grid without an evaluation
+        vals = np.concatenate([vals, vals[:, :1, ::-1]], axis=1)
+    # interval pairs [left, right] + shift with their endpoint values
     left, right = np.tile(grid[:-1], count), np.tile(grid[1:], count)
-    h_left, h_right = vals[:, :-1].ravel(), vals[:, 1:].ravel()
+    h_left = vals[:, :-1].reshape(-1, halves)
+    h_right = vals[:, 1:].reshape(-1, halves)
     owner = np.repeat(owners, segments)
-    # the first largest value is never the closing copy of h(0)
-    k = np.argmax(vals, axis=1)
-    best = vals[owners, k]
-    best_theta = grid[k]
     evaluations = np.full(count, points)
     rounds = np.zeros(count, dtype=int)
     bound = np.full(count, -np.inf)
@@ -379,9 +418,11 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
         # rounding guard on every bound, at most tol/2 so that tol = 1e-12
         # stays reachable for |best| > 1
         guard = np.minimum(1e-12 * np.maximum(1.0, np.abs(best)), tol / 2)
-        s = slack[owner]
-        top, offset = _vertex(h_left + s, h_right + s, right - left)
-        return top + guard[owner], offset
+        s = slack[owner, None]
+        top, offset = _vertex(h_left + s, h_right + s, (right - left)[:, None])
+        # the half with the larger bound, the first on a tie
+        pair, half = np.arange(owner.size), np.argmax(top, axis=1)
+        return top[pair, half] + guard[owner], offset[pair, half]
 
     for _ in range(_MAX_ROUNDS):
         upper, offset = bounds()
@@ -395,16 +436,19 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
         if owner.size == 0:
             break
         cut = left + offset
-        h_cut = values(owner, cut)
-        # each owner's first largest new value, as np.argmax would pick it
+        h_cut = values(owner, cut)[:, :halves]
+        # each owner's first largest new value, first halves before second
+        # halves, as np.argmax would pick it
+        new, new_owner = h_cut.T.ravel(), np.tile(owner, halves)
+        new_theta = (cut + shift[:, None]).ravel()
         top = np.full(count, -np.inf)
-        np.maximum.at(top, owner, h_cut)
-        at_top = np.flatnonzero(h_cut == top[owner])
-        first = np.full(count, h_cut.size)
-        np.minimum.at(first, owner[at_top], at_top)
+        np.maximum.at(top, new_owner, new)
+        at_top = np.flatnonzero(new == top[new_owner])
+        first = np.full(count, new.size)
+        np.minimum.at(first, new_owner[at_top], at_top)
         better = live & (top > best)
-        best[better] = h_cut[first[better]]
-        best_theta[better] = cut[first[better]]
+        best[better] = new[first[better]]
+        best_theta[better] = new_theta[first[better]]
         evaluations += np.bincount(owner, minlength=count)
         rounds[live] += 1
         left, right = np.concatenate([left, cut]), np.concatenate([cut, right])
@@ -457,7 +501,7 @@ def _radii(mats: np.ndarray, rho: float, tol: float, order: int = 1,
 
     def values(owner, thetas):
         # one stack per kernel: float64 S_theta apart from complex128 H_theta
-        h = np.empty(thetas.size)
+        h = np.empty((thetas.size, 2))
         for mask, build in kinds:
             sel = mask[owner]
             h[sel] = _top_eigenvalues(build, dim, owner[sel], thetas[sel])

@@ -12,8 +12,9 @@ WITNESS = np.array([[1.0, 1.5], [0.0, -1.0]], dtype=complex)
 
 
 def support_values(a, thetas, owner=None):
-    """The support function h(theta) = lambda_max(H_theta) on the complex
-    path: of one matrix at every angle, or of a stack's matrix owner[i] at
+    """The rows (h(theta), h(theta + pi)) of the support function h(theta) =
+    lambda_max(H_theta) on the complex path, read from one eigensolve per
+    angle: of one matrix at every angle, or of a stack's matrix owner[i] at
     thetas[i]."""
     if owner is None:
         a, owner = a[None], np.zeros(thetas.size, dtype=np.intp)
@@ -252,7 +253,7 @@ class TestPencilSweep:
                                              abs=1e-6)
 
     def test_default_coarse_grid_matches_fine_grid(self, monkeypatch):
-        # the 16-point default grid against a 1024-point one: refinement
+        # the 8-point default grid against a 1024-point one: refinement
         # makes the result independent of the grid. No radius takes a grid
         # argument, so the defaults are computed first and the fine oracle
         # then patches the module's grid.
@@ -300,22 +301,32 @@ class TestPencilSweep:
 
 
 def reference_sweep(values, tol, coarse):
-    """The full-circle vertex-rule sweep of one function, one owner at a time.
+    """The full-circle vertex-rule sweep of one function, one owner at a
+    time, on the interval pairs ([l, r], [l + pi, r + pi]) of the half
+    circle; values(thetas) returns the rows (h(theta), h(theta + pi)).
 
     Returns (best, best_theta, gap, evaluations, rounds).
     """
-    grid = 2 * np.pi * np.arange(coarse + 1) / coarse
+    half = coarse // 2
+    grid = np.pi * np.arange(half + 1) / half
     vals = values(grid[:-1])
-    vals = np.append(vals, vals[0])
+    # the coarse angles in increasing order; the first largest is best
+    circle = np.concatenate([vals[:, 0], vals[:, 1]])
+    k = int(np.argmax(circle))
+    best, best_theta = circle[k], np.concatenate([grid[:-1], grid[:-1] + np.pi])[k]
+    # h(pi) and h(2 pi) close the grid
+    vals = np.vstack([vals, vals[0, ::-1]])
     left, right, h_left, h_right = grid[:-1], grid[1:], vals[:-1], vals[1:]
-    k = int(np.argmax(vals))
-    best, best_theta = vals[k], grid[k]
-    evaluations, rounds, bound = coarse, 0, -np.inf
+    evaluations, rounds, bound = half, 0, -np.inf
 
     def bounds():
         guard = min(1e-12 * max(1.0, abs(best)), tol / 2)
-        top, offset = radii._vertex(h_left, h_right, right - left)
-        return top + guard, offset
+        (top0, off0), (top1, off1) = (
+            radii._vertex(h_left[:, j], h_right[:, j], right - left)
+            for j in (0, 1))
+        # the second half only when its bound is strictly larger
+        second = top1 > top0
+        return np.where(second, top1, top0) + guard, np.where(second, off1, off0)
 
     for _ in range(radii._MAX_ROUNDS):
         top, offset = bounds()
@@ -329,9 +340,10 @@ def reference_sweep(values, tol, coarse):
         h_cut = values(cut)
         evaluations += cut.size
         rounds += 1
-        j = int(np.argmax(h_cut))
-        if h_cut[j] > best:
-            best, best_theta = h_cut[j], cut[j]
+        circle = np.concatenate([h_cut[:, 0], h_cut[:, 1]])
+        j = int(np.argmax(circle))
+        if circle[j] > best:
+            best, best_theta = circle[j], np.concatenate([cut, cut + np.pi])[j]
         left, right = np.concatenate([left, cut]), np.concatenate([cut, right])
         h_left = np.concatenate([h_left, h_cut])
         h_right = np.concatenate([h_cut, h_right])
@@ -341,22 +353,25 @@ def reference_sweep(values, tol, coarse):
 
 
 def midpoint_sweep(values, tol, coarse=radii._COARSE):
-    """Baseline: the uniform-width bisection the vertex rule replaced. All
-    intervals share one width d; both endpoints below best cos(d/2) prune an
-    interval, and the sweep stops once best (1/cos(d/2) - 1) <= tol.
+    """Baseline: the uniform-width bisection the vertex rule replaced, on the
+    engine's interval pairs ([l, l + d], [l + pi, l + pi + d]); values(thetas)
+    returns the rows (h(theta), h(theta + pi)). All intervals share one width
+    d; a pair is pruned when the endpoints of both halves lie below best
+    cos(d/2), and the sweep stops once best (1/cos(d/2) - 1) <= tol.
 
-    Returns (best, gap, evaluations).
+    Returns (best, gap, evaluations), evaluations counting rows of values.
     """
-    thetas = 2 * np.pi * np.arange(coarse) / coarse
+    thetas = 2 * np.pi * np.arange(coarse // 2) / coarse
     vals = values(thetas)
-    left, h_left, h_right = thetas, vals, np.roll(vals, -1)
+    left, h_left = thetas, vals
+    h_right = np.vstack([vals[1:], vals[0, ::-1]])
     width = 2 * np.pi / coarse
-    best, evaluations = float(vals.max()), coarse
+    best, evaluations = float(vals.max()), thetas.size
     for _ in range(radii._MAX_ROUNDS):
         if best * (1 / np.cos(width / 2) - 1) <= tol:
             break
         threshold = best * np.cos(width / 2) - 1e-12 * max(1.0, abs(best))
-        keep = (h_left >= threshold) | (h_right >= threshold)
+        keep = ((h_left >= threshold) | (h_right >= threshold)).any(axis=1)
         left, h_left, h_right = left[keep], h_left[keep], h_right[keep]
         mid = left + width / 2
         h_mid = values(mid)
@@ -369,20 +384,30 @@ def midpoint_sweep(values, tol, coarse=radii._COARSE):
     return best, best * (1 / np.cos(width / 2) - 1), evaluations
 
 
-def pencil_values(a, rho):
-    """thetas -> lambda_max(K_theta) for 1 < rho < 2, built densely."""
+def pencil_kernels(a, rho):
+    """thetas -> the stack of K_theta for 1 < rho < 2, built densely."""
     alpha, beta = 1 - 1 / rho, 2 / rho - 1
     _, s, vh = np.linalg.svd(a)
     off = np.sqrt(beta) * (vh.conj().T * s) @ vh
     n = a.shape[0]
 
-    def values(thetas):
+    def kernels(thetas):
         k = np.zeros((thetas.size, 2 * n, 2 * n), dtype=complex)
         ph = np.exp(1j * thetas)[:, None, None]
         k[:, :n, :n] = alpha * (ph * a + np.conj(ph) * a.conj().T)
         k[:, :n, n:] = k[:, n:, :n] = off
-        return np.linalg.eigvalsh(k)[:, -1]
-    return values
+        return k
+    return kernels
+
+
+def pencil_values(a, rho):
+    """thetas -> the rows (lambda_max(K_theta), lambda_max(K_{theta + pi}))
+    for 1 < rho < 2, each from its own eigensolve."""
+    kernels = pencil_kernels(a, rho)
+
+    def top(thetas):
+        return np.linalg.eigvalsh(kernels(thetas))[:, -1]
+    return lambda thetas: np.stack([top(thetas), top(thetas + np.pi)], axis=1)
 
 
 class TestRotationBuilder:
@@ -525,14 +550,14 @@ class TestLockstep:
             shapes.append(np.shape(m))
             return eigvalsh(m, *args, **kwargs)
 
-        # seven 6 x 6 pencil linearizations or 28 3 x 3 Hermitian parts per
-        # chunk; neither divides an owner's 16 coarse angles
-        monkeypatch.setattr(radii, "_BATCH_BYTES", 7 * 16 * 6 * 6)
+        # seven 6 x 6 pencil linearizations or 29 3 x 3 Hermitian parts per
+        # chunk; neither is a multiple of an owner's 4 coarse eigensolves
+        monkeypatch.setattr(radii, "_BATCH_BYTES", 7 * 16 * 6 * 6 + 16 * 3 * 3)
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         chunked = rho_radii(mats, rho, tol=1e-6)
         for got, want in zip(chunked, whole):
             self.assert_same(got, want)
-        cap = 7 if rho < 2 else 28
+        cap = 7 if rho < 2 else 29
         assert max(s[0] for s in shapes) == cap
         assert len(shapes) > sum(est.rounds > 0 for est in whole)
 
@@ -547,8 +572,9 @@ class TestLockstep:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         est = numerical_radius(a, tol=1e-10)
-        # one batch for the coarse grid, then one per refinement round
-        assert sizes[0] == radii._COARSE
+        # one batch for the coarse grid, one eigensolve per angle pair of
+        # the full circle, then one per refinement round
+        assert sizes[0] == radii._COARSE // 2
         assert est.evaluations == sum(sizes)
         assert est.rounds == len(sizes) - 1 > 0
 
@@ -633,6 +659,43 @@ class TestVertexRule:
             est = numerical_radius(NILPOTENT, tol=tol)
             _, _, midpoint = midpoint_sweep(lambda t: support_values(NILPOTENT, t), tol)
             assert est.evaluations <= midpoint
+
+
+class TestAntipodalPairs:
+    # every kernel flips sign at theta + pi: H_{theta+pi} = -H_theta,
+    # S_{theta+pi} = -S_theta and K_{theta+pi} = -D K_theta D for D =
+    # diag(I, -I), so one eigensolve gives the values at theta and theta + pi
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 20])
+    def test_bottom_eigenvalue_is_the_antipodal_top(self, dim):
+        rng = seeded(73, dim)
+        a, sym = 4 * gaussian_matrix(rng, dim), 4 * complex_symmetric(rng, dim)
+        thetas = rng.uniform(0, 2 * np.pi, 64)
+        owner = np.zeros(thetas.size, dtype=np.intp)
+        kernels = (
+            (a, dim, radii._rotation_builder(*radii._hermitian_parts(a[None]))),
+            (sym, dim, radii._rotation_builder(*radii._real_parts(sym[None]))),
+            (a, 2 * dim, lambda owner, t: pencil_kernels(a, 1.5)(t)),
+        )
+        for m, size, build in kernels:
+            rows = radii._top_eigenvalues(build, size, owner, thetas)
+            far = np.linalg.eigvalsh(build(owner, thetas + np.pi))[:, -1]
+            near = np.linalg.eigvalsh(build(owner, thetas))[:, -1]
+            bound = 1e-13 * max(1.0, np.linalg.norm(m, 2))
+            assert np.max(np.abs(rows[:, 1] - far)) <= bound
+            np.testing.assert_array_equal(rows[:, 0], near)
+
+    def test_flat_support_halves(self):
+        # a disk about 0 never prunes: the pairs halve the evaluations of a
+        # full-circle sweep, 262,144 and 32,768 before
+        shift = np.eye(20, k=-1)
+        for est, want, tol in (
+                (numerical_radius(NILPOTENT, tol=1e-10), 0.5, 1e-10),
+                (rho_radius(NILPOTENT, 1.5, tol=1e-10), 2 / 3, 1e-10),
+                (numerical_radius(shift, tol=1e-8), np.cos(np.pi / 21), 1e-8)):
+            assert abs(est.value - want) <= tol
+            assert est.tolerance <= tol
+            assert est.evaluations <= (131_072 if tol == 1e-10 else 16_384)
 
 
 class TestRealPath:
