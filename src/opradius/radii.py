@@ -99,16 +99,18 @@ numerical radius above. In between, writing |<Ah, h>| = max_theta
 largest root of the hyperbolic pencil u^2 I - 2 alpha u H_theta - beta A*A.
 That root is the top eigenvalue of the 2n x 2n Hermitian linearization
 
-    K_theta = [[2 alpha H_theta, sqrt(beta) |A|], [sqrt(beta) |A|, 0]],
+    K_theta = [[2 alpha H_theta, sqrt(beta) A*], [sqrt(beta) A, 0]],
 
-|A| = (A*A)^{1/2}: eliminating y = sqrt(beta) |A| x / u from an eigenvector
-[x; y] leaves (2 alpha H_theta + beta A*A / u) x = u x. The left side's top
-eigenvalue falls below u for every u > u*(theta), so u*(theta) is the
-maximum over unit h of the larger root alpha <H_theta h, h> + sqrt(alpha^2
-<H_theta h, h>^2 + beta ||Ah||^2) of the scalar pencil, and the maximum of
-that over theta is g(h). The same sweep certifies max_theta u*(theta). If
-h* attains w_rho and <Ah*, h*> = e^{-i theta*} |<Ah*, h*>|, then h* alone
-gives, with c = cos(theta - theta*),
+built from A itself: eliminating y = sqrt(beta) A x / u from an eigenvector
+[x; y] leaves (2 alpha H_theta + beta A*A / u) x = u x. (With the polar
+factor A = W |A|, diag(I, W*) K_theta diag(I, W) is the form with sqrt(beta)
+|A| in both off-diagonal blocks: same spectrum, same top halves x, but an SVD
+to build.) The left side's top eigenvalue falls below u for every u >
+u*(theta), so u*(theta) is the maximum over unit h of the larger root alpha
+<H_theta h, h> + sqrt(alpha^2 <H_theta h, h>^2 + beta ||Ah||^2) of the scalar
+pencil, and the maximum of that over theta is g(h). The same sweep
+certifies max_theta u*(theta). If h* attains w_rho and <Ah*, h*> = e^{-i
+theta*} |<Ah*, h*>|, then h* alone gives, with c = cos(theta - theta*),
 
     u*(theta) >= alpha c t + sqrt(alpha^2 c^2 t^2 + beta s^2) >= c w_rho
 
@@ -123,10 +125,10 @@ One eigensolve gives two support values, at theta and at its antipode theta
 H_{theta + pi} = -H_theta and S_{theta + pi} = -S_theta, and with D =
 diag(I, -I), a real diagonal unitary,
 
-    D K_theta D = [[2 alpha H_theta, -sqrt(beta) |A|], [-sqrt(beta) |A|, 0]],
+    D K_theta D = [[2 alpha H_theta, -sqrt(beta) A*], [-sqrt(beta) A, 0]],
 
-so -D K_theta D = [[2 alpha H_{theta + pi}, sqrt(beta) |A|], [sqrt(beta)
-|A|, 0]] = K_{theta + pi}. A similarity keeps the spectrum, so f(theta + pi)
+so -D K_theta D = [[2 alpha H_{theta + pi}, sqrt(beta) A*], [sqrt(beta) A,
+0]] = K_{theta + pi}. A similarity keeps the spectrum, so f(theta + pi)
 = lambda_max(-kernel_theta) = -lambda_min(kernel_theta) for each of the three
 kernels. The full-circle sweep therefore covers the half circle [0, pi] in
 interval pairs ([l, r], [l + pi, r + pi]), each end of a pair carrying the
@@ -285,6 +287,23 @@ def _rotation_builder(p: np.ndarray, q: np.ndarray):
         t *= np.sin(thetas)[:, None, None]
         r += t
         return r
+    return build
+
+
+def _pencil_builder(mats: np.ndarray, alpha: float, beta: float):
+    """build(owner, thetas): the 2n x 2n linearizations K_theta = [[2 alpha
+    H_theta, sqrt(beta) A*], [sqrt(beta) A, 0]] of A = mats[owner[i]] at
+    thetas[i], Hermitian by construction."""
+    n = mats.shape[-1]
+    top_left = _rotation_builder(*(2 * alpha * x for x in _hermitian_parts(mats)))
+    lower = np.sqrt(beta) * mats
+
+    def build(owner, thetas):
+        k = np.zeros((thetas.size, 2 * n, 2 * n), dtype=np.complex128)
+        top_left(owner, thetas, out=k[:, :n, :n])
+        k[:, n:, :n] = lower[owner]
+        k[:, :n, n:] = k[:, n:, :n].conj().transpose(0, 2, 1)
+        return k
     return build
 
 
@@ -480,24 +499,14 @@ def _radii(mats: np.ndarray, rho: float, tol: float, order: int = 1,
         kinds = [(mask, _rotation_builder(*parts(mats))) for mask, parts in
                  ((~real, _hermitian_parts), (real, _real_parts)) if mask.any()]
         slack, dim = np.where(real, slack + skew, slack), n
-    else:
+    elif rho == 1.0:
         s, vh = np.linalg.svd(mats)[1:]
-        if rho == 1.0:
-            for i, j in enumerate(nonzero):
-                out[j] = RadiusEstimate(float(s[i, 0]), 1.0, 0.0, True, vh[i, 0].conj())
-            return out
-        off = np.sqrt(beta) * ((vh.conj().transpose(0, 2, 1) * s[:, None, :]) @ vh)
-        top_left = _rotation_builder(*(2 * alpha * x for x in _hermitian_parts(mats)))
+        for i, j in enumerate(nonzero):
+            out[j] = RadiusEstimate(float(s[i, 0]), 1.0, 0.0, True, vh[i, 0].conj())
+        return out
+    else:
+        kinds = ((np.ones(len(mats), dtype=bool), _pencil_builder(mats, alpha, beta)),)
         dim = 2 * n
-
-        def pencil(owner, thetas):
-            # K_theta = [[2 alpha H_theta, off], [off, 0]] with off =
-            # sqrt(beta) |A|, Hermitian as off is
-            k = np.zeros((thetas.size, dim, dim), dtype=np.complex128)
-            top_left(owner, thetas, out=k[:, :n, :n])
-            k[:, :n, n:] = k[:, n:, :n] = off[owner]
-            return k
-        kinds = ((np.ones(len(mats), dtype=bool), pencil),)
 
     def values(owner, thetas):
         # one stack per kernel: float64 S_theta apart from complex128 H_theta

@@ -281,6 +281,23 @@ class TestPencilSweep:
             assert default.tolerance <= tol
             assert abs(default.value - fine.value) <= tol
 
+    @pytest.mark.parametrize("dim", [1, 2, 5, 20])
+    def test_swept_kernel_matches_the_absolute_value_form(self, dim):
+        # the sweep's off-diagonal blocks sqrt(beta) A* and sqrt(beta) A
+        # against the independent sqrt(beta) |A| of pencil_kernels: both
+        # eliminate to the same pencil, so their spectral ends agree
+        rng = seeded(74, dim)
+        a = 4 * gaussian_matrix(rng, dim)
+        thetas = rng.uniform(0, 2 * np.pi, 16)
+        owner = np.zeros(thetas.size, dtype=np.intp)
+        bound = 1e-13 * max(1.0, np.linalg.norm(a, 2))
+        for rho in (1.1, 1.5, 1.9):
+            build = radii._pencil_builder(a[None], 1 - 1 / rho, 2 / rho - 1)
+            got = np.linalg.eigvalsh(build(owner, thetas))
+            want = np.linalg.eigvalsh(pencil_kernels(a, rho)(thetas))
+            for end in (0, -1):
+                assert np.max(np.abs(got[:, end] - want[:, end])) <= bound
+
     def test_chunked_batches_match_one_batch(self, monkeypatch):
         a = gaussian_matrix(seeded(55, 0), 6)
         est = rho_radius(a, 1.5, tol=1e-10)
@@ -385,7 +402,10 @@ def midpoint_sweep(values, tol, coarse=radii._COARSE):
 
 
 def pencil_kernels(a, rho):
-    """thetas -> the stack of K_theta for 1 < rho < 2, built densely."""
+    """thetas -> the stack of linearizations [[2 alpha H_theta, sqrt(beta)
+    |A|], [sqrt(beta) |A|, 0]] for 1 < rho < 2, built densely: similar to the
+    swept K_theta through the polar factor of A, and built independently of
+    it from an SVD."""
     alpha, beta = 1 - 1 / rho, 2 / rho - 1
     _, s, vh = np.linalg.svd(a)
     off = np.sqrt(beta) * (vh.conj().T * s) @ vh
@@ -561,6 +581,25 @@ class TestLockstep:
         assert max(s[0] for s in shapes) == cap
         assert len(shapes) > sum(est.rounds > 0 for est in whole)
 
+    @pytest.mark.parametrize("rho", [1.0, 1.5])
+    def test_only_rho_one_takes_an_svd(self, rho, monkeypatch):
+        # rho = 1 reads the top singular pair from one stacked SVD per size
+        # and dtype; the pencil for 1 < rho < 2 is built from A itself
+        mats = self.mixed()
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        rho_radii(mats, rho)
+        # every group of mixed() holds a nonzero matrix
+        groups = {(m.shape, m.dtype) for m in mats}
+        assert len(groups) == 8
+        assert len(shapes) == (len(groups) if rho == 1.0 else 0)
+
     def test_stats_count_the_evaluations(self, monkeypatch):
         a = gaussian_matrix(seeded(57, 0), 4)
         sizes = []
@@ -664,7 +703,8 @@ class TestVertexRule:
 class TestAntipodalPairs:
     # every kernel flips sign at theta + pi: H_{theta+pi} = -H_theta,
     # S_{theta+pi} = -S_theta and K_{theta+pi} = -D K_theta D for D =
-    # diag(I, -I), so one eigensolve gives the values at theta and theta + pi
+    # diag(I, -I), so one eigensolve gives the values at theta and theta + pi;
+    # the pencil at rho = 1.5 (alpha = beta = 1/3) is the one the sweep builds
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 20])
     def test_bottom_eigenvalue_is_the_antipodal_top(self, dim):
@@ -675,7 +715,7 @@ class TestAntipodalPairs:
         kernels = (
             (a, dim, radii._rotation_builder(*radii._hermitian_parts(a[None]))),
             (sym, dim, radii._rotation_builder(*radii._real_parts(sym[None]))),
-            (a, 2 * dim, lambda owner, t: pencil_kernels(a, 1.5)(t)),
+            (a, 2 * dim, radii._pencil_builder(a[None], 1 / 3, 1 / 3)),
         )
         for m, size, build in kernels:
             rows = radii._top_eigenvalues(build, size, owner, thetas)

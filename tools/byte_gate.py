@@ -10,18 +10,20 @@ The list covers every subcommand in csv, json and text (`gap` and
 artifacts. Input matrices are written once to a temporary directory that
 both sides share, so file paths in messages agree.
 
-One line per invocation says whether the sha256 of stdout (and of the
-`--out` file, if any), the stderr text and the exit code match; differing
-stderr is printed for both sides. The exit status is 1 if anything differs,
+One line per invocation says whether stdout (followed by the `--out` file,
+if any), the stderr text and the exit code match; differing stderr is printed
+for both sides. A differing stdout is followed by how far it moved: the
+largest relative change among its numbers when the text between them
+matches, else `layout differs`. The exit status is 1 if anything differs,
 else 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -88,19 +90,37 @@ def write_inputs(directory: str) -> dict[str, str]:
     return paths
 
 
-def run_side(src: str, argv: list[str], workdir: str) -> tuple[str, str, int]:
-    """(sha256 of stdout plus any --out file, stderr, exit code) of one run."""
+def run_side(src: str, argv: list[str], workdir: str) -> tuple[bytes, str, int]:
+    """(stdout followed by any --out file, stderr, exit code) of one run."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-m", "opradius.cli", *argv],
                           capture_output=True, env=env, cwd=workdir, timeout=600)
-    digest = hashlib.sha256(proc.stdout)
+    stdout = proc.stdout
     if "--out" in argv:
         out = argv[argv.index("--out") + 1]
         if os.path.exists(out):
             with open(out, "rb") as fh:
-                digest.update(fh.read())
+                stdout += fh.read()
             os.unlink(out)
-    return digest.hexdigest(), proc.stderr.decode("utf-8", "replace"), proc.returncode
+    return stdout, proc.stderr.decode("utf-8", "replace"), proc.returncode
+
+
+# a decimal number; splitting on it with the group kept puts numbers at the
+# odd indices and the text between them at the even ones
+NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def drift(parent: bytes, change: bytes) -> str:
+    """How far change's output moved from parent's: the largest relative
+    change among the numbers if the text between them matches."""
+    p_parts, c_parts = NUMBER.split(parent), NUMBER.split(change)
+    if len(p_parts) != len(c_parts) or p_parts[::2] != c_parts[::2]:
+        return "layout differs"
+    worst = 0.0
+    for p, c in zip(map(float, p_parts[1::2]), map(float, c_parts[1::2])):
+        if p != c:
+            worst = max(worst, abs(c - p) / abs(p) if p else float("inf"))
+    return f"largest relative change {worst:.2g}"
 
 
 def check_source(src: str) -> None:
@@ -128,13 +148,15 @@ def main(argv=None) -> int:
                 argv_side = [arg.format(**paths, OUT=os.path.join(tmp, f"{side}.out"))
                              for arg in template]
                 results.append(run_side(getattr(ns, f"{side}_src"), argv_side, tmp))
-            (p_sha, p_err, p_code), (c_sha, c_err, c_code) = results
-            same = (p_sha == c_sha, p_err == c_err, p_code == c_code)
+            (p_out, p_err, p_code), (c_out, c_err, c_code) = results
+            same = (p_out == c_out, p_err == c_err, p_code == c_code)
             mismatches += not all(same)
             marks = " ".join(f"{name}={'same' if ok else 'DIFF'}"
                              for name, ok in zip(("stdout", "stderr", "exit"), same))
             label = " ".join(template).format(**{k: k for k in (*paths, "OUT")})
             print(f"{marks} [{p_code}/{c_code}]  {label}")
+            if not same[0]:
+                print(f"    stdout: {drift(p_out, c_out)}")
             if not same[1]:
                 print(f"    parent stderr: {p_err.rstrip()}")
                 print(f"    change stderr: {c_err.rstrip()}")
