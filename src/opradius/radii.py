@@ -7,12 +7,13 @@ h(theta) = lambda_max(H_theta) of the rotated Hermitian part
     H_theta = Re(e^{i theta} A) = cos(theta) H + sin(theta) K,
     H = (A + A*)/2,  K = i (A - A*)/2,
 
-sampled on a uniform 8-point coarse grid and then refined interval by
-interval. The certificate uses the cosine minorant: if theta* attains the
-maximum w, then h(theta) >= w cos(theta - theta*) for every theta, because
-the maximizing boundary point alone contributes that much. If theta* lies in
-an interval [a, a + d], d < pi/2, that point lies behind the two support
-lines Re(e^{i a} z) = h(a) and Re(e^{i (a + d)} z) = h(a + d), so
+sampled on a uniform coarse grid of intervals of width at most pi/4, as few
+as cover the swept range (8 angles on the full circle), and then refined
+interval by interval. The certificate uses the cosine minorant: if theta*
+attains the maximum w, then h(theta) >= w cos(theta - theta*) for every
+theta, because the maximizing boundary point alone contributes that much. If
+theta* lies in an interval [a, a + d], d < pi/2, that point lies behind the
+two support lines Re(e^{i a} z) = h(a) and Re(e^{i (a + d)} z) = h(a + d), so
 
     w <= V = |vertex of the two lines|   if its angle lies in the interval,
     w <= V = max(h(a), h(a + d))         otherwise,
@@ -168,11 +169,11 @@ DEFAULT_SEED = 1729
 TOL_MIN = 1e-12
 TOL_MAX = 1e-2
 _MAX_ROUNDS = 64
-# Coarse grid of every sweep, in angles of the full circle: its half circle
-# takes _COARSE/2 eigensolves in intervals of width 2 pi/_COARSE, which must be
-# below pi/2, and a rotation sweep takes max(8, ceil(_COARSE/order)) - 1
-# intervals of its period. Refinement makes the final accuracy independent of
-# it, so it only sets the cost.
+# Coarse grid of every sweep: the fewest intervals of width at most
+# 2 pi/_COARSE, which must be below pi/2, that cover the swept range. The half
+# circle takes _COARSE/2 intervals, one eigensolve each, and a rotation sweep
+# ceil(_COARSE/order) intervals of its period. Refinement makes the final
+# accuracy independent of it, so it only sets the cost.
 _COARSE = 8
 # Largest stack of rotated Hermitian parts or pencil linearizations built at
 # once, counted as 16 dim^2 bytes per matrix. Building a stack takes about two
@@ -198,7 +199,9 @@ class RadiusEstimate:
     rho          which radius: 1 is the operator norm and 2 the numerical
                  radius, which numerical_radius reports as rho = 2.0.
     tolerance    certified gap: the true radius lies in [value, value +
-                 tolerance] up to eigensolver rounding.
+                 tolerance] up to eigensolver rounding. It is at most the
+                 requested tol unless the sweep's round cap (_MAX_ROUNDS) ran
+                 out first.
     exact        True when the value comes from a certified path; every radius
                  this module returns is certified.
     witness      unit vector attaining the reported value, when available.
@@ -378,7 +381,7 @@ class _Sweep:
     rounds: np.ndarray
 
 
-def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
+def _sweep(values, count: int, tol: float, order: int = 1,
            slack: float | np.ndarray = 0.0) -> _Sweep:
     """Certified maxima of `count` functions of theta, swept in lockstep.
 
@@ -408,9 +411,10 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
     # the halves of an interval pair: both on the full circle, one otherwise
     halves = 2 if order == 1 else 1
     shift = np.pi * np.arange(halves)
-    # one period, or the half circle, on a closed grid of `segments` intervals
+    # one period, or the half circle, on a closed grid of intervals of width
+    # at most 2 pi/_COARSE
     period = 2 * np.pi / order / halves
-    segments = coarse // 2 if order == 1 else max(8, -(-coarse // order)) - 1
+    segments = -(-_COARSE // (order * halves))
     grid = period * np.arange(segments + 1) / segments
     points = segments + (order > 1)
     vals = values(np.repeat(owners, points), np.tile(grid[:points], count))
@@ -431,7 +435,6 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
     evaluations = np.full(count, points)
     rounds = np.zeros(count, dtype=int)
     bound = np.full(count, -np.inf)
-    live = np.ones(count, dtype=bool)
 
     def bounds():
         # rounding guard on every bound, at most tol/2 so that tol = 1e-12
@@ -450,8 +453,8 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
         np.maximum.at(bound, owner[~split], upper[~split])
         left, right, h_left, h_right, owner, offset = (
             x[split] for x in (left, right, h_left, h_right, owner, offset))
-        # an owner stops when none of its intervals is split
-        live &= np.bincount(owner, minlength=count) > 0
+        # intervals split per owner; an owner stops when it splits none
+        split_count = np.bincount(owner, minlength=count)
         if owner.size == 0:
             break
         cut = left + offset
@@ -465,11 +468,11 @@ def _sweep(values, count: int, tol: float, coarse: int, order: int = 1,
         at_top = np.flatnonzero(new == top[new_owner])
         first = np.full(count, new.size)
         np.minimum.at(first, new_owner[at_top], at_top)
-        better = live & (top > best)
+        better = top > best
         best[better] = new[first[better]]
         best_theta[better] = new_theta[first[better]]
-        evaluations += np.bincount(owner, minlength=count)
-        rounds[live] += 1
+        evaluations += split_count
+        rounds += split_count > 0
         left, right = np.concatenate([left, cut]), np.concatenate([cut, right])
         h_left = np.concatenate([h_left, h_cut])
         h_right = np.concatenate([h_cut, h_right])
@@ -516,7 +519,7 @@ def _radii(mats: np.ndarray, rho: float, tol: float, order: int = 1,
             h[sel] = _top_eigenvalues(build, dim, owner[sel], thetas[sel])
         return h
 
-    sw = _sweep(values, len(mats), tol, _COARSE, order, slack)
+    sw = _sweep(values, len(mats), tol, order, slack)
     owners = np.arange(len(mats))
     vecs = np.empty((len(mats), dim), dtype=np.complex128)
     for mask, build in kinds:
@@ -538,9 +541,9 @@ def numerical_radius(a, tol: float = 1e-9,
                      rotation: tuple | None = None) -> RadiusEstimate:
     """Numerical radius w(A) = sup |<Ah, h>| over unit vectors, certified.
 
-    The returned value is a lower bound on w(A) within `tol` of it; the
-    actual certified gap is stored in the tolerance field. tol outside
-    [1e-12, 1e-2], or NaN, raises ValueError.
+    The returned value is a lower bound on w(A) within the tolerance field
+    of it, the certified gap, which is at most `tol` unless the round cap
+    runs out first. tol outside [1e-12, 1e-2], or NaN, raises ValueError.
 
     rotation=(perm, signs, m) claims U* A U ~ e^{2 pi i/m} A for the signed
     permutation U e_j = signs[j] e_{perm[j]}: perm a permutation of range(n),

@@ -5,6 +5,7 @@ import re
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,14 @@ class TestRandomTest:
                                                             whole.worst_index)
         assert blocked.worst_case.tobytes() == whole.worst_case.tobytes()
 
+    def test_failed_bound_exits_1_and_counts_both(self, capsys, monkeypatch):
+        # a norm bound of 1 fails every sample, and at rho = 2 its unitary
+        # distance consequence bound - 1 = 0 does too
+        monkeypatch.setattr(cli.bounds_mod, "psi_rho_upper", lambda rho, r: 1.0)
+        assert main(["random-test", "--samples", "3"]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: 3 norm violations, 3 gap violations\n")
+
     def test_validation(self):
         with pytest.raises(ValueError, match="samples"):
             random_test(2, 4, 0, 2.0)
@@ -309,6 +318,23 @@ class TestExtremalScaling:
 
     def test_bad_range_exit_2(self):
         assert main(["extremal", "scaling", "--kmin", "3", "--kmax", "1"]) == 2
+
+    def test_failed_identity_exits_1_and_is_named(self, capsys, monkeypatch):
+        monkeypatch.setattr(extremal, "_norm_excess", lambda n: 0.0)
+        assert main(["extremal", "scaling", "--kmin", "1", "--kmax", "2"]) == 1
+        assert "norm excess identity at n=12" in capsys.readouterr().err
+
+    def test_failed_radius_bound_exits_1_and_is_named(self, capsys, monkeypatch):
+        scaling_experiment = extremal.scaling_experiment
+
+        def inflated(*args, **kwargs):
+            table = scaling_experiment(*args, **kwargs)
+            rows = (replace(table.rows[0], w=2.0),) + table.rows[1:]
+            return replace(table, rows=rows)
+
+        monkeypatch.setattr(extremal, "scaling_experiment", inflated)
+        assert main(["extremal", "scaling", "--kmin", "1", "--kmax", "2"]) == 1
+        assert capsys.readouterr().err == "check failed: w bound at n=12\n"
 
     def test_single_row_json_slope_is_null(self, capsys):
         # RFC 8259 has no NaN; the csv trailer and the text keep "nan"

@@ -332,9 +332,48 @@ class TestFamilyRadii:
                 assert period.tolerance <= tol and full.tolerance <= tol
                 assert abs(period.value - full.value) <= period.tolerance + full.tolerance
 
+    def test_one_interval_per_period(self):
+        # a period of width 2 pi/n <= pi/6 is one coarse interval: its two
+        # ends and one vertex split certify every member at tol 1e-6
+        tol = 1e-6
+        for k in range(1, 19):
+            fam = extremal.build(8 * k + 4)
+            for period, matrix in zip(extremal.family_radii(fam, tol),
+                                      (fam.A, linalg.inverse(fam.A))):
+                assert period.evaluations == 3
+                assert period.tolerance <= tol
+                full = numerical_radius(matrix, tol=1e-9)
+                assert full.value <= period.value + period.tolerance
+                assert period.value <= full.value + full.tolerance
+
+    def test_order_three_claim_starts_from_three_intervals(self, monkeypatch):
+        # diag(1, w, w^2) C, C circulant, is rotated by w = e^{2 pi i/3} under
+        # the cyclic shift; the period 2 pi/3 starts from 3 intervals, 4 angles
+        rng = np.random.default_rng(2011)
+        row = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        omega = np.exp(2j * np.pi / 3)
+        a = np.diag(omega ** np.arange(3)) @ np.array([np.roll(row, j)
+                                                       for j in range(3)])
+        rotation = (np.array([1, 2, 0]), np.ones(3), 3)
+        assert radii._rotation_slack(a, rotation)[1] <= 1e-14
+        full = numerical_radius(a, tol=1e-12)
+        sizes = []
+        top_eigenvalues = radii._top_eigenvalues
+
+        def spy(build, dim, owner, thetas):
+            sizes.append(thetas.size)
+            return top_eigenvalues(build, dim, owner, thetas)
+
+        monkeypatch.setattr(radii, "_top_eigenvalues", spy)
+        tol = 1e-9
+        est = numerical_radius(a, tol, rotation=rotation)
+        assert sizes[0] == 4
+        assert est.tolerance <= tol
+        assert est.value - 1e-12 <= full.value <= est.value + est.tolerance + 1e-12
+
     def test_gap_includes_residual_slack(self, fam12, shift12):
         # a claim off by ~7e-4 gives slack 6 * 7e-4 <= tol/2, so it is used;
-        # at tol 1e-2 the closed 8-point coarse grid already certifies
+        # at tol 1e-2 one split of the period's single interval certifies
         bad = perturb(fam12, 0, 1, 5e-4)
         slack = dense_rotation_slack(bad.A, 12)
         assert 3e-3 < slack <= 5e-3

@@ -514,7 +514,7 @@ class TestLockstep:
     def test_engine_matches_one_owner_at_a_time(self, tol):
         mats = self.stack()[:-2]
         sw = radii._sweep(lambda owner, t: support_values(mats, t, owner),
-                          len(mats), tol, radii._COARSE)
+                          len(mats), tol)
         for i, a in enumerate(mats):
             want = reference_sweep(lambda t: support_values(a, t), tol,
                                    radii._COARSE)
@@ -699,6 +699,19 @@ class TestVertexRule:
             _, _, midpoint = midpoint_sweep(lambda t: support_values(NILPOTENT, t), tol)
             assert est.evaluations <= midpoint
 
+    def test_round_cap_leaves_the_live_bounds_as_gap(self, monkeypatch):
+        # three rounds cannot split the nilpotent's flat support function
+        # down to tol: the intervals still live at the cap close the gap,
+        # which then exceeds tol but still brackets w_rho = 1/rho
+        monkeypatch.setattr(radii, "_MAX_ROUNDS", 3)
+        tol = 1e-10
+        for est, rho in ((numerical_radius(NILPOTENT, tol=tol), 2.0),
+                         (rho_radius(NILPOTENT, 1.5, tol=tol), 1.5)):
+            assert est.rounds == 3
+            assert est.tolerance > tol
+            # the value may sit rounding above w (0.5000000000000001 at rho 2)
+            assert est.value - 1e-15 <= 1 / rho <= est.value + est.tolerance
+
 
 class TestAntipodalPairs:
     # every kernel flips sign at theta + pi: H_{theta+pi} = -H_theta,
@@ -773,7 +786,7 @@ class TestRealPath:
             est = numerical_radius(a, tol=tol)
             assert not est.witness.imag.any()
             ref = radii._sweep(lambda owner, t: support_values(a, t), 1,
-                               1e-12, radii._COARSE)
+                               1e-12)
             w = ref.best[0]
             assert est.value - 1e-12 <= w <= est.value + est.tolerance + 1e-12
             assert est.tolerance <= tol

@@ -6,7 +6,9 @@ PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts. Every
 invocation of a fixed list runs once per side, each in its own
 `python -m opradius.cli` process with that side's `src` first on PYTHONPATH.
 The list covers every subcommand in csv, json and text (`gap` and
-`random-test` at rho 1, 1.5 and 2), the usage-error paths and two `--out`
+`random-test` at rho 1, 1.5 and 2), the benchmark's two family runs and the
+paper's largest ones (`extremal verify --n 500` and `extremal scaling --kmin 1
+--kmax 18`, about a second each), the usage-error paths and two `--out`
 artifacts. Input matrices are written once to a temporary directory that
 both sides share, so file paths in messages agree.
 
@@ -46,9 +48,11 @@ INVOCATIONS = (
     + [["extremal", "verify", "--n", "12", "--json"]]
     + [["extremal", "scaling", "--kmin", "1", "--kmax", "3", "--format", fmt]
        for fmt in FORMATS]
-    # the benchmark's two family workloads
+    # the benchmark's two family workloads, then the paper's largest runs
     + [["extremal", "verify", "--n", "100", "--format", "csv"],
-       ["extremal", "scaling", "--kmin", "1", "--kmax", "8", "--format", "csv"]]
+       ["extremal", "scaling", "--kmin", "1", "--kmax", "8", "--format", "csv"],
+       ["extremal", "verify", "--n", "500", "--format", "csv"],
+       ["extremal", "scaling", "--kmin", "1", "--kmax", "18", "--format", "csv"]]
     + [
         ["gap", "--matrix", "{WITNESS}", "--tol", "0.5"],
         ["random-test", "--samples", "2", "--tol", "1e-13"],
