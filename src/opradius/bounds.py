@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, inverse, singular_values
+from .linalg import _inverse, as_matrix, singular_values
 
 __all__ = [
     "x_of_r",
@@ -141,9 +141,8 @@ def midpoint_certificate(a) -> MidpointReport:
     tolerance, which signals numerical breakdown rather than a counterexample.
     """
     a = as_matrix(a)
-    ainv = inverse(a)
-    m = (a + ainv.conj().T) / 2
     sv_a = singular_values(a)
+    m = (a + _inverse(a, sv_a).conj().T) / 2
     sv_m = singular_values(m)
     norm_a = float(sv_a[0])
     norm_m = float(sv_m[0])

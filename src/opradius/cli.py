@@ -18,6 +18,7 @@ defaults to DEFAULT_SEED and all reductions are ordered.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -37,8 +38,8 @@ from .unitary import _excesses, distance_to_unitaries, stampfli_gap_bound
 __all__ = ["main", "random_test", "RandomTestSummary", "DEFAULT_SEED"]
 
 _FORMATS = ("csv", "json", "text")
-# Bytes of sampled matrices and inverses that random_test holds at once; it
-# certifies them block by block, so large --dim-max runs stream.
+# Bytes of sampled matrices and inverses that random_test holds at once, counted
+# at dim_max; it certifies them block by block, so large --dim-max runs stream.
 _BLOCK_BYTES = 2**20
 
 
@@ -66,6 +67,12 @@ def _csv_lines(header: str, rows, trailer: str | None = None) -> str:
     if trailer is not None:
         lines.append(trailer)
     return "\n".join(lines) + "\n"
+
+
+def _records(header: str, rows) -> list[dict]:
+    """The JSON rows of a table: each row keyed by the CSV header's names."""
+    keys = header.split(",")
+    return [dict(zip(keys, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +111,13 @@ def _cmd_gap(ns) -> _Result:
 
 def _cmd_bounds(ns) -> _Result:
     curve = bounds_mod.bound_curve(ns.rho, ns.r_min, ns.r_max, ns.steps)
+    header = "r,X,psi_upper,psi_lower,asymptotic"
     rows = [(r.r, r.x_value, r.psi_upper, r.psi_lower, r.asymptotic)
             for r in curve.rows]
-    payload = {
-        "rho": curve.rho,
-        "rows": [{"r": r.r, "X": r.x_value, "psi_upper": r.psi_upper,
-                  "psi_lower": r.psi_lower, "asymptotic": r.asymptotic}
-                 for r in curve.rows],
-    }
-    head = f"{'r':>22} {'X':>22} {'psi_upper':>22} {'psi_lower':>22} {'asymptotic':>22}\n"
+    payload = {"rho": curve.rho, "rows": _records(header, rows)}
+    head = " ".join(f"{k:>22}" for k in header.split(",")) + "\n"
     body = "".join(" ".join(f"{c:>22.15g}" for c in row) + "\n" for row in rows)
-    return _Result("r,X,psi_upper,psi_lower,asymptotic", rows, payload, head + body)
+    return _Result(header, rows, payload, head + body)
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +128,11 @@ def _cmd_bounds(ns) -> _Result:
 def _cmd_range(ns) -> _Result:
     a = load_matrix(ns.matrix)
     points = range_boundary(a, samples=ns.samples)
+    header = "theta,support_value,re,im"
     rows = [(p.theta, p.support_value, p.boundary_point.real, p.boundary_point.imag)
             for p in points]
-    payload = {"samples": ns.samples,
-               "rows": [{"theta": r[0], "support_value": r[1],
-                         "re": r[2], "im": r[3]} for r in rows]}
-    return _Result("theta,support_value,re,im", rows, payload,
+    payload = {"samples": ns.samples, "rows": _records(header, rows)}
+    return _Result(header, rows, payload,
                    "".join(f"{r[0]:.12g} {r[1]:.12g} {r[2]:.12g} {r[3]:.12g}\n"
                            for r in rows))
 
@@ -166,42 +168,23 @@ class RandomTestSummary:
     records: tuple[SampleRecord, ...]
 
 
-def _sample_matrix(rng: np.random.Generator,
-                   dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # complex Gaussian entries, mean 0 and variance 1/dim, returned with their
-    # singular values; redraw the rare near-singular sample so the inverse
-    # radius stays meaningful
-    for _ in range(100):
-        a = (rng.standard_normal((dim, dim))
-             + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0 * dim)
-        s = singular_values(a)
-        if s[-1] > 1e-8 * s[0]:
-            return a, s
-    raise RuntimeError("could not draw a well-conditioned sample")
-
-
 def _draws(samples: int, dim_min: int, dim_max: int, seed: int):
     """(index, dim, matrix, singular values) of every sample, each on its own
-    substream."""
+    substream: complex Gaussian entries of mean 0 and variance 1/dim, the
+    rare near-singular draw redrawn so the inverse radius stays meaningful."""
     for i in range(samples):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         dim = int(rng.integers(dim_min, dim_max + 1))
-        yield (i, dim, *_sample_matrix(rng, dim))
-
-
-def _blocks(draws):
-    """Consecutive draws whose matrices and inverses fit _BLOCK_BYTES."""
-    block, size = [], 0
-    for draw in draws:
-        cost = 2 * 16 * draw[1] ** 2
-        if block and size + cost > _BLOCK_BYTES:
-            yield block
-            block, size = [], 0
-        block.append(draw)
-        size += cost
-    if block:
-        yield block
+        for _ in range(100):
+            a = (rng.standard_normal((dim, dim))
+                 + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0 * dim)
+            s = singular_values(a)
+            if s[-1] > 1e-8 * s[0]:
+                break
+        else:
+            raise RuntimeError("could not draw a well-conditioned sample")
+        yield i, dim, a, s
 
 
 def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
@@ -213,12 +196,18 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     inverse share the same rho-radius r, and checks the norm bound with
     1e-6 relative slack. At rho = 2 the unitary-distance consequence
     distance <= bound - 1 + 1e-8 is checked as well. Samples are certified
-    in blocks of bounded size, with one rho_radii call per block on its
-    matrices and their inverses.
+    in blocks of max(1, _BLOCK_BYTES // (2 * 16 * dim_max^2)) consecutive
+    samples, so a block's matrices and inverses fit _BLOCK_BYTES, with one
+    rho_radii call per block on its matrices and their inverses; every entry
+    of that call is its own sweep, so the blocks never change a record.
     Each sample's one SVD serves its invertibility check, its norm and its
-    unitary distance, which scale with it. rho and tol go through the same
-    checks as in rho_radii, before any sample is drawn.
+    unitary distance, which scale with it. samples, dim_min and dim_max must
+    be integers; rho and tol go through the same checks as in rho_radii,
+    before any sample is drawn.
     """
+    counts = (samples, dim_min, dim_max)
+    if not all(isinstance(c, (int, np.integer)) for c in counts):
+        raise ValueError(f"samples, dim_min and dim_max must be integers, got {counts}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 1 <= dim_min <= dim_max:
@@ -231,7 +220,9 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     worst = None
     worst_index = -1
     records = []
-    for block in _blocks(_draws(samples, dim_min, dim_max, seed)):
+    draws = _draws(samples, dim_min, dim_max, seed)
+    per_block = max(1, _BLOCK_BYTES // (2 * 16 * dim_max ** 2))
+    while block := list(itertools.islice(draws, per_block)):
         ests = rho_radii([a for _, _, a, _ in block]
                          + [_inverse(a, s) for _, _, a, s in block], rho, tol=tol)
         for (i, dim, a, s), est, est_inv in zip(block, ests, ests[len(block):]):
@@ -318,20 +309,17 @@ def _cmd_extremal_scaling(ns) -> _Result:
         for name, w in (("w", row.w), ("w_inv", row.w_inv)):
             if w > 1.0 + row.eps + 1e-8:
                 failures.append(f"{name} bound at n={row.n}")
+    header = "n,eps,delta,w,w_inv"
+    rows = [(r.n, r.eps, r.delta, r.w, r.w_inv) for r in table.rows]
     # a single row fits no slope: JSON has null for it, not NaN
-    payload = {
-        "kmin": ns.kmin, "kmax": ns.kmax,
-        "slope": table.slope if len(table.rows) >= 2 else None,
-        "rows": [{"n": r.n, "eps": r.eps, "delta": r.delta,
-                  "w": r.w, "w_inv": r.w_inv} for r in table.rows],
-    }
+    payload = {"kmin": ns.kmin, "kmax": ns.kmax,
+               "slope": table.slope if len(rows) >= 2 else None,
+               "rows": _records(header, rows)}
     lines = [f"{'n':>6} {'eps':>24} {'delta':>24} {'w':>24} {'w_inv':>24}"]
-    lines += [f"{r.n:>6} {r.eps:>24.15g} {r.delta:>24.15g} "
-              f"{r.w:>24.15g} {r.w_inv:>24.15g}" for r in table.rows]
+    lines += [f"{n:>6} " + " ".join(f"{c:>24.15g}" for c in row)
+              for n, *row in rows]
     lines.append(f"slope = {_fmt_float(table.slope)}")
-    return _Result("n,eps,delta,w,w_inv",
-                   [(r.n, r.eps, r.delta, r.w, r.w_inv) for r in table.rows],
-                   payload, "\n".join(lines) + "\n",
+    return _Result(header, rows, payload, "\n".join(lines) + "\n",
                    trailer=f"# slope={_fmt_float(table.slope)}",
                    failures=tuple(failures))
 

@@ -327,6 +327,8 @@ def range_boundary(a, samples: int = 256) -> list[SupportPoint]:
     The convex hull of the returned boundary points approximates W(A) from
     the inside.
     """
+    if not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 8:
         raise ValueError("samples must be >= 8")
     thetas = 2 * np.pi * np.arange(samples) / samples
@@ -370,19 +372,8 @@ def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
     return abs(m), (abs(m) // 2) * float(np.linalg.norm(resid))
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """Per-owner results of a lockstep sweep, one array entry per owner."""
-
-    best: np.ndarray
-    best_theta: np.ndarray
-    gap: np.ndarray
-    evaluations: np.ndarray
-    rounds: np.ndarray
-
-
 def _sweep(values, count: int, tol: float, order: int = 1,
-           slack: float | np.ndarray = 0.0) -> _Sweep:
+           slack: float | np.ndarray = 0.0) -> tuple[np.ndarray, ...]:
     """Certified maxima of `count` functions of theta, swept in lockstep.
 
     values(owner, thetas) returns, for every i, the values of function
@@ -403,8 +394,10 @@ def _sweep(values, count: int, tol: float, order: int = 1,
     running maximum, which closes the owner's gap. The pairs of each owner
     keep their order, and each owner keeps its own best value, best angle
     and stopping round, so its result is bit for bit that of a sweep of its
-    function alone. The true maximum of function i lies in [best[i], best[i]
-    + gap[i]]; evaluations[i] counts its rows of values.
+    function alone. Returns the per-owner arrays (best, best_theta, gap,
+    evaluations, rounds): the true maximum of function i lies in [best[i],
+    best[i] + gap[i]], best_theta[i] is the angle of best[i], evaluations[i]
+    counts its rows of values and rounds[i] its refinement rounds.
     """
     owners = np.arange(count)
     slack = np.broadcast_to(slack, (count,))
@@ -417,13 +410,26 @@ def _sweep(values, count: int, tol: float, order: int = 1,
     segments = -(-_COARSE // (order * halves))
     grid = period * np.arange(segments + 1) / segments
     points = segments + (order > 1)
-    vals = values(np.repeat(owners, points), np.tile(grid[:points], count))
-    vals = vals[:, :halves].reshape(count, points, halves)
-    # the first largest value in angle order, first half before second
-    flat = vals.transpose(0, 2, 1).reshape(count, -1)
-    k = np.argmax(flat, axis=1)
-    best = flat[owners, k]
-    best_theta = grid[k % points] + shift[k // points]
+    best, best_theta = np.full(count, -np.inf), np.zeros(count)
+
+    def raise_best(owner, thetas, vals):
+        # each owner's first largest value, its first-half values before its
+        # second-half ones (angle order on the coarse grid), where it beats best
+        new, new_owner = vals.T.ravel(), np.tile(owner, halves)
+        new_theta = (thetas + shift[:, None]).ravel()
+        top = np.full(count, -np.inf)
+        np.maximum.at(top, new_owner, new)
+        at_top = np.flatnonzero(new == top[new_owner])
+        first = np.full(count, new.size)
+        np.minimum.at(first, new_owner[at_top], at_top)
+        better = top > best
+        best[better] = new[first[better]]
+        best_theta[better] = new_theta[first[better]]
+
+    owner, thetas = np.repeat(owners, points), np.tile(grid[:points], count)
+    vals = values(owner, thetas)[:, :halves]
+    raise_best(owner, thetas, vals)
+    vals = vals.reshape(count, points, halves)
     if order == 1:
         # h(pi) and h(2 pi) close the half-circle grid without an evaluation
         vals = np.concatenate([vals, vals[:, :1, ::-1]], axis=1)
@@ -459,18 +465,7 @@ def _sweep(values, count: int, tol: float, order: int = 1,
             break
         cut = left + offset
         h_cut = values(owner, cut)[:, :halves]
-        # each owner's first largest new value, first halves before second
-        # halves, as np.argmax would pick it
-        new, new_owner = h_cut.T.ravel(), np.tile(owner, halves)
-        new_theta = (cut + shift[:, None]).ravel()
-        top = np.full(count, -np.inf)
-        np.maximum.at(top, new_owner, new)
-        at_top = np.flatnonzero(new == top[new_owner])
-        first = np.full(count, new.size)
-        np.minimum.at(first, new_owner[at_top], at_top)
-        better = top > best
-        best[better] = new[first[better]]
-        best_theta[better] = new_theta[first[better]]
+        raise_best(owner, cut, h_cut)
         evaluations += split_count
         rounds += split_count > 0
         left, right = np.concatenate([left, cut]), np.concatenate([cut, right])
@@ -480,7 +475,7 @@ def _sweep(values, count: int, tol: float, order: int = 1,
     else:
         # _MAX_ROUNDS ran out: the live intervals close their owners' gaps
         np.maximum.at(bound, owner, bounds()[0])
-    return _Sweep(best, best_theta, bound - best, evaluations, rounds)
+    return best, best_theta, bound - best, evaluations, rounds
 
 
 def _radii(mats: np.ndarray, rho: float, tol: float, order: int = 1,
@@ -519,11 +514,12 @@ def _radii(mats: np.ndarray, rho: float, tol: float, order: int = 1,
             h[sel] = _top_eigenvalues(build, dim, owner[sel], thetas[sel])
         return h
 
-    sw = _sweep(values, len(mats), tol, order, slack)
+    best, best_theta, gap, evaluations, rounds = _sweep(values, len(mats), tol,
+                                                        order, slack)
     owners = np.arange(len(mats))
     vecs = np.empty((len(mats), dim), dtype=np.complex128)
     for mask, build in kinds:
-        vecs[mask] = _top_eigenpairs(build, dim, owners[mask], sw.best_theta[mask])[1]
+        vecs[mask] = _top_eigenpairs(build, dim, owners[mask], best_theta[mask])[1]
     for i, a in enumerate(mats):
         x = vecs[i, :n]
         witness = x / np.linalg.norm(x)
@@ -532,8 +528,8 @@ def _radii(mats: np.ndarray, rho: float, tol: float, order: int = 1,
         value = (abs(complex(witness.conj() @ (a @ witness))) if rho == 2.0 else
                  float(_sphere_objective(a, witness[None, :], alpha, beta)[0][0]))
         out[nonzero[i]] = RadiusEstimate(
-            max(float(sw.best[i]), value), rho, float(sw.gap[i]), True, witness,
-            int(sw.evaluations[i]), int(sw.rounds[i]))
+            max(float(best[i]), value), rho, float(gap[i]), True, witness,
+            int(evaluations[i]), int(rounds[i]))
     return out
 
 

@@ -193,6 +193,23 @@ class TestMidpointCertificate:
         with pytest.raises(np.linalg.LinAlgError):
             bounds.midpoint_certificate(np.zeros((2, 2)))
 
+    def test_one_svd_of_a(self, monkeypatch):
+        # A's one SVD serves its inverse and its norm; M takes the other
+        a = gaussian_matrix(seeded(62, 0), 5) + np.eye(5)
+        want = (a + linalg.inverse(a).conj().T) / 2
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(m, *args, **kwargs):
+            calls.append(m.shape)
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rep = bounds.midpoint_certificate(a)
+        assert len(calls) == 2
+        assert rep.midpoint.tobytes() == want.tobytes()
+        assert rep.norm_a == float(svd(a, compute_uv=False)[0])
+
 
 class TestRandomizedEnvelope:
     def test_norm_within_psi_envelope(self):

@@ -167,11 +167,13 @@ class TestRandomTest:
         # its own rho_radius calls
         summary = random_test(2, 5, 16, rho, seed=13)
         assert {rec.dim for rec in summary.records} == {2, 3, 4, 5}
-        for rec in summary.records:
+        draws = list(cli._draws(16, 2, 5, 13))
+        assert len(draws) == len(summary.records)
+        for rec, (i, dim, a, s) in zip(summary.records, draws):
+            # each draw on its own substream, keyed by (seed, index)
             rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=13, spawn_key=(rec.index,)))
-            dim = int(rng.integers(2, 6))
-            a, s = cli._sample_matrix(rng, dim)
+                np.random.SeedSequence(entropy=13, spawn_key=(i,)))
+            assert rec.index == i and dim == int(rng.integers(2, 6))
             np.testing.assert_array_equal(s, linalg.singular_values(a))
             w = rho_radius(a, rho, tol=1e-8).value
             w_inv = rho_radius(linalg.inverse(a), rho, tol=1e-8).value
@@ -196,9 +198,8 @@ class TestRandomTest:
         monkeypatch.setattr(cli, "_BLOCK_BYTES", 3 * 2 * 16 * 5 * 5)
         monkeypatch.setattr(cli, "rho_radii", spy)
         blocked = random_test(2, 5, 16, 1.5, seed=17)
-        # one call per block, on its samples and their inverses
-        blocks = list(cli._blocks(cli._draws(16, 2, 5, 17)))
-        assert len(calls) == len(blocks) > 1 and sum(calls) == 2 * 16
+        # one call per block of three samples, on its samples and their inverses
+        assert calls == [6] * 5 + [2]
         assert blocked.records == whole.records
         assert (blocked.max_ratio, blocked.worst_index) == (whole.max_ratio,
                                                             whole.worst_index)
@@ -221,6 +222,10 @@ class TestRandomTest:
             random_test(2, 4, 3, 2.5)
         with pytest.raises(ValueError, match="tol"):
             random_test(2, 4, 3, 2.0, tol=0.5)
+        # dim_min 2.5 would draw a 2 x 2 sample and report dim_min 2.5
+        for counts in [(2.5, 4.5, 3), (2, 4, 3.0), (2, 4.0, 3)]:
+            with pytest.raises(ValueError, match="integers"):
+                random_test(*counts, 2.0)
 
     @pytest.mark.parametrize("rho, message", [
         ("2.5", "error: rho must lie in [1, 2], got 2.5; "

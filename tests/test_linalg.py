@@ -36,6 +36,14 @@ class TestAsMatrix:
         with pytest.raises(ValueError, match="finite"):
             linalg.as_matrix(np.array([[np.inf, 0], [0, 0]]))
 
+    def test_scalar_becomes_one_by_one(self):
+        m = linalg.as_matrix(2.5j)
+        assert m.shape == (1, 1) and m.dtype == np.complex128 and m[0, 0] == 2.5j
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="dimension"):
+            linalg.as_matrix(np.zeros((0, 0)))
+
 
 class TestSingularValues:
     def test_identity(self):
@@ -193,3 +201,15 @@ class TestMatrixIO:
             linalg.matrix_from_payload({"dim": 0, "re": [], "im": []})
         with pytest.raises(ValueError, match="dim\\*dim"):
             linalg.matrix_from_payload({"dim": 2, "re": [1.0], "im": [0.0]})
+        with pytest.raises(ValueError, match="object"):
+            linalg.matrix_from_payload([2, [1.0], [0.0]])
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        # a lone surrogate cannot be encoded: the write fails mid-way, the
+        # old contents survive and the temp file is removed
+        path = tmp_path / "m.json"
+        path.write_text("old", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            linalg.atomic_write(path, "a\ud800b")
+        assert path.read_text(encoding="utf-8") == "old"
+        assert not list(tmp_path.glob("tmp*.tmp"))

@@ -518,9 +518,7 @@ class TestLockstep:
         for i, a in enumerate(mats):
             want = reference_sweep(lambda t: support_values(a, t), tol,
                                    radii._COARSE)
-            got = (sw.best[i], sw.best_theta[i], sw.gap[i], sw.evaluations[i],
-                   sw.rounds[i])
-            assert got == want
+            assert tuple(x[i] for x in sw) == want
 
     @pytest.mark.parametrize("rho", [1.0, 1.25, 1.5, 2.0])
     def test_entries_match_single_matrix_sweeps(self, rho):
@@ -785,9 +783,8 @@ class TestRealPath:
         for a in self.cases(tol):
             est = numerical_radius(a, tol=tol)
             assert not est.witness.imag.any()
-            ref = radii._sweep(lambda owner, t: support_values(a, t), 1,
-                               1e-12)
-            w = ref.best[0]
+            w = radii._sweep(lambda owner, t: support_values(a, t), 1,
+                             1e-12)[0][0]
             assert est.value - 1e-12 <= w <= est.value + est.tolerance + 1e-12
             assert est.tolerance <= tol
             q = est.witness.conj() @ (a @ est.witness)
@@ -868,3 +865,15 @@ class TestRangeBoundary:
     def test_rejects_few_samples(self):
         with pytest.raises(ValueError, match="samples"):
             range_boundary(np.eye(2), 4)
+
+    def test_rejects_non_integer_samples(self):
+        # 8.5 angles spaced 2 pi/8.5 would not close the circle
+        with pytest.raises(ValueError, match="integer"):
+            range_boundary(np.eye(2), 8.5)
+        assert len(range_boundary(np.eye(2), np.int64(8))) == 8
+
+
+class TestSphereMaximize:
+    def test_rejects_no_restarts(self):
+        with pytest.raises(ValueError, match="restarts"):
+            sphere_maximize(np.eye(2), 2.0, restarts=0)

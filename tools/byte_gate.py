@@ -6,7 +6,9 @@ PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts. Every
 invocation of a fixed list runs once per side, each in its own
 `python -m opradius.cli` process with that side's `src` first on PYTHONPATH.
 The list covers every subcommand in csv, json and text (`gap` and
-`random-test` at rho 1, 1.5 and 2), the benchmark's two family runs and the
+`random-test` at rho 1, 1.5 and 2), `random-test --samples 40 --dim-min 30
+--dim-max 40` in csv at rho 1.5 and 2, whose samples fill more than one
+block (about 4 s per side), the benchmark's two family runs and the
 paper's largest ones (`extremal verify --n 500` and `extremal scaling --kmin 1
 --kmax 18`, about a second each), the usage-error paths and two `--out`
 artifacts. Input matrices are written once to a temporary directory that
@@ -44,6 +46,9 @@ INVOCATIONS = (
        for fmt in FORMATS]
     + [["random-test", "--rho", rho, "--samples", "20", "--format", fmt]
        for rho in ("1", "1.5", "2") for fmt in FORMATS]
+    # samples up to 40 x 40, which random-test certifies in several blocks
+    + [["random-test", "--rho", rho, "--samples", "40", "--dim-min", "30",
+        "--dim-max", "40", "--format", "csv"] for rho in ("1.5", "2")]
     + [["extremal", "verify", "--n", "12", "--format", fmt] for fmt in FORMATS]
     + [["extremal", "verify", "--n", "12", "--json"]]
     + [["extremal", "scaling", "--kmin", "1", "--kmax", "3", "--format", fmt]
