@@ -178,13 +178,15 @@ def bound_curve(rho: float, r_min: float = 1.0, r_max: float = 2.0,
 
     psi_lower is the certified lower envelope: the 2x2 witness value X(r) at
     rho = 2, and the scaled-unitary value r otherwise. Both ends of the grid
-    must be finite and >= 1.
+    must be finite and >= 1, and steps an integer >= 1.
     """
     rho = _check_rho(rho)
     r_min = _check_r(r_min)
     if r_max < r_min:
         raise ValueError("r_max must be >= r_min")
     r_max = _check_r(r_max)
+    if not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     rs = np.linspace(r_min, r_max, steps)

@@ -22,7 +22,7 @@ this module machine-checks:
     norm excess ||A|| - 1 = 1/(8 sqrt(n)) decays like the 1/4 power of the
     radius excess; scaling_experiment fits that exponent.
 
-A's SVD and inverse and the cot band's norm are computed once per family:
+A's SVD and inverse, the cot band and its norm are computed once per family:
 verify runs 1 complex SVD, 4 real SVDs and 1 inv, and a scaling row 1 complex
 SVD and 1 inv.
 """
@@ -69,9 +69,19 @@ class ExtremalFamily:
         return _inverse(self.A, self._a_sv)
 
     @cached_property
+    def _cot(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(scale, W, W * E * scale), scale = 1/(2 n^{3/2}) and W_ij = cot_i cot_j."""
+        # cot((i - 1/2) pi / n) for i = 1..n; the argument stays inside (0, pi)
+        x = (np.arange(1, self.n + 1) - 0.5) * np.pi / self.n
+        cot = np.cos(x) / np.sin(x)
+        weights = np.outer(cot, cot)
+        scale = 1.0 / (2.0 * self.n ** 1.5)
+        return scale, weights, weights * self.E * scale
+
+    @cached_property
     def _m_norm(self) -> float:
         """||M|| of the cot band M = -M1 that both certificates bound."""
-        return float(singular_values(_cot_band(self)[2])[0])
+        return float(singular_values(self._cot[2])[0])
 
 
 @dataclass(frozen=True)
@@ -95,18 +105,6 @@ class CertificateReport:
 
     def failures(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n": self.n,
-            "all_pass": bool(self.all_pass),
-            "checks": [
-                {"name": c.name, "value": float(c.value), "bound": float(c.bound),
-                 "pass": bool(c.passed), "slack": float(c.slack)}
-                for c in self.checks
-            ],
-        }
 
 
 def _check(name: str, value: float, bound: float,
@@ -216,16 +214,6 @@ def check_real_parts(fam: ExtremalFamily) -> CertificateReport:
     return CertificateReport("hermitian_part_bound", n, checks)
 
 
-def _cot_band(fam: ExtremalFamily) -> tuple[float, np.ndarray, np.ndarray]:
-    """(scale, W, W * E * scale), scale = 1/(2 n^{3/2}) and W_ij = cot_i cot_j."""
-    # cot((i - 1/2) pi / n) for i = 1..n; the argument stays inside (0, pi)
-    x = (np.arange(1, fam.n + 1) - 0.5) * np.pi / fam.n
-    cot = np.cos(x) / np.sin(x)
-    weights = np.outer(cot, cot)
-    scale = 1.0 / (2.0 * fam.n ** 1.5)
-    return scale, weights, weights * fam.E * scale
-
-
 def certificate_31(fam: ExtremalFamily) -> CertificateReport:
     """Certificate for ||(A + A*)/2|| <= 1.
 
@@ -235,7 +223,7 @@ def certificate_31(fam: ExtremalFamily) -> CertificateReport:
     which is also checked directly through its minimum eigenvalue.
     """
     n = fam.n
-    scale, _, m = _cot_band(fam)
+    scale, _, m = fam._cot
     e_norm = float(np.max(fam.E.sum(axis=1)))  # >= ||E|| for symmetric 0/1 E
     quad = 2.0 * np.eye(n) - m + fam.E * scale
     lam_min = float(np.linalg.eigvalsh(quad)[0])
@@ -256,7 +244,7 @@ def certificate_32(fam: ExtremalFamily) -> CertificateReport:
     their norms obey 3/4, 1/(8 sqrt n), 1/14, 1/56 and sum below 1.
     """
     n = fam.n
-    scale, weights, m = _cot_band(fam)
+    scale, weights, m = fam._cot
     e = fam.E.astype(float)
     m1 = -m
     m2 = e * scale
@@ -290,6 +278,18 @@ class ScalingRow:
 class ScalingTable:
     rows: tuple[ScalingRow, ...]
     slope: float    # least-squares slope of log(delta) against log(eps)
+
+    def failures(self) -> list[str]:
+        """Rows off the norm-excess identity by more than 1e-11 or with a
+        radius above 1/cos(pi/n) by more than 1e-8, one message per check."""
+        failures = []
+        for row in self.rows:
+            if abs(row.delta - _norm_excess(row.n)) > 1e-11:
+                failures.append(f"norm excess identity at n={row.n}")
+            for name, w in (("w", row.w), ("w_inv", row.w_inv)):
+                if w > 1.0 + row.eps + 1e-8:
+                    failures.append(f"{name} bound at n={row.n}")
+        return failures
 
 
 def family_radii(fam: ExtremalFamily,
@@ -344,8 +344,10 @@ def scaling_experiment(k_min: int, k_max: int,
 
     The least-squares slope of log(delta) versus log(eps) estimates the decay
     exponent of the norm excess in the radius excess (1/4 asymptotically).
-    Rows are listed in ascending n.
+    k_min and k_max must be integers. Rows are listed in ascending n.
     """
+    if not all(isinstance(k, (int, np.integer)) for k in (k_min, k_max)):
+        raise ValueError(f"k_min and k_max must be integers, got {(k_min, k_max)}")
     if not 1 <= k_min <= k_max:
         raise ValueError("need 1 <= k_min <= k_max")
     ns = [8 * k + 4 for k in range(k_min, k_max + 1)]

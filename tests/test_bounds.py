@@ -210,6 +210,18 @@ class TestMidpointCertificate:
         assert rep.midpoint.tobytes() == want.tobytes()
         assert rep.norm_a == float(svd(a, compute_uv=False)[0])
 
+    @pytest.mark.parametrize("sv_a, sv_m, message", [
+        ([1.0, 1.0], [1.0, 0.5], "midpoint contractivity failed"),
+        ([3.0, 1.0], [1.0, 1.0], "midpoint norm bound failed")],
+        ids=["contractivity", "norm-bound"])
+    def test_failed_inequality_raises(self, sv_a, sv_m, message, monkeypatch):
+        # singular values that break either inequality signal a numerical
+        # breakdown: ||M^-1|| = 2 > 1, or ||A|| = 3 > ||M|| + sqrt(||M||^2 - 1) = 1
+        values = iter([np.array(sv_a), np.array(sv_m)])
+        monkeypatch.setattr(bounds, "singular_values", lambda m: next(values))
+        with pytest.raises(ArithmeticError, match=message):
+            bounds.midpoint_certificate(np.eye(2))
+
 
 class TestRandomizedEnvelope:
     def test_norm_within_psi_envelope(self):
@@ -258,6 +270,10 @@ class TestBoundCurve:
             bounds.bound_curve(2.0, 1.5, 1.0, 5)
         with pytest.raises(ValueError, match="steps"):
             bounds.bound_curve(2.0, 1.0, 2.0, 0)
+        # a float count must not reach numpy's linspace, which raises TypeError
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            bounds.bound_curve(2.0, 1.0, 2.0, 2.5)
+        assert len(bounds.bound_curve(2.0, 1.0, 2.0, np.int64(3)).rows) == 3
 
     @pytest.mark.parametrize("r_min, r_max", [(math.nan, 2.0), (1.0, math.nan),
                                               (1.0, math.inf), (math.inf, math.inf)])

@@ -78,6 +78,21 @@ class TestGap:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:3] == ["w = 0.5", "w_inv = 2"]
 
+    @pytest.mark.parametrize("rho, svds", [("2", 1), ("1.5", 1), ("1", 2)])
+    def test_one_svd_of_a(self, rho, svds, witness_file, monkeypatch):
+        # the unitary distance's SVD also refuses a singular A, so the inverse
+        # takes none; at rho = 1 the radii take one stacked SVD of A and A^-1
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert main(["gap", "--matrix", witness_file, "--rho", rho]) == 0
+        assert len(calls) == svds
+
     @pytest.mark.parametrize("payload", [
         {"dim": True, "re": [1.0], "im": [0.0]},
         {"dim": 1, "re": [{"a": 1}], "im": [0.0]}], ids=["bool-dim", "dict-entry"])
@@ -226,6 +241,18 @@ class TestRandomTest:
         for counts in [(2.5, 4.5, 3), (2, 4, 3.0), (2, 4.0, 3)]:
             with pytest.raises(ValueError, match="integers"):
                 random_test(*counts, 2.0)
+
+    def test_gives_up_after_100_singular_draws(self, monkeypatch):
+        draws = []
+
+        def singular(a):
+            draws.append(a)
+            return np.array([1.0, 0.0])
+
+        monkeypatch.setattr(cli, "singular_values", singular)
+        with pytest.raises(RuntimeError, match="well-conditioned"):
+            random_test(2, 2, 1, 2.0)
+        assert len(draws) == 100
 
     @pytest.mark.parametrize("rho, message", [
         ("2.5", "error: rho must lie in [1, 2], got 2.5; "

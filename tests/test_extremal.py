@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import perturb
 from opradius import extremal, linalg, radii
+from opradius.cli import main
 from opradius.radii import numerical_radius
 
 
@@ -185,11 +187,18 @@ class TestCertificates:
                         extremal.certificate_31(fam), extremal.certificate_32(fam)):
                 assert rep.all_pass, (n, rep.label, rep.failures())
 
-    def test_report_serialization(self, fam12):
-        payload = extremal.certificate_31(fam12).to_dict()
-        assert payload["all_pass"] is True
-        assert {c["name"] for c in payload["checks"]} == {
-            "M_frobenius_sq", "E_opnorm_err", "M_plus_E_opnorm", "quad_form_neg_min"}
+    def test_report_serialization(self, capsys):
+        # the CLI renders each report: label, n, all_pass, then its checks
+        assert main(["extremal", "verify", "--n", "12", "--format", "json"]) == 0
+        reports = {rep["label"]: rep for rep in json.loads(capsys.readouterr().out)["reports"]}
+        payload = reports["hermitian_part_certificate"]
+        assert list(payload) == ["label", "n", "all_pass", "checks"]
+        assert payload["all_pass"] is True and payload["n"] == 12
+        assert [c["name"] for c in payload["checks"]] == [
+            "M_frobenius_sq", "E_opnorm_err", "M_plus_E_opnorm", "quad_form_neg_min"]
+        for check in payload["checks"]:
+            assert list(check) == ["name", "value", "bound", "pass", "slack"]
+            assert check["pass"] is True
 
 
 def measured_norm_errors(fam):
@@ -308,6 +317,10 @@ class TestScaling:
             extremal.scaling_experiment(4, 3)
         with pytest.raises(ValueError, match="> 500"):
             extremal.scaling_experiment(1, 80)
+        # a float k must not reach range(), which raises TypeError
+        for ks in [(1.5, 2), (1, 2.0)]:
+            with pytest.raises(ValueError, match="must be integers"):
+                extremal.scaling_experiment(*ks)
 
 
 def assert_same_estimate(got, want):
