@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     p.add_argument("--rho", type=float, default=2.0)
     _add_common(p, "json", 1e-8)
-    p.set_defaults(func=_cmd_gap)
+    p.set_defaults(func="_cmd_gap")
 
     p = sub.add_parser("bounds", help="tabulate the bound envelopes")
     p.add_argument("--rho", type=float, default=2.0)
@@ -357,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=101)
     _add_common(p, "csv", None)
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func="_cmd_bounds")
 
     p = sub.add_parser("range", help="sample the numerical-range boundary")
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     p.add_argument("--samples", type=int, default=256)
     _add_common(p, "csv", None)
-    p.set_defaults(func=_cmd_range)
+    p.set_defaults(func="_cmd_range")
 
     p = sub.add_parser("random-test", help="randomized norm-bound falsification")
     p.add_argument("--rho", type=float, default=2.0)
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-min", type=int, default=2)
     p.add_argument("--dim-max", type=int, default=8)
     _add_common(p, "json", 1e-8)
-    p.set_defaults(func=_cmd_random_test)
+    p.set_defaults(func="_cmd_random_test")
 
     p = sub.add_parser("extremal", help="extremal-family commands")
     esub = p.add_subparsers(dest="extremal_command", required=True)
@@ -380,29 +380,36 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", type=int, required=True)
     pv.add_argument("--json", action="store_true", help="shorthand for --format json")
     _add_common(pv, "text", 1e-8)
-    pv.set_defaults(func=_cmd_extremal_verify)
+    pv.set_defaults(func="_cmd_extremal_verify")
 
     ps = esub.add_parser("scaling", help="norm excess vs radius excess table")
     ps.add_argument("--kmin", type=int, required=True)
     ps.add_argument("--kmax", type=int, required=True)
     _add_common(ps, "csv", 1e-6)
-    ps.set_defaults(func=_cmd_extremal_scaling)
+    ps.set_defaults(func="_cmd_extremal_scaling")
 
     return parser
+
+
+# build_parser() of the first main() call, reused by later calls in-process;
+# it names each subcommand's handler, which main() looks up at every call
+_parser = None
 
 
 def main(argv=None) -> int:
     """Parse argv, execute the subcommand, write its result in the chosen
     format, and map failed checks and errors to exit codes."""
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
         if ns.tol is not None:
             _check_tol(ns.tol)
-        result = ns.func(ns)
+        result = globals()[ns.func](ns)
         fmt = "json" if getattr(ns, "json", False) else ns.fmt
         if fmt == "csv":
             text = _csv_lines(result.header, result.rows, result.trailer)

@@ -34,23 +34,28 @@ function that is flat to within tol, as for a matrix whose numerical range
 is a disk about 0: every interval is split down to width sqrt(8 tol/w), so
 the sweep evaluates about 2 pi/sqrt(8 tol/w) angles (262,144 for the 2 x 2
 nilpotent at tol 1e-10, read from 131,072 eigensolves by the antipodal pairs
-at the end of this docstring).
+at the end of this docstring). The rho-pencil below is bounded by its own
+exact minorant, which is as flat as its support function is near rho = 1, so
+rho near 1 is no longer a flat case; a disk still is, at about 2 pi/sqrt(8
+tol/((rho - 1) w)) angles (65,536 eigensolves for the nilpotent at rho = 1.5
+and tol 1e-10, half the numerical radius's).
 
-Every radius takes one pipeline over a stack of matrices of one size and
-dtype, and rho_radii makes one such stack per size and dtype of its input:
-zero matrices get value 0, rho = 1 reads the top singular pair, and any other
-rho sweeps a kernel per matrix (S_theta or H_theta below at rho = 2, K_theta
-in between) in lockstep, then takes eigenvectors and witnesses at the best
+Every radius takes one pipeline, and a rho_radii call makes one sweep for all
+of its input: zero matrices get value 0, rho = 1 reads the top singular pair
+from one SVD per size and dtype, and any other rho groups the matrices by
+size and dtype into kernel records (owners, build, dim), one kernel per
+matrix (S_theta or H_theta below at rho = 2, K_theta in between), sweeps all
+of them in lockstep, then takes eigenvectors and witnesses at the best
 angles.
 Every interval of the sweep carries the index of the matrix that owns it, one
-stacked eigvalsh call evaluates the live angles of all owners together, and
-each owner keeps its own best value, best angle, stopping round and gap. An
-owner's result is therefore bit for bit that of its own sweep, while the
-per-round Python overhead is paid once for the whole stack; a single matrix
-is the stack of one. Every kernel is built like H_theta, as cos(theta) P +
-sin(theta) Q for a pair fixed before the sweep: (H, K) for H_theta,
-(Re A_s, -Im A_s) for S_theta and (2 alpha H, 2 alpha K) for the top-left
-block of K_theta.
+stacked eigvalsh call per kernel record evaluates the live angles of its
+owners together, and each owner keeps its own best value, best angle,
+stopping round and gap. An owner's result is therefore bit for bit that of
+its own sweep, while the per-round Python overhead is paid once for the whole
+call; a single matrix is the call of one. Every kernel is built like
+H_theta, as cos(theta) P + sin(theta) Q for a pair fixed before the sweep:
+(H, K) for H_theta, (Re A_s, -Im A_s) for S_theta and (2 alpha H, 2 alpha K)
+for the top-left block of K_theta.
 
 When the caller claims a rotation symmetry U* A U ~ e^{2 pi i/m} A for a
 signed permutation U e_j = signs[j] e_{perm[j]}, every sign exactly +1 or -1
@@ -104,22 +109,38 @@ That root is the top eigenvalue of the 2n x 2n Hermitian linearization
 
 built from A itself: eliminating y = sqrt(beta) A x / u from an eigenvector
 [x; y] leaves (2 alpha H_theta + beta A*A / u) x = u x. (With the polar
-factor A = W |A|, diag(I, W*) K_theta diag(I, W) is the form with sqrt(beta)
+factor A = Q |A|, diag(I, Q*) K_theta diag(I, Q) is the form with sqrt(beta)
 |A| in both off-diagonal blocks: same spectrum, same top halves x, but an SVD
 to build.) The left side's top eigenvalue falls below u for every u >
 u*(theta), so u*(theta) is the maximum over unit h of the larger root alpha
 <H_theta h, h> + sqrt(alpha^2 <H_theta h, h>^2 + beta ||Ah||^2) of the scalar
 pencil, and the maximum of that over theta is g(h). The same sweep
-certifies max_theta u*(theta). If h* attains w_rho and <Ah*, h*> = e^{-i
-theta*} |<Ah*, h*>|, then h* alone gives, with c = cos(theta - theta*),
+certifies W = max_theta u*(theta) against the exact minorant
 
-    u*(theta) >= alpha c t + sqrt(alpha^2 c^2 t^2 + beta s^2) >= c w_rho
+    u*(theta) >= W m(cos(theta - phi)),
+    m(c) = alpha c + sqrt(alpha^2 c^2 + beta).
 
-for c >= 0 (t = |<Ah*, h*>|, s = ||Ah*||), and u*(theta) >= 0 >= c w_rho
-otherwise: the cosine minorant again, so the vertex bound, the split rule
-and the guard carry over unchanged. The value is max(best, g(x/||x||)) for
-the top eigenvector half x at the best angle, so it is attained up to
-rounding.
+Proof: let x* attain W, t = |<Ax*, x*>| and <Ax*, x*> = e^{-i phi} t. Then
+<H_theta x*, x*> = t c for c = cos(theta - phi), and W^2 = 2 alpha t W + beta
+||Ax*||^2 eliminates ||Ax*||, so x* alone gives
+
+    u*(theta) >= alpha t c + sqrt(alpha^2 t^2 c^2 + W^2 - 2 alpha t W).
+
+The right side decreases in t on [0, W]: its t-derivative has the sign of
+c sqrt(...) - (W - alpha t c^2), where W - alpha t c^2 > 0 and (W - alpha t
+c^2)^2 - c^2 (...) = W^2 (1 - c^2) >= 0. And t <= ||Ax*|| gives W >=
+(alpha + sqrt(alpha^2 + beta)) t = (alpha + 1/rho) t = t, so the right side
+is at least its value at t = W, which is W m(c) by 1 - 2 alpha = beta.
+
+m increases from m(-1) = beta > 0 to m(1) = 1; at rho = 2 it is max(c, 0),
+the cosine minorant, and near rho = 1 it is almost flat, as u* is. For 1 <
+rho < 2 the interval rule of _pencil_vertex takes the vertex rule's place:
+the largest W that the two endpoint values allow, exact when the maximizer
+angle is pinned to an endpoint and otherwise read at a Newton estimate of
+the crossing of the two constraints, an upper bound for any estimate. The
+split rule and the guard carry over unchanged. The value is max(best,
+g(x/||x||)) for the top eigenvector half x at the best angle, so it is
+attained up to rounding.
 
 One eigensolve gives two support values, at theta and at its antipode theta
 + pi (Johnson 1978), because every kernel above flips sign there:
@@ -353,6 +374,46 @@ def _vertex(p, q, d):
     return top, np.clip(np.arctan2(na, p * sin), d / 4, 3 * d / 4)
 
 
+def _pencil_vertex(alpha: float, beta: float):
+    """vertex(p, q, d): _vertex for the pencil's minorant u*(theta) >= W
+    m(cos(theta - phi)), m(c) = alpha c + sqrt(alpha^2 c^2 + beta), on
+    intervals [a, a + d], d < pi/2, with p = u*(a) and q = u*(a + d).
+
+    A maximizer angle phi = a + x gives W <= p/m(cos x) and W <= q/m(cos(d -
+    x)), increasing and decreasing in x. If the first exceeds the second at x
+    = 0, the bound is q/m(cos d), split at d/4; if the second exceeds the
+    first at x = d, it is p/m(cos d), split at 3d/4. Otherwise the two cross
+    at some x*, and for any estimate x of x* the larger of the two at x
+    bounds W, so the estimate never touches the certificate: three Newton
+    steps on log(p/m(cos x)) - log(q/m(cos(d - x))) from the cosine vertex
+    angle, split at x clipped into [d/4, 3d/4]. The bound is -inf when p <= 0
+    or q <= 0, like _vertex's.
+    """
+
+    def m(c):
+        return alpha * c + np.sqrt((alpha * c) ** 2 + beta)
+
+    def slope(x):
+        # -d/dx log m(cos x)
+        return alpha * np.sin(x) / np.sqrt((alpha * np.cos(x)) ** 2 + beta)
+
+    def vertex(p, q, d):
+        live = (p > 0) & (q > 0)
+        p, q = np.where(live, p, 1.0), np.where(live, q, 1.0)
+        md = m(np.cos(d))
+        low, high = p * md >= q, q * md >= p
+        x = np.clip(np.arctan2(q - p * np.cos(d), p * np.sin(d)), 0, d)
+        for _ in range(3):
+            step = np.log(p * m(np.cos(d - x)) / (q * m(np.cos(x))))
+            x = np.clip(x - step / (slope(x) + slope(d - x)), 0, d)
+        top = np.where(low, q / md, np.where(
+            high, p / md, np.maximum(p / m(np.cos(x)), q / m(np.cos(d - x)))))
+        offset = np.where(low, d / 4, np.where(high, 3 * d / 4,
+                                                np.clip(x, d / 4, 3 * d / 4)))
+        return np.where(live, top, -np.inf), offset
+    return vertex
+
+
 def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
     """(|m|, (|m| // 2) ||U* A U - e^{2 pi i/m} A||_F) for a claimed rotation
     (perm, signs, m) by the signed permutation U e_j = signs[j] e_{perm[j]}."""
@@ -373,13 +434,17 @@ def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
 
 
 def _sweep(values, count: int, tol: float, order: int = 1,
-           slack: float | np.ndarray = 0.0) -> tuple[np.ndarray, ...]:
+           slack: float | np.ndarray = 0.0,
+           vertex=_vertex) -> tuple[np.ndarray, ...]:
     """Certified maxima of `count` functions of theta, swept in lockstep.
 
     values(owner, thetas) returns, for every i, the values of function
     owner[i] at thetas[i] and at thetas[i] + pi, one row each. Each function
-    must dominate w cos(theta - phi) - slack, where w > 0 is its maximum, phi
-    the angle of a maximizer and slack a scalar or one value per owner.
+    must dominate w m(cos(theta - phi)) - slack, where w > 0 is its maximum,
+    phi the angle of a maximizer, slack a scalar or one value per owner and
+    m the minorant that `vertex` bounds intervals with: max(c, 0) for _vertex,
+    the rule of H_theta and S_theta, and the pencil's m for the vertex of
+    _pencil_vertex, the rule of K_theta.
 
     On the full circle (order 1) the half circle [0, pi] is swept in interval
     pairs ([l, r], [l + pi, r + pi]), each row of values giving one value to
@@ -387,7 +452,7 @@ def _sweep(values, count: int, tol: float, order: int = 1,
     swept, phi must lie in it, and only the first value of each row is read.
 
     Every interval pair carries its own endpoints and the index of its
-    owner, and each half is bounded by _vertex: no phi in it allows a
+    owner, and each half is bounded by vertex: no phi in it allows a
     maximum above that bound. A pair is split, at the vertex angle of its
     half with the larger bound, while that bound plus a rounding guard
     exceeds best + tol; once it stops, bound plus guard goes into its owner's
@@ -447,7 +512,7 @@ def _sweep(values, count: int, tol: float, order: int = 1,
         # stays reachable for |best| > 1
         guard = np.minimum(1e-12 * np.maximum(1.0, np.abs(best)), tol / 2)
         s = slack[owner, None]
-        top, offset = _vertex(h_left + s, h_right + s, (right - left)[:, None])
+        top, offset = vertex(h_left + s, h_right + s, (right - left)[:, None])
         # the half with the larger bound, the first on a tie
         pair, half = np.arange(owner.size), np.argmax(top, axis=1)
         return top[pair, half] + guard[owner], offset[pair, half]
@@ -478,56 +543,74 @@ def _sweep(values, count: int, tol: float, order: int = 1,
     return best, best_theta, bound - best, evaluations, rounds
 
 
-def _radii(mats: np.ndarray, rho: float, tol: float, order: int = 1,
+def _radii(mats: list[np.ndarray], rho: float, tol: float, order: int = 1,
            slack: float = 0.0) -> list[RadiusEstimate]:
-    """Certified rho-radii of a stack, for rho in [1, 2] and tol in range;
-    order and slack carry a measured rotation claim to the sweep. The module
-    docstring gives each kernel and the rule that picks it."""
+    """Certified rho-radii of square matrices, for rho in [1, 2] and tol in
+    range; order and slack carry a measured rotation claim to the sweep. The
+    nonzero matrices are grouped by size and dtype into kernel records
+    (owners, build, dim), and one sweep serves them all. The module docstring
+    gives each kernel and the rule that picks it."""
     out = [RadiusEstimate(0.0, rho, 0.0, True, None)] * len(mats)
-    nonzero = np.flatnonzero(mats.reshape(len(mats), -1).any(axis=1))
-    if not nonzero.size:
+    groups = {}
+    for i, m in enumerate(mats):
+        if m.any():
+            groups.setdefault((m.shape, m.dtype), []).append(i)
+    stacks = [np.stack([mats[i] for i in group]) for group in groups.values()]
+    if rho == 1.0:
+        for group, stack in zip(groups.values(), stacks):
+            s, vh = np.linalg.svd(stack)[1:]
+            for i, j in enumerate(group):
+                out[j] = RadiusEstimate(float(s[i, 0]), 1.0, 0.0, True, vh[i, 0].conj())
         return out
-    if nonzero.size < len(mats):
-        mats = mats[nonzero]
-    n = mats.shape[-1]
     alpha, beta = 1.0 - 1.0 / rho, 2.0 / rho - 1.0
-    if rho == 2.0:
-        skew = np.linalg.norm(mats - mats.transpose(0, 2, 1), axis=(1, 2)) / 2
-        real = slack + skew <= tol / 2
-        kinds = [(mask, _rotation_builder(*parts(mats))) for mask, parts in
-                 ((~real, _hermitian_parts), (real, _real_parts)) if mask.any()]
-        slack, dim = np.where(real, slack + skew, slack), n
-    elif rho == 1.0:
-        s, vh = np.linalg.svd(mats)[1:]
-        for i, j in enumerate(nonzero):
-            out[j] = RadiusEstimate(float(s[i, 0]), 1.0, 0.0, True, vh[i, 0].conj())
-        return out
-    else:
-        kinds = ((np.ones(len(mats), dtype=bool), _pencil_builder(mats, alpha, beta)),)
-        dim = 2 * n
+    # the input index of every nonzero matrix, in sweep order, and its slack
+    index = [j for group in groups.values() for j in group]
+    slacks = np.full(len(index), slack)
+    kinds, start = [], 0
+    for stack in stacks:
+        owners = np.arange(start, start + len(stack))
+        start += len(stack)
+        n = stack.shape[-1]
+        if rho == 2.0:
+            skew = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2)) / 2
+            real = slack + skew <= tol / 2
+            slacks[owners[real]] += skew[real]
+            kinds += [(owners[mask], _rotation_builder(*parts(stack[mask])), n)
+                      for mask, parts in ((~real, _hermitian_parts), (real, _real_parts))
+                      if mask.any()]
+        else:
+            kinds.append((owners, _pencil_builder(stack, alpha, beta), 2 * n))
+    # kernel record and position in its stack of each sweep index
+    kind, local = np.empty(len(index), dtype=np.intp), np.empty(len(index), dtype=np.intp)
+    for k, (owners, _, _) in enumerate(kinds):
+        kind[owners], local[owners] = k, np.arange(owners.size)
 
     def values(owner, thetas):
-        # one stack per kernel: float64 S_theta apart from complex128 H_theta
+        # one stack per kernel record: float64 S_theta apart from complex128
+        # H_theta, and each size apart
         h = np.empty((thetas.size, 2))
-        for mask, build in kinds:
-            sel = mask[owner]
-            h[sel] = _top_eigenvalues(build, dim, owner[sel], thetas[sel])
+        for k, (_, build, dim) in enumerate(kinds):
+            sel = kind[owner] == k
+            h[sel] = _top_eigenvalues(build, dim, local[owner[sel]], thetas[sel])
         return h
 
-    best, best_theta, gap, evaluations, rounds = _sweep(values, len(mats), tol,
-                                                        order, slack)
-    owners = np.arange(len(mats))
-    vecs = np.empty((len(mats), dim), dtype=np.complex128)
-    for mask, build in kinds:
-        vecs[mask] = _top_eigenpairs(build, dim, owners[mask], best_theta[mask])[1]
-    for i, a in enumerate(mats):
-        x = vecs[i, :n]
+    vertex = _vertex if rho == 2.0 else _pencil_vertex(alpha, beta)
+    best, best_theta, gap, evaluations, rounds = _sweep(values, len(index), tol,
+                                                        order, slacks, vertex)
+    vecs = [None] * len(index)
+    for owners, build, dim in kinds:
+        for i, v in zip(owners, _top_eigenpairs(build, dim, np.arange(owners.size),
+                                                best_theta[owners])[1]):
+            vecs[i] = v
+    for i, (j, v) in enumerate(zip(index, vecs)):
+        a = mats[j]
+        x = v[:a.shape[0]]
         witness = x / np.linalg.norm(x)
         # |<Av, v>| >= h(best_theta) at rho = 2, g(v) >= u*(best_theta) in
         # between: at least best, and never above w_rho(A)
         value = (abs(complex(witness.conj() @ (a @ witness))) if rho == 2.0 else
                  float(_sphere_objective(a, witness[None, :], alpha, beta)[0][0]))
-        out[nonzero[i]] = RadiusEstimate(
+        out[j] = RadiusEstimate(
             max(float(best[i]), value), rho, float(gap[i]), True, witness,
             int(evaluations[i]), int(rounds[i]))
     return out
@@ -553,7 +636,7 @@ def numerical_radius(a, tol: float = 1e-9,
     order, slack = _rotation_slack(a, rotation) if rotation is not None else (1, 0.0)
     if slack > tol / 2:
         order, slack = 1, 0.0
-    return _radii(a[None], 2.0, tol, order, slack)[0]
+    return _radii([a], 2.0, tol, order, slack)[0]
 
 
 # g on the unit sphere: the 1 < rho < 2 witness value and sphere_maximize's objective
@@ -643,22 +726,15 @@ def rho_radii(mats, rho: float, tol: float = 1e-6) -> list[RadiusEstimate]:
 
     Entry i equals rho_radius(mats[i], rho, tol) bit for bit: the matrices
     are grouped by size and dtype, so each keeps the float64 or complex128
-    stack of its own call, and one certified sweep per group evaluates the
-    live angles of its matrices together, each keeping its own best value,
-    stopping round and gap. Zero matrices get value 0, gap 0 and no witness.
+    stack of its own call, and one certified sweep for the whole call
+    evaluates the live angles of all of them together, each keeping its own
+    best value, stopping round and gap. Zero matrices get value 0, gap 0 and
+    no witness.
     """
     mats = [as_matrix(m) for m in mats]
     if not mats:
         raise ValueError("need at least one matrix")
-    rho, tol = _check_rho(rho), _check_tol(tol)
-    groups = {}
-    for i, m in enumerate(mats):
-        groups.setdefault((m.shape, m.dtype), []).append(i)
-    out = [None] * len(mats)
-    for group in groups.values():
-        for i, est in zip(group, _radii(np.stack([mats[i] for i in group]), rho, tol)):
-            out[i] = est
-    return out
+    return _radii(mats, _check_rho(rho), _check_tol(tol))
 
 
 def rho_radius(a, rho: float, tol: float = 1e-6) -> RadiusEstimate:
@@ -666,11 +742,11 @@ def rho_radius(a, rho: float, tol: float = 1e-6) -> RadiusEstimate:
 
     rho = 1 is the operator norm, from one SVD, and rho = 2 the numerical
     radius. In between, the maximum over theta of lambda_max(K_theta) is
-    swept with the same certified vertex refinement (see the module
+    swept with the same certified refinement (see the module
     docstring); the value is a lower bound within the reported tolerance of
     w_rho(A) and is attained by the witness up to rounding. tol outside
     [1e-12, 1e-2], or NaN, raises ValueError.
     rho outside [1, 2] is rejected; the restricted sup formula for rho > 2 is
-    deliberately unsupported. This is rho_radii on a stack of one.
+    deliberately unsupported. This is rho_radii on a list of one.
     """
     return rho_radii([a], rho, tol)[0]

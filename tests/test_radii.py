@@ -316,6 +316,38 @@ class TestPencilSweep:
         np.testing.assert_array_equal(chunked.witness, est.witness)
         assert shapes and all(s[1:] == (12, 12) and s[0] <= 3 for s in shapes)
 
+    def test_near_one_is_not_flat(self):
+        # u* varies by about (rho - 1) ||A|| and so does its minorant: at rho
+        # = 1 + 1e-9 the coarse grid already certifies tol = 1e-8 (16,384
+        # evaluations under the cosine minorant)
+        rng = np.random.default_rng(2011)
+        a = gaussian_matrix(rng, 20)
+        est = rho_radius(a, 1 + 1e-9, tol=1e-8)
+        assert est.tolerance <= 1e-8
+        assert est.evaluations <= 16
+
+    @staticmethod
+    def near_the_ends():
+        """Seeded complex Gaussians of size 2, 5 and 20 and their inverses."""
+        for n in (2, 5, 20):
+            a = gaussian_matrix(seeded(75, n), n)
+            yield f"gaussian{n}", a
+            yield f"inverse{n}", linalg.inverse(a)
+
+    @pytest.mark.parametrize("rho", [1 + 1e-9, 1 + 1e-6, 1.01, 1.9])
+    def test_brackets_near_the_ends(self, rho):
+        # where the pencil's minorant matters most: near rho = 1 it is almost
+        # flat, unlike the cosine, and at rho = 1.9 it is close to, but not,
+        # the cosine
+        tol = 1e-8
+        for i, (label, a) in enumerate(self.near_the_ends()):
+            est = rho_radius(a, rho, tol=tol)
+            assert est.tolerance <= tol, label
+            # w_rho decreases in rho from w_1 = ||A||
+            assert est.value <= linalg.singular_values(a)[0] * (1 + 1e-14), label
+            direct, _ = sphere_maximize(a, rho, restarts=64, seed=3000 + i)
+            assert direct <= est.value + est.tolerance + 1e-12, label
+
 
 def reference_sweep(values, tol, coarse):
     """The full-circle vertex-rule sweep of one function, one owner at a
@@ -579,6 +611,22 @@ class TestLockstep:
         assert max(s[0] for s in shapes) == cap
         assert len(shapes) > sum(est.rounds > 0 for est in whole)
 
+    @pytest.mark.parametrize("rho", [1.5, 2.0])
+    def test_one_sweep_per_call(self, rho, monkeypatch):
+        # eight size and dtype groups, one of them on both paths at rho = 2,
+        # and one lockstep sweep for all of them
+        counts = []
+        sweep = radii._sweep
+
+        def spy(values, count, *args, **kwargs):
+            counts.append(count)
+            return sweep(values, count, *args, **kwargs)
+
+        monkeypatch.setattr(radii, "_sweep", spy)
+        rho_radii(self.mixed(), rho)
+        # every matrix but the zero one
+        assert counts == [22]
+
     @pytest.mark.parametrize("rho", [1.0, 1.5])
     def test_only_rho_one_takes_an_svd(self, rho, monkeypatch):
         # rho = 1 reads the top singular pair from one stacked SVD per size
@@ -664,8 +712,53 @@ class TestVertexRule:
         top = radii._vertex(np.array([-0.1]), np.array([1.0]), np.array([d]))[0]
         assert top[0] == -np.inf
 
+    @pytest.mark.parametrize("rho", [1 + 1e-9, 1.25, 1.5, 1.9])
+    def test_pencil_vertex_of_a_point(self, rho):
+        # u*(theta) = |z| m(cos(theta - phi)) for the 1 x 1 matrix [z], phi =
+        # -arg z: the extremal case of the pencil's minorant, where the
+        # interval bound is |z| itself
+        alpha, beta = 1 - 1 / rho, 2 / rho - 1
+        z, a, d = 1.7 * np.exp(-0.5j), 0.3, 0.4
+        phi = -np.angle(z)
+
+        def m(c):
+            return alpha * c + np.sqrt((alpha * c) ** 2 + beta)
+
+        thetas = np.linspace(0, 2 * np.pi, 16)
+        kernels = radii._pencil_builder(np.array([[[z]]]), alpha, beta)(
+            np.zeros(thetas.size, dtype=np.intp), thetas)
+        np.testing.assert_allclose(np.linalg.eigvalsh(kernels)[:, -1],
+                                   abs(z) * m(np.cos(thetas - phi)), rtol=1e-14)
+        vertex = radii._pencil_vertex(alpha, beta)
+
+        def bound(a):
+            p, q = abs(z) * m(np.cos(a - phi)), abs(z) * m(np.cos(a + d - phi))
+            top, offset = vertex(np.array([p]), np.array([q]), np.array([d]))
+            return top[0], offset[0], p, q
+
+        for left in (phi - 0.15, phi - 0.2, phi - 0.25, phi - 0.05, phi - 0.39):
+            top, offset, _, _ = bound(left)
+            assert top == pytest.approx(abs(z), rel=1e-12)
+            if d / 4 <= phi - left <= 3 * d / 4:
+                # the two constraints cross at a slope of order alpha, which
+                # fixes their crossing to rounding / alpha (5.8e-7 at rho =
+                # 1 + 1e-9); the bound there is exact whatever the estimate
+                assert offset == pytest.approx(phi - left, abs=1e-14 / alpha)
+        # phi before the interval pins the maximizer angle to its left end,
+        # phi after it to its right end
+        md = m(np.cos(d))
+        top, offset, p, q = bound(phi + 0.1)
+        assert (top, offset) == (q / md, d / 4)
+        top, offset, p, q = bound(phi - d - 0.1)
+        assert (top, offset) == (p / md, 3 * d / 4)
+        # an endpoint value <= 0 leaves no room for the maximizer
+        assert vertex(np.array([-0.1]), np.array([1.0]), np.array([d]))[0][0] == -np.inf
+        tol = 1e-8
+        est = rho_radius([[z]], rho, tol=tol)
+        assert abs(est.value - abs(z)) <= tol and est.tolerance <= tol
+
     @pytest.mark.parametrize("tol", [1e-4, 1e-8])
-    @pytest.mark.parametrize("rho", [1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("rho", [1.25, 1.5, 1.9, 2.0])
     def test_brackets_a_tight_baseline_sweep(self, rho, tol):
         # the baseline at tol 1e-12 and the vertex rule at tol bracket each
         # other: value <= ref + gap_ref and ref <= value + tolerance
@@ -738,15 +831,18 @@ class TestAntipodalPairs:
 
     def test_flat_support_halves(self):
         # a disk about 0 never prunes: the pairs halve the evaluations of a
-        # full-circle sweep, 262,144 and 32,768 before
+        # full-circle sweep, 262,144 and 32,768 before; the pencil's minorant,
+        # flatter than the cosine by rho - 1 = 1/2 near its peak, halves them
+        # again at rho = 1.5 (131,072 under the cosine minorant)
         shift = np.eye(20, k=-1)
-        for est, want, tol in (
-                (numerical_radius(NILPOTENT, tol=1e-10), 0.5, 1e-10),
-                (rho_radius(NILPOTENT, 1.5, tol=1e-10), 2 / 3, 1e-10),
-                (numerical_radius(shift, tol=1e-8), np.cos(np.pi / 21), 1e-8)):
+        for est, want, tol, cost in (
+                (numerical_radius(NILPOTENT, tol=1e-10), 0.5, 1e-10, 131_072),
+                (rho_radius(NILPOTENT, 1.5, tol=1e-10), 2 / 3, 1e-10, 65_536),
+                (numerical_radius(shift, tol=1e-8), np.cos(np.pi / 21), 1e-8,
+                 16_384)):
             assert abs(est.value - want) <= tol
             assert est.tolerance <= tol
-            assert est.evaluations <= (131_072 if tol == 1e-10 else 16_384)
+            assert est.evaluations <= cost
 
 
 class TestRealPath:
