@@ -9,36 +9,48 @@ h(theta) = lambda_max(H_theta) of the rotated Hermitian part
 
 sampled on a uniform coarse grid of intervals of width at most pi/4, as few
 as cover the swept range (8 angles on the full circle), and then refined
-interval by interval. The certificate uses the cosine minorant: if theta*
-attains the maximum w, then h(theta) >= w cos(theta - theta*) for every
-theta, because the maximizing boundary point alone contributes that much. If
-theta* lies in an interval [a, a + d], d < pi/2, that point lies behind the
-two support lines Re(e^{i a} z) = h(a) and Re(e^{i (a + d)} z) = h(a + d), so
+interval by interval. Every swept function f, h here and the rho-pencil's
+u*(theta) below, has an exact minorant: if the maximum W of f is attained at
+the angle phi, then for every theta
 
-    w <= V = |vertex of the two lines|   if its angle lies in the interval,
-    w <= V = max(h(a), h(a + d))         otherwise,
+    f(theta) >= W m(cos(theta - phi)),
+    m(c) = alpha c + sqrt(alpha^2 c^2 + beta),
 
-the outer polygon of the support lines (Johnson, SIAM J. Numer. Anal. 15,
-1978); an endpoint value <= 0 rules theta* out of the interval. An interval
-is split at its vertex angle, clipped into its middle half, while V exceeds
-best + tol for the largest value best evaluated so far, so h is evaluated
-where the bound peaks (Piyavskii 1972; Shubert, SIAM J. Numer. Anal. 9,
-1972). An interval that stops being split leaves V behind, and the largest V
-less best is the certified gap; each V carries a rounding guard of 1e-12
-max(1, |best|), at most tol/2. Equal endpoint values put the vertex
-mid-interval at V = h/cos(d/2), and V never exceeds max(h(a), h(a + d)) /
-cos(d/2), the bound of uniform bisection. Convergence is therefore quadratic
-in d, and a handful of rounds past the coarse grid suffices even for
-tolerances near 1e-12, whatever the grid. The exception is a support
-function that is flat to within tol, as for a matrix whose numerical range
-is a disk about 0: every interval is split down to width sqrt(8 tol/w), so
-the sweep evaluates about 2 pi/sqrt(8 tol/w) angles (262,144 for the 2 x 2
-nilpotent at tol 1e-10, read from 131,072 eigensolves by the antipodal pairs
-at the end of this docstring). The rho-pencil below is bounded by its own
-exact minorant, which is as flat as its support function is near rho = 1, so
-rho near 1 is no longer a flat case; a disk still is, at about 2 pi/sqrt(8
-tol/((rho - 1) w)) angles (65,536 eigensolves for the nilpotent at rho = 1.5
-and tol 1e-10, half the numerical radius's).
+with the pencil's alpha = 1 - 1/rho and beta = 2/rho - 1. At rho = 2,
+alpha = 1/2 and beta = 0 make m(c) = max(c, 0), the cosine minorant of h:
+the maximizing boundary point alone contributes W cos(theta - phi). m is
+positive and increasing on (0, 1], so if phi = a + x lies in an interval
+[a, a + d], d < pi/2, then
+
+    W <= f(a)/m(cos x)   and   W <= f(a + d)/m(cos(d - x)),
+
+increasing and decreasing in x. The one interval rule, _vertex, bounds W by
+V, the largest value these allow: f(a + d)/m(cos d) when the first exceeds
+the second at x = 0, f(a)/m(cos d) when the second exceeds the first at x =
+d, and otherwise the larger of the two at an estimate of their crossing,
+which bounds W whatever the estimate; an endpoint value <= 0 rules phi out of
+the interval. At rho = 2 the crossing is the vertex where the support lines
+Re(e^{i a} z) = h(a) and Re(e^{i (a + d)} z) = h(a + d) meet, and V is its
+modulus, a corner of their outer polygon (Johnson, SIAM J. Numer. Anal. 15,
+1978). An interval is split at the crossing estimate, clipped into its middle
+half, while V exceeds best + tol for the largest value best evaluated so far,
+so f is evaluated where the bound peaks (Piyavskii 1972; Shubert, SIAM J.
+Numer. Anal. 9, 1972); the V of an end case is at most its larger endpoint
+value, so without slack an end case never splits. An interval that stops
+being split leaves V behind, and the largest V less best is the certified
+gap; each V carries a rounding guard of 1e-12 max(1, |best|), at most tol/2.
+At rho = 2, equal endpoint values put the vertex mid-interval at V =
+h/cos(d/2), and V never exceeds max(h(a), h(a + d)) / cos(d/2), the bound of
+uniform bisection. Convergence is therefore quadratic in d, and a handful of
+rounds past the coarse grid suffices even for tolerances near 1e-12, whatever
+the grid. The exception is a support function that is flat to within tol, as
+for a matrix whose numerical range is a disk about 0: every interval is split
+down to width sqrt(8 tol/w), so the sweep evaluates about 2 pi/sqrt(8 tol/w)
+angles (262,144 for the 2 x 2 nilpotent at tol 1e-10, read from 131,072
+eigensolves by the antipodal pairs at the end of this docstring). Near rho =
+1 the minorant is as flat as u*, so rho near 1 is not a flat case; a disk
+still is, at about 2 pi/sqrt(8 tol/((rho - 1) w)) angles (65,536 eigensolves
+for the nilpotent at rho = 1.5 and tol 1e-10, half the numerical radius's).
 
 Every radius takes one pipeline, and a rho_radii call makes one sweep for all
 of its input: zero matrices get value 0, rho = 1 reads the top singular pair
@@ -68,7 +80,7 @@ lies within |m|//2 shifts of the period, so on the period
 
     h(theta) >= w cos(theta - phi) - slack,   slack = (|m| // 2) r,
 
-for some phi in [0, 2 pi/|m|]. The vertex bound then takes h + slack in
+for some phi in [0, 2 pi/|m|]. The interval rule then takes h + slack in
 place of h at both endpoints, so the slack enters the gap. A claim whose
 slack exceeds tol/2 is ignored and the full circle is swept, so a false
 claim costs time, never correctness.
@@ -115,10 +127,8 @@ to build.) The left side's top eigenvalue falls below u for every u >
 u*(theta), so u*(theta) is the maximum over unit h of the larger root alpha
 <H_theta h, h> + sqrt(alpha^2 <H_theta h, h>^2 + beta ||Ah||^2) of the scalar
 pencil, and the maximum of that over theta is g(h). The same sweep
-certifies W = max_theta u*(theta) against the exact minorant
-
-    u*(theta) >= W m(cos(theta - phi)),
-    m(c) = alpha c + sqrt(alpha^2 c^2 + beta).
+certifies W = max_theta u*(theta), against the minorant W m(cos(theta -
+phi)) stated at the top.
 
 Proof: let x* attain W, t = |<Ax*, x*>| and <Ax*, x*> = e^{-i phi} t. Then
 <H_theta x*, x*> = t c for c = cos(theta - phi), and W^2 = 2 alpha t W + beta
@@ -132,15 +142,10 @@ c^2)^2 - c^2 (...) = W^2 (1 - c^2) >= 0. And t <= ||Ax*|| gives W >=
 (alpha + sqrt(alpha^2 + beta)) t = (alpha + 1/rho) t = t, so the right side
 is at least its value at t = W, which is W m(c) by 1 - 2 alpha = beta.
 
-m increases from m(-1) = beta > 0 to m(1) = 1; at rho = 2 it is max(c, 0),
-the cosine minorant, and near rho = 1 it is almost flat, as u* is. For 1 <
-rho < 2 the interval rule of _pencil_vertex takes the vertex rule's place:
-the largest W that the two endpoint values allow, exact when the maximizer
-angle is pinned to an endpoint and otherwise read at a Newton estimate of
-the crossing of the two constraints, an upper bound for any estimate. The
-split rule and the guard carry over unchanged. The value is max(best,
-g(x/||x||)) for the top eigenvector half x at the best angle, so it is
-attained up to rounding.
+For rho < 2, m increases from m(-1) = beta > 0 to m(1) = 1, and near rho =
+1 it is almost flat, as u* is; the sweep bounds its intervals with the rule
+above. The value is max(best, g(x/||x||)) for the top eigenvector half x at
+the best angle, so it is attained up to rounding.
 
 One eigensolve gives two support values, at theta and at its antipode theta
 + pi (Johnson 1978), because every kernel above flips sign there:
@@ -154,12 +159,12 @@ so -D K_theta D = [[2 alpha H_{theta + pi}, sqrt(beta) A*], [sqrt(beta) A,
 = lambda_max(-kernel_theta) = -lambda_min(kernel_theta) for each of the three
 kernels. The full-circle sweep therefore covers the half circle [0, pi] in
 interval pairs ([l, r], [l + pi, r + pi]), each end of a pair carrying the
-values of both halves. A pair's bound is the larger of its two vertex bounds,
-it is split at the vertex angle of that half, and one eigensolve there gives
-the new values of both halves. The 8 coarse angles take 4 eigensolves, and a
-flat support function, which never prunes, takes half the eigensolves of the
-full circle: 262,144 -> 131,072 for the nilpotent at tol 1e-10. A rotation
-sweep's period is shorter than pi, so it reads only lambda_max.
+values of both halves. A pair's bound is the larger of its two interval
+bounds, it is split at the split angle of that half, and one eigensolve there
+gives the new values of both halves. The 8 coarse angles take 4 eigensolves,
+and a flat support function, which never prunes, takes half the eigensolves
+of the full circle: 262,144 -> 131,072 for the nilpotent at tol 1e-10. A
+rotation sweep's period is shorter than pi, so it reads only lambda_max.
 """
 
 from __future__ import annotations
@@ -356,42 +361,21 @@ def range_boundary(a, samples: int = 256) -> list[SupportPoint]:
     return support_points(a, thetas)
 
 
-def _vertex(p, q, d):
-    """(bound, split offset) of intervals [a, a + d], d < pi/2, from the
-    shifted endpoint values p = h(a) + slack and q = h(a + d) + slack.
-
-    A maximizer angle phi in the interval gives w cos(a - phi) <= p and
-    w cos(a + d - phi) <= q. The bound is the modulus of the vertex where
-    these two support lines meet when its angle lies in the interval, and
-    max(p, q) otherwise; it is -inf when p <= 0 or q <= 0, because w > 0
-    leaves no room for phi there. The offset is the vertex angle clipped
-    into [d/4, 3d/4].
-    """
-    sin, cos = np.sin(d), np.cos(d)
-    na, nb = q - p * cos, p - q * cos
-    top = np.where(na <= 0, p, np.where(nb <= 0, q, np.hypot(p, na / sin)))
-    top = np.where((p > 0) & (q > 0), top, -np.inf)
-    return top, np.clip(np.arctan2(na, p * sin), d / 4, 3 * d / 4)
-
-
-def _pencil_vertex(alpha: float, beta: float):
-    """vertex(p, q, d): _vertex for the pencil's minorant u*(theta) >= W
-    m(cos(theta - phi)), m(c) = alpha c + sqrt(alpha^2 c^2 + beta), on
-    intervals [a, a + d], d < pi/2, with p = u*(a) and q = u*(a + d).
-
-    A maximizer angle phi = a + x gives W <= p/m(cos x) and W <= q/m(cos(d -
-    x)), increasing and decreasing in x. If the first exceeds the second at x
-    = 0, the bound is q/m(cos d), split at d/4; if the second exceeds the
-    first at x = d, it is p/m(cos d), split at 3d/4. Otherwise the two cross
-    at some x*, and for any estimate x of x* the larger of the two at x
-    bounds W, so the estimate never touches the certificate: three Newton
-    steps on log(p/m(cos x)) - log(q/m(cos(d - x))) from the cosine vertex
-    angle, split at x clipped into [d/4, 3d/4]. The bound is -inf when p <= 0
-    or q <= 0, like _vertex's.
+def _vertex(alpha: float, beta: float):
+    """vertex(p, q, d): (bound, split offset) of intervals [a, a + d], d <
+    pi/2, from their endpoint values p and q, shifted by any slack, by the
+    interval rule of the module docstring for the minorant m(c) = alpha c +
+    sqrt(alpha^2 c^2 + beta). The crossing estimate x starts at the vertex
+    angle arctan2(q - p cos d, p sin d) of the support lines, exact at beta
+    = 0, and takes three Newton steps on log(p/m(cos x)) - log(q/m(cos(d -
+    x))) when beta > 0, on the crossing intervals only. A crossing is split
+    at x clipped into [d/4, 3d/4], an end case at d/4 or 3d/4. The bound is
+    -inf when p <= 0 or q <= 0, because W > 0 leaves no room for phi there.
     """
 
     def m(c):
-        return alpha * c + np.sqrt((alpha * c) ** 2 + beta)
+        c = alpha * c
+        return c + np.sqrt(c * c + beta)
 
     def slope(x):
         # -d/dx log m(cos x)
@@ -399,17 +383,23 @@ def _pencil_vertex(alpha: float, beta: float):
 
     def vertex(p, q, d):
         live = (p > 0) & (q > 0)
-        p, q = np.where(live, p, 1.0), np.where(live, q, 1.0)
-        md = m(np.cos(d))
+        cos_d = np.cos(d)
+        md = m(cos_d)
         low, high = p * md >= q, q * md >= p
-        x = np.clip(np.arctan2(q - p * np.cos(d), p * np.sin(d)), 0, d)
-        for _ in range(3):
-            step = np.log(p * m(np.cos(d - x)) / (q * m(np.cos(x))))
-            x = np.clip(x - step / (slope(x) + slope(d - x)), 0, d)
-        top = np.where(low, q / md, np.where(
-            high, p / md, np.maximum(p / m(np.cos(x)), q / m(np.cos(d - x)))))
-        offset = np.where(low, d / 4, np.where(high, 3 * d / 4,
-                                                np.clip(x, d / 4, 3 * d / 4)))
+        x = np.clip(np.arctan2(q - p * cos_d, p * np.sin(d)), 0, d)
+        if beta > 0:
+            # Newton steps on the intervals whose two constraints cross
+            cross = live & ~low & ~high
+            pc, qc, xc = p[cross], q[cross], x[cross]
+            dc = np.broadcast_to(d, cross.shape)[cross]
+            for _ in range(3):
+                step = np.log(pc * m(np.cos(dc - xc)) / (qc * m(np.cos(xc))))
+                xc = np.clip(xc - step / (slope(xc) + slope(dc - xc)), 0, dc)
+            x[cross] = xc
+        top = np.maximum(p / m(np.cos(x)), q / m(np.cos(d - x)))
+        top = np.where(low, q / md, np.where(high, p / md, top))
+        lo, hi = d / 4, 3 * d / 4
+        offset = np.where(low, lo, np.where(high, hi, np.clip(x, lo, hi)))
         return np.where(live, top, -np.inf), offset
     return vertex
 
@@ -433,18 +423,17 @@ def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
     return abs(m), (abs(m) // 2) * float(np.linalg.norm(resid))
 
 
-def _sweep(values, count: int, tol: float, order: int = 1,
-           slack: float | np.ndarray = 0.0,
-           vertex=_vertex) -> tuple[np.ndarray, ...]:
+def _sweep(values, count: int, tol: float, vertex, order: int = 1,
+           slack: float | np.ndarray = 0.0) -> tuple[np.ndarray, ...]:
     """Certified maxima of `count` functions of theta, swept in lockstep.
 
     values(owner, thetas) returns, for every i, the values of function
     owner[i] at thetas[i] and at thetas[i] + pi, one row each. Each function
     must dominate w m(cos(theta - phi)) - slack, where w > 0 is its maximum,
     phi the angle of a maximizer, slack a scalar or one value per owner and
-    m the minorant that `vertex` bounds intervals with: max(c, 0) for _vertex,
-    the rule of H_theta and S_theta, and the pencil's m for the vertex of
-    _pencil_vertex, the rule of K_theta.
+    m the minorant of the interval rule vertex = _vertex(alpha, beta), one
+    rule for every rho in (1, 2]: max(c, 0) at rho = 2 for H_theta and
+    S_theta, the pencil's m in between for K_theta.
 
     On the full circle (order 1) the half circle [0, pi] is swept in interval
     pairs ([l, r], [l + pi, r + pi]), each row of values giving one value to
@@ -453,7 +442,7 @@ def _sweep(values, count: int, tol: float, order: int = 1,
 
     Every interval pair carries its own endpoints and the index of its
     owner, and each half is bounded by vertex: no phi in it allows a
-    maximum above that bound. A pair is split, at the vertex angle of its
+    maximum above that bound. A pair is split, at the split offset of its
     half with the larger bound, while that bound plus a rounding guard
     exceeds best + tol; once it stops, bound plus guard goes into its owner's
     running maximum, which closes the owner's gap. The pairs of each owner
@@ -594,9 +583,8 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float, order: int = 1,
             h[sel] = _top_eigenvalues(build, dim, local[owner[sel]], thetas[sel])
         return h
 
-    vertex = _vertex if rho == 2.0 else _pencil_vertex(alpha, beta)
-    best, best_theta, gap, evaluations, rounds = _sweep(values, len(index), tol,
-                                                        order, slacks, vertex)
+    best, best_theta, gap, evaluations, rounds = _sweep(
+        values, len(index), tol, _vertex(alpha, beta), order, slacks)
     vecs = [None] * len(index)
     for owners, build, dim in kinds:
         for i, v in zip(owners, _top_eigenpairs(build, dim, np.arange(owners.size),

@@ -368,11 +368,12 @@ def reference_sweep(values, tol, coarse):
     left, right, h_left, h_right = grid[:-1], grid[1:], vals[:-1], vals[1:]
     evaluations, rounds, bound = half, 0, -np.inf
 
+    vertex = radii._vertex(0.5, 0.0)
+
     def bounds():
         guard = min(1e-12 * max(1.0, abs(best)), tol / 2)
         (top0, off0), (top1, off1) = (
-            radii._vertex(h_left[:, j], h_right[:, j], right - left)
-            for j in (0, 1))
+            vertex(h_left[:, j], h_right[:, j], right - left) for j in (0, 1))
         # the second half only when its bound is strictly larger
         second = top1 > top0
         return np.where(second, top1, top0) + guard, np.where(second, off1, off0)
@@ -546,7 +547,7 @@ class TestLockstep:
     def test_engine_matches_one_owner_at_a_time(self, tol):
         mats = self.stack()[:-2]
         sw = radii._sweep(lambda owner, t: support_values(mats, t, owner),
-                          len(mats), tol)
+                          len(mats), tol, radii._vertex(0.5, 0.0))
         for i, a in enumerate(mats):
             want = reference_sweep(lambda t: support_values(a, t), tol,
                                    radii._COARSE)
@@ -673,8 +674,9 @@ class TestLockstep:
 
 
 class TestVertexRule:
-    # each interval is bounded by the vertex of its two support lines and
-    # split where that bound peaks
+    # each interval is bounded by the largest maximum its two endpoint
+    # values allow under the minorant, at rho = 2 the vertex of its two
+    # support lines, and split where that bound peaks
 
     @staticmethod
     def bracket_cases():
@@ -689,34 +691,12 @@ class TestVertexRule:
         yield "family12", build(n).A, ((np.arange(n) + 1) % n,
                                        np.r_[np.ones(n - 1), -1.0], n)
 
-    def test_vertex_of_a_point(self):
-        # w cos(theta - phi) is the support function of the one point
-        # w e^{-i phi}, so the vertex is that point, at angle phi
-        w, a, d = 1.7, 0.3, 0.4
-
-        def vertex(phi):
-            p, q = w * np.cos(a - phi), w * np.cos(a + d - phi)
-            top, offset = radii._vertex(np.array([p]), np.array([q]), np.array([d]))
-            return top[0], offset[0], max(p, q)
-
-        for phi in (0.45, 0.5, 0.55):
-            top, offset, _ = vertex(phi)
-            assert top == pytest.approx(w, rel=1e-14)
-            assert offset == pytest.approx(phi - a, abs=1e-14)
-        # a vertex outside the middle half is clipped into it
-        assert vertex(0.32)[:2] == (pytest.approx(w, rel=1e-14), d / 4)
-        # outside the interval the bound is the larger endpoint value
-        top, offset, larger = vertex(0.8)
-        assert (top, offset) == (larger, 3 * d / 4)
-        # an endpoint value <= 0 leaves no room for the maximizer
-        top = radii._vertex(np.array([-0.1]), np.array([1.0]), np.array([d]))[0]
-        assert top[0] == -np.inf
-
-    @pytest.mark.parametrize("rho", [1 + 1e-9, 1.25, 1.5, 1.9])
+    @pytest.mark.parametrize("rho", [1 + 1e-9, 1.25, 1.5, 1.9, 2.0])
     def test_pencil_vertex_of_a_point(self, rho):
         # u*(theta) = |z| m(cos(theta - phi)) for the 1 x 1 matrix [z], phi =
         # -arg z: the extremal case of the pencil's minorant, where the
-        # interval bound is |z| itself
+        # interval bound is |z| itself; at rho = 2, m(c) = max(c, 0) and u*
+        # is the support function of the one point z
         alpha, beta = 1 - 1 / rho, 2 / rho - 1
         z, a, d = 1.7 * np.exp(-0.5j), 0.3, 0.4
         phi = -np.angle(z)
@@ -729,7 +709,7 @@ class TestVertexRule:
             np.zeros(thetas.size, dtype=np.intp), thetas)
         np.testing.assert_allclose(np.linalg.eigvalsh(kernels)[:, -1],
                                    abs(z) * m(np.cos(thetas - phi)), rtol=1e-14)
-        vertex = radii._pencil_vertex(alpha, beta)
+        vertex = radii._vertex(alpha, beta)
 
         def bound(a):
             p, q = abs(z) * m(np.cos(a - phi)), abs(z) * m(np.cos(a + d - phi))
@@ -744,6 +724,9 @@ class TestVertexRule:
                 # fixes their crossing to rounding / alpha (5.8e-7 at rho =
                 # 1 + 1e-9); the bound there is exact whatever the estimate
                 assert offset == pytest.approx(phi - left, abs=1e-14 / alpha)
+            else:
+                # a crossing outside the middle half is clipped into it
+                assert offset == (d / 4 if phi - left < d / 4 else 3 * d / 4)
         # phi before the interval pins the maximizer angle to its left end,
         # phi after it to its right end
         md = m(np.cos(d))
@@ -756,6 +739,36 @@ class TestVertexRule:
         tol = 1e-8
         est = rho_radius([[z]], rho, tol=tol)
         assert abs(est.value - abs(z)) <= tol and est.tolerance <= tol
+
+    def test_cosine_rule_is_the_support_line_vertex(self):
+        # at rho = 2 the rule's two constraints cross at the vertex of the
+        # support lines Re(e^{i a} z) = p and Re(e^{i (a + d)} z) = q
+        # (Johnson 1978): where they cross in the interval, the split offset
+        # is the clipped vertex angle bit for bit, and the bound is the
+        # vertex modulus up to rounding
+        rng = seeded(62, 0)
+        size = 200_000
+        d = np.pi / 2 * 10 ** -rng.uniform(0, 9, size)
+        w = np.exp(rng.uniform(-5, 5, size))
+        x = d * rng.uniform(-1, 2, size)
+        p, q = w * np.cos(x), w * np.cos(d - x)
+        keep = (p > 0) & (q > 0) & (d < np.pi / 2)
+        p, q, d = p[keep], q[keep], d[keep]
+        top, offset = radii._vertex(0.5, 0.0)(p, q, d)
+        sin, cos = np.sin(d), np.cos(d)
+        na, nb = q - p * cos, p - q * cos
+        cross = (na > 0) & (nb > 0)
+        assert size / 4 < cross.sum() < size - size / 4
+        angle = np.clip(np.arctan2(na, p * sin), d / 4, 3 * d / 4)
+        assert offset[cross].tobytes() == angle[cross].tobytes()
+        modulus = np.hypot(p, na / sin)[cross]
+        assert np.all(np.abs(top[cross] - modulus) <= 8 * np.spacing(modulus))
+        # an end case pins the maximizer angle to one endpoint; its bound
+        # never exceeds the larger endpoint value, so without slack it never
+        # splits and its offset is never read
+        assert np.all(top[~cross] <= np.maximum(p, q)[~cross])
+        assert np.array_equal(offset[~cross],
+                              np.where(na <= 0, d / 4, 3 * d / 4)[~cross])
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-8])
     @pytest.mark.parametrize("rho", [1.25, 1.5, 1.9, 2.0])
@@ -880,7 +893,7 @@ class TestRealPath:
             est = numerical_radius(a, tol=tol)
             assert not est.witness.imag.any()
             w = radii._sweep(lambda owner, t: support_values(a, t), 1,
-                             1e-12)[0][0]
+                             1e-12, radii._vertex(0.5, 0.0))[0][0]
             assert est.value - 1e-12 <= w <= est.value + est.tolerance + 1e-12
             assert est.tolerance <= tol
             q = est.witness.conj() @ (a @ est.witness)

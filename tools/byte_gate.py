@@ -3,18 +3,20 @@
     python tools/byte_gate.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts. Every
-invocation of a fixed list runs once per side, each in its own
-`python -m opradius.cli` process with that side's `src` first on PYTHONPATH.
-The list covers every subcommand in csv, json and text (`gap` and
-`random-test` at rho 1, 1.5 and 2), `random-test --samples 40 --dim-min 30
---dim-max 40` in csv at rho 1, 1.5 and 2, whose samples fill more than one
-block (about 4 s per side; at rho 1 they run on the stacked-SVD path),
-`gap --rho 1.000001` and `random-test --rho 1.25 --samples 20` in csv, which
-take the rho-pencil near rho = 1 and below its middle, the benchmark's two
-family runs and the paper's largest ones (`extremal verify --n 500` and
-`extremal scaling --kmin 1 --kmax 18`, about a second each), the usage-error
-paths and two `--out` artifacts. Input matrices are written once to a
-temporary directory that both sides share, so file paths in messages agree.
+invocation of a fixed list runs once per side, each in its own `python -m
+opradius.cli` process with that side's `src` first on PYTHONPATH. The list
+covers every subcommand in csv, json and text (`gap` and `random-test` at rho
+1, 1.5 and 2), `random-test --samples 40 --dim-min 30 --dim-max 40` in csv at
+rho 1, 1.5 and 2, whose samples fill more than one block (about 4 s per side;
+at rho 1 they run on the stacked-SVD path), `gap --rho 1.000001` and
+`random-test --rho 1.25 --samples 20` in csv, which take the rho-pencil near
+rho = 1 and below its middle, `random-test --samples 30 --tol 1e-12` in csv at
+rho 2 and 1.5, where the rounding guard's tol/2 cap binds and the end-case
+interval bounds decide when an owner stops, the benchmark's two family runs
+and the paper's largest ones (`extremal verify --n 500` and `extremal scaling
+--kmin 1 --kmax 18`, about a second each), the usage-error paths and two
+`--out` artifacts. Input matrices are written once to a temporary directory
+that both sides share, so file paths in messages agree.
 
 One line per invocation says whether stdout (followed by the `--out` file,
 if any), the stderr text and the exit code match; differing stderr is printed
@@ -54,6 +56,10 @@ INVOCATIONS = (
     # the rho-pencil near rho = 1 and below its middle
     + [["gap", "--matrix", "{GAUSS}", "--rho", "1.000001", "--format", "csv"],
        ["random-test", "--rho", "1.25", "--samples", "20", "--format", "csv"]]
+    # the smallest tol, where the rounding guard's tol/2 cap binds and the
+    # end-case interval bounds decide when an owner stops
+    + [["random-test", "--rho", rho, "--samples", "30", "--tol", "1e-12",
+        "--format", "csv"] for rho in ("2", "1.5")]
     + [["extremal", "verify", "--n", "12", "--format", fmt] for fmt in FORMATS]
     + [["extremal", "verify", "--n", "12", "--json"]]
     + [["extremal", "scaling", "--kmin", "1", "--kmax", "3", "--format", fmt]
