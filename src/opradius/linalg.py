@@ -126,13 +126,12 @@ def matrix_from_payload(payload: dict) -> np.ndarray:
     n = payload["dim"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("matrix payload 'dim' must be a positive integer")
-    try:
-        re = np.asarray(payload["re"], dtype=np.float64)
-        im = np.asarray(payload["im"], dtype=np.float64)
-    except (TypeError, ValueError):
-        re = im = None
-    if re is None or re.shape != (n * n,) or im.shape != (n * n,):
+    entries = payload["re"], payload["im"]
+    # JSON numbers only: a float64 conversion alone takes "1.5" and true too
+    if not all(isinstance(x, list) and len(x) == n * n
+               and set(map(type, x)) <= {int, float} for x in entries):
         raise ValueError("matrix payload 're'/'im' must hold dim*dim floats")
+    re, im = (np.array(x, dtype=np.float64) for x in entries)
     return as_matrix((re + 1j * im).reshape(n, n))
 
 

@@ -55,11 +55,14 @@ for the nilpotent at rho = 1.5 and tol 1e-10, half the numerical radius's).
 Every radius takes one pipeline, and a rho_radii call makes one sweep for all
 of its input: zero matrices get value 0, rho = 1 reads the top singular pair
 from one SVD per size and dtype, and any other rho groups the matrices by
-size and dtype into kernel records (owners, build, dim), one kernel per
-matrix (S_theta or H_theta below at rho = 2, K_theta in between), sweeps all
-of them in lockstep, then takes eigenvectors and witnesses at the best
-angles.
-Every interval of the sweep carries the index of the matrix that owns it, one
+size and dtype into kernel records (inputs, slacks, build, dim, lower), one
+kernel per matrix (S_theta or H_theta below at rho = 2, K_theta in between)
+with the value lower(a, v) a unit vector v attains: |<Av, v>| at rho = 2,
+g(v) in between. The sweep numbers its owners in record order, so each
+record owns one contiguous range; it sweeps all of them in lockstep, then
+each record takes eigenvectors and witnesses at its owners' best angles. A
+bracket that is not finite, as when (A + A*)/2 overflows, raises ValueError.
+Every interval of the sweep carries the index of the owner it belongs to, one
 stacked eigvalsh call per kernel record evaluates the live angles of its
 owners together, and each owner keeps its own best value, best angle,
 stopping round and gap. An owner's result is therefore bit for bit that of
@@ -535,72 +538,69 @@ def _sweep(values, count: int, tol: float, vertex, order: int = 1,
 def _radii(mats: list[np.ndarray], rho: float, tol: float, order: int = 1,
            slack: float = 0.0) -> list[RadiusEstimate]:
     """Certified rho-radii of square matrices, for rho in [1, 2] and tol in
-    range; order and slack carry a measured rotation claim to the sweep. The
-    nonzero matrices are grouped by size and dtype into kernel records
-    (owners, build, dim), and one sweep serves them all. The module docstring
-    gives each kernel and the rule that picks it."""
+    range; order and slack carry a measured rotation claim to the sweep. At
+    rho = 1 each size-and-dtype group takes one stacked SVD, else it becomes
+    kernel records (inputs, slacks, build, dim, lower), lower(a, v) the value
+    a unit v attains for a; one sweep serves them all, record k owning sweep
+    indices start[k]:start[k + 1]. A bracket that is not finite raises."""
     out = [RadiusEstimate(0.0, rho, 0.0, True, None)] * len(mats)
     groups = {}
     for i, m in enumerate(mats):
         if m.any():
             groups.setdefault((m.shape, m.dtype), []).append(i)
-    stacks = [np.stack([mats[i] for i in group]) for group in groups.values()]
-    if rho == 1.0:
-        for group, stack in zip(groups.values(), stacks):
+    alpha, beta = 1.0 - 1.0 / rho, 2.0 / rho - 1.0
+    records = []
+    for group in groups.values():
+        stack, inputs = np.stack([mats[i] for i in group]), np.array(group)
+        n = stack.shape[-1]
+        if rho == 1.0:
             s, vh = np.linalg.svd(stack)[1:]
             for i, j in enumerate(group):
                 out[j] = RadiusEstimate(float(s[i, 0]), 1.0, 0.0, True, vh[i, 0].conj())
-        return out
-    alpha, beta = 1.0 - 1.0 / rho, 2.0 / rho - 1.0
-    # the input index of every nonzero matrix, in sweep order, and its slack
-    index = [j for group in groups.values() for j in group]
-    slacks = np.full(len(index), slack)
-    kinds, start = [], 0
-    for stack in stacks:
-        owners = np.arange(start, start + len(stack))
-        start += len(stack)
-        n = stack.shape[-1]
-        if rho == 2.0:
+        elif rho == 2.0:
             skew = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2)) / 2
             real = slack + skew <= tol / 2
-            slacks[owners[real]] += skew[real]
-            kinds += [(owners[mask], _rotation_builder(*parts(stack[mask])), n)
-                      for mask, parts in ((~real, _hermitian_parts), (real, _real_parts))
-                      if mask.any()]
+            slacks = np.where(real, slack + skew, slack)
+            # |<Av, v>| >= h(best_theta), also for the real v of S_theta
+            records += [(inputs[mask], slacks[mask],
+                         _rotation_builder(*parts(stack[mask])), n,
+                         lambda a, v: abs(complex(v.conj() @ (a @ v))))
+                        for mask, parts in ((~real, _hermitian_parts),
+                                            (real, _real_parts)) if mask.any()]
         else:
-            kinds.append((owners, _pencil_builder(stack, alpha, beta), 2 * n))
-    # kernel record and position in its stack of each sweep index
-    kind, local = np.empty(len(index), dtype=np.intp), np.empty(len(index), dtype=np.intp)
-    for k, (owners, _, _) in enumerate(kinds):
-        kind[owners], local[owners] = k, np.arange(owners.size)
+            # g(v) >= u*(best_theta) for the top half v of an eigenvector
+            records.append((inputs, np.full(len(group), slack),
+                            _pencil_builder(stack, alpha, beta), 2 * n,
+                            lambda a, v: float(_sphere_objective(
+                                a, v[None], alpha, beta)[0][0])))
+    start = np.cumsum([0] + [len(inputs) for inputs, *_ in records])
 
     def values(owner, thetas):
         # one stack per kernel record: float64 S_theta apart from complex128
         # H_theta, and each size apart
         h = np.empty((thetas.size, 2))
-        for k, (_, build, dim) in enumerate(kinds):
-            sel = kind[owner] == k
-            h[sel] = _top_eigenvalues(build, dim, local[owner[sel]], thetas[sel])
+        for k, (_, _, build, dim, _) in enumerate(records):
+            sel = (start[k] <= owner) & (owner < start[k + 1])
+            h[sel] = _top_eigenvalues(build, dim, owner[sel] - start[k], thetas[sel])
         return h
 
     best, best_theta, gap, evaluations, rounds = _sweep(
-        values, len(index), tol, _vertex(alpha, beta), order, slacks)
-    vecs = [None] * len(index)
-    for owners, build, dim in kinds:
-        for i, v in zip(owners, _top_eigenpairs(build, dim, np.arange(owners.size),
-                                                best_theta[owners])[1]):
-            vecs[i] = v
-    for i, (j, v) in enumerate(zip(index, vecs)):
-        a = mats[j]
-        x = v[:a.shape[0]]
-        witness = x / np.linalg.norm(x)
-        # |<Av, v>| >= h(best_theta) at rho = 2, g(v) >= u*(best_theta) in
-        # between: at least best, and never above w_rho(A)
-        value = (abs(complex(witness.conj() @ (a @ witness))) if rho == 2.0 else
-                 float(_sphere_objective(a, witness[None, :], alpha, beta)[0][0]))
-        out[j] = RadiusEstimate(
-            max(float(best[i]), value), rho, float(gap[i]), True, witness,
-            int(evaluations[i]), int(rounds[i]))
+        values, start[-1], tol, _vertex(alpha, beta), order,
+        np.array([s for record in records for s in record[1]]))
+    if not np.isfinite([best, gap]).all():
+        raise ValueError("radius bracket is not finite: matrix entries too large "
+                         "for float64")
+    for k, (inputs, _, build, dim, lower) in enumerate(records):
+        own = range(start[k], start[k + 1])
+        for i, j, v in zip(own, inputs, _top_eigenpairs(
+                build, dim, np.arange(len(own)), best_theta[own])[1]):
+            a = mats[j]
+            x = v[:a.shape[0]]
+            witness = x / np.linalg.norm(x)
+            # at least best, and never above w_rho(A)
+            out[j] = RadiusEstimate(
+                max(float(best[i]), lower(a, witness)), rho, float(gap[i]), True,
+                witness, int(evaluations[i]), int(rounds[i]))
     return out
 
 
@@ -631,9 +631,12 @@ def numerical_radius(a, tol: float = 1e-9,
 def _sphere_objective(a: np.ndarray, h: np.ndarray, alpha: float, beta: float):
     ah = h @ a.T
     q = np.sum(h.conj() * ah, axis=1)
-    t = np.abs(q)
-    s = np.linalg.norm(ah, axis=1)
-    return alpha * t + np.sqrt((alpha * t) ** 2 + beta * s * s), q, t, s, ah
+    # g is evaluated on t, s and Ah divided by the power of two c at each
+    # row's largest |Ah| entry: exact, and the squares cannot overflow
+    c = np.ldexp(1.0, np.frexp(np.abs(ah).max(axis=1))[1])
+    t, s = np.abs(q) / c, np.linalg.norm(ah / c[:, None], axis=1)
+    g = c * (alpha * t + np.sqrt((alpha * t) ** 2 + beta * s * s))
+    return g, q, c * t, c * s, ah
 
 
 def _sphere_gradient(a, h, q, t, s, ah, alpha, beta):

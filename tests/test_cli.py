@@ -95,7 +95,10 @@ class TestGap:
 
     @pytest.mark.parametrize("payload", [
         {"dim": True, "re": [1.0], "im": [0.0]},
-        {"dim": 1, "re": [{"a": 1}], "im": [0.0]}], ids=["bool-dim", "dict-entry"])
+        {"dim": 1, "re": [{"a": 1}], "im": [0.0]},
+        {"dim": 1, "re": ["1.5"], "im": [0.0]},
+        {"dim": 1, "re": [1.5], "im": [True]}],
+        ids=["bool-dim", "dict-entry", "string-entry", "bool-entry"])
     def test_malformed_matrix_file_is_usage_error(self, payload, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
@@ -220,11 +223,12 @@ class TestRandomTest:
                                                             whole.worst_index)
         assert blocked.worst_case.tobytes() == whole.worst_case.tobytes()
 
-    def test_failed_bound_exits_1_and_counts_both(self, capsys, monkeypatch):
-        # a norm bound of 1 fails every sample, and at rho = 2 its unitary
+    @pytest.mark.parametrize("rho", ["2", "1.5", "1"])
+    def test_failed_bound_exits_1_and_counts_both(self, rho, capsys, monkeypatch):
+        # a norm bound of 1 fails every sample, and at every rho its unitary
         # distance consequence bound - 1 = 0 does too
         monkeypatch.setattr(cli.bounds_mod, "psi_rho_upper", lambda rho, r: 1.0)
-        assert main(["random-test", "--samples", "3"]) == 1
+        assert main(["random-test", "--samples", "3", "--rho", rho]) == 1
         assert capsys.readouterr().err == (
             "check failed: 3 norm violations, 3 gap violations\n")
 

@@ -185,6 +185,20 @@ class TestRhoRadius:
     def test_zero_matrix(self):
         assert rho_radius(np.zeros((2, 2)), 1.5).value == 0.0
 
+    @pytest.mark.parametrize("rho", [1.0, 1.25, 1.5, 2.0])
+    def test_huge_entries_keep_a_finite_radius(self, rho):
+        # the witness value g squares ||Ah|| and |<Ah, h>|, which used to
+        # overflow to inf; the tolerance is left alone, as the rounding
+        # guard's tol/2 cap can leave it a few ulps below 0 at this scale
+        est = rho_radius([[1e300, 0], [0, 1]], rho, tol=1e-10)
+        assert est.value == pytest.approx(1e300, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0])
+    def test_entries_too_large_for_the_kernels_raise(self, rho):
+        # (A + A*)/2 overflows, and the sweep's bracket is not finite
+        with pytest.raises(ValueError, match="not finite"), np.errstate(all="ignore"):
+            rho_radius([[1e308, 0], [0, 1]], rho)
+
     @pytest.mark.parametrize("tol", [float("nan"), 1.0, 1e-13])
     def test_rejects_tol_out_of_range(self, tol):
         # a NaN tol used to stop the sweep early and report tolerance=nan,
@@ -572,23 +586,39 @@ class TestLockstep:
                 # the flat support function never prunes and refines longest
                 assert ests[-2].evaluations == max(est.evaluations for est in ests)
 
-    def test_real_path_is_decided_per_matrix(self):
+    def test_real_path_is_decided_per_matrix(self, monkeypatch):
         # complex symmetric, near-symmetric just inside and just outside the
-        # skew budget tol/2, and Gaussian matrices in one stack
+        # skew budget tol/2, Gaussian and float64 symmetric matrices of sizes
+        # 2 to 5, zero matrices interleaved: records of both rho = 2 kernels
+        # in several size and dtype groups, and one sweep for all of them
         tol = 1e-6
         mats, real = [], []
-        for i in range(4):
+        for i, dim in enumerate(range(2, 6)):
             rng = seeded(59, i)
-            sym = complex_symmetric(rng, 4)
-            k = unit_skew(rng, 4)
-            mats += [sym, sym + 0.99 * tol / 2 * k, sym + 1.01 * tol / 2 * k,
-                     gaussian_matrix(rng, 4)]
-            real += [True, True, False, False]
+            sym = complex_symmetric(rng, dim)
+            k = unit_skew(rng, dim)
+            g = rng.standard_normal((dim, dim))
+            mats += [sym, np.zeros((dim, dim)), sym + 0.99 * tol / 2 * k,
+                     sym + 1.01 * tol / 2 * k, gaussian_matrix(rng, dim), (g + g.T) / 2]
+            real += [True, None, True, False, False, True]
+        sweeps = []
+        sweep = radii._sweep
+
+        def spy(*args, **kwargs):
+            sweeps.append(args[1])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(radii, "_sweep", spy)
         ests = rho_radii(mats, 2.0, tol=tol)
+        # every matrix but the four zero ones
+        assert sweeps == [20]
         for a, est, on_real_path in zip(mats, ests, real):
             self.assert_same(est, rho_radius(a, 2.0, tol=tol))
-            # the real path's witness is a real eigenvector
-            assert (not est.witness.imag.any()) == on_real_path
+            if on_real_path is None:
+                assert est.witness is None
+            else:
+                # the real path's witness is a real eigenvector
+                assert (not est.witness.imag.any()) == on_real_path
 
     @pytest.mark.parametrize("rho", [1.5, 2.0])
     def test_chunks_split_and_span_owners(self, rho, monkeypatch):

@@ -10,7 +10,10 @@ covers every subcommand in csv, json and text (`gap` and `random-test` at rho
 rho 1, 1.5 and 2, whose samples fill more than one block (about 4 s per side;
 at rho 1 they run on the stacked-SVD path), `gap --rho 1.000001` and
 `random-test --rho 1.25 --samples 20` in csv, which take the rho-pencil near
-rho = 1 and below its middle, `random-test --samples 30 --tol 1e-12` in csv at
+rho = 1 and below its middle, `gap --matrix {SYMMETRIC}` in csv at rho 2 and
+1.5, where {SYMMETRIC} is (g + g^T)/2 of the Gaussian g of the other `gap`
+runs, so that the full-circle sweep takes the real S_theta path and its
+witness pass at rho 2, `random-test --samples 30 --tol 1e-12` in csv at
 rho 2 and 1.5, where the rounding guard's tol/2 cap binds and the end-case
 interval bounds decide when an owner stops, the benchmark's two family runs
 and the paper's largest ones (`extremal verify --n 500` and `extremal scaling
@@ -39,8 +42,8 @@ import tempfile
 import numpy as np
 
 FORMATS = ("csv", "json", "text")
-# "{GAUSS}", "{WITNESS}", "{SINGULAR}", "{MISSING}" stand for input files and
-# "{OUT}" for an artifact path of the running side.
+# "{GAUSS}", "{SYMMETRIC}", "{WITNESS}", "{SINGULAR}", "{MISSING}" stand for
+# input files and "{OUT}" for an artifact path of the running side.
 INVOCATIONS = (
     [["gap", "--matrix", "{GAUSS}", "--rho", rho, "--format", fmt]
      for rho in ("1", "1.5", "2") for fmt in FORMATS]
@@ -56,6 +59,10 @@ INVOCATIONS = (
     # the rho-pencil near rho = 1 and below its middle
     + [["gap", "--matrix", "{GAUSS}", "--rho", "1.000001", "--format", "csv"],
        ["random-test", "--rho", "1.25", "--samples", "20", "--format", "csv"]]
+    # a complex symmetric matrix and its inverse: the real S_theta path and
+    # its witness pass on the full circle
+    + [["gap", "--matrix", "{SYMMETRIC}", "--rho", rho, "--format", "csv"]
+       for rho in ("2", "1.5")]
     # the smallest tol, where the rounding guard's tol/2 cap binds and the
     # end-case interval bounds decide when an owner stops
     + [["random-test", "--rho", rho, "--samples", "30", "--tol", "1e-12",
@@ -100,7 +107,8 @@ def write_inputs(directory: str) -> dict[str, str]:
     """The input files of INVOCATIONS, by placeholder name."""
     rng = np.random.default_rng(2011)
     gauss = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) / np.sqrt(12)
-    files = {"GAUSS": gauss, "WITNESS": np.array([[1.0, 1.5], [0.0, -1.0]]),
+    files = {"GAUSS": gauss, "SYMMETRIC": (gauss + gauss.T) / 2,
+             "WITNESS": np.array([[1.0, 1.5], [0.0, -1.0]]),
              "SINGULAR": np.zeros((2, 2))}
     paths = {"MISSING": os.path.join(directory, "missing.json")}
     for name, a in files.items():
