@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _inverse, as_matrix, singular_values
+from .linalg import _check_count, _inverse, as_matrix, singular_values
 
 __all__ = [
     "x_of_r",
@@ -185,11 +185,7 @@ def bound_curve(rho: float, r_min: float = 1.0, r_max: float = 2.0,
     if r_max < r_min:
         raise ValueError("r_max must be >= r_min")
     r_max = _check_r(r_max)
-    if not isinstance(steps, (int, np.integer)):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    rs = np.linspace(r_min, r_max, steps)
+    rs = np.linspace(r_min, r_max, _check_count("steps", steps, 1))
     rows = []
     for r in rs:
         r = float(r)

@@ -28,8 +28,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import extremal
 from .bounds import _check_rho
-from .linalg import (_inverse, atomic_write, load_matrix, matrix_to_payload,
-                     singular_values)
+from .linalg import (_check_count, _inverse, atomic_write, load_matrix,
+                     matrix_to_payload, singular_values)
 # numerical_radius stays bound here: perfbench's tracer self-test patches it.
 from .radii import (DEFAULT_SEED, _check_tol, numerical_radius,  # noqa: F401
                     range_boundary, rho_radii)
@@ -202,17 +202,13 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     rho_radii call per block on its matrices and their inverses; every entry
     of that call is its own sweep, so the blocks never change a record.
     Each sample's one SVD serves its invertibility check, its norm and its
-    unitary distance, which scale with it. samples, dim_min and dim_max must
-    be integers; rho and tol go through the same checks as in rho_radii,
-    before any sample is drawn.
+    unitary distance, which scale with it. samples and dim_min must be
+    integers >= 1 and dim_max one >= dim_min; rho and tol go through the same
+    checks as in rho_radii, before any sample is drawn.
     """
-    counts = (samples, dim_min, dim_max)
-    if not all(isinstance(c, (int, np.integer)) for c in counts):
-        raise ValueError(f"samples, dim_min and dim_max must be integers, got {counts}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not 1 <= dim_min <= dim_max:
-        raise ValueError("need 1 <= dim_min <= dim_max")
+    samples = _check_count("samples", samples, 1)
+    dim_min = _check_count("dim_min", dim_min, 1)
+    dim_max = _check_count("dim_max", dim_max, dim_min)
     rho = _check_rho(rho)
     tol = _check_tol(tol)
     violations = 0

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _inverse, _signed_conjugate, singular_values
+from .linalg import _check_count, _inverse, _signed_conjugate, singular_values
 from .radii import RadiusEstimate, numerical_radius
 
 __all__ = [
@@ -115,10 +115,8 @@ def _check(name: str, value: float, bound: float,
 
 
 def _validate_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    n = int(n)
-    if n < 12 or (n - 4) % 8 != 0:
+    n = _check_count("n", n, 12)
+    if (n - 4) % 8 != 0:
         raise ValueError(f"n must be of the form 8k + 4 with k >= 1, got {n}")
     if n > MAX_DIM:
         raise ValueError(f"n is capped at {MAX_DIM}, got {n}")
@@ -344,12 +342,11 @@ def scaling_experiment(k_min: int, k_max: int,
 
     The least-squares slope of log(delta) versus log(eps) estimates the decay
     exponent of the norm excess in the radius excess (1/4 asymptotically).
-    k_min and k_max must be integers. Rows are listed in ascending n.
+    k_min must be an integer >= 1 and k_max one >= k_min. Rows are listed in
+    ascending n.
     """
-    if not all(isinstance(k, (int, np.integer)) for k in (k_min, k_max)):
-        raise ValueError(f"k_min and k_max must be integers, got {(k_min, k_max)}")
-    if not 1 <= k_min <= k_max:
-        raise ValueError("need 1 <= k_min <= k_max")
+    k_min = _check_count("k_min", k_min, 1)
+    k_max = _check_count("k_max", k_max, k_min)
     ns = [8 * k + 4 for k in range(k_min, k_max + 1)]
     if ns[-1] > MAX_DIM:
         raise ValueError(f"k_max gives n = {ns[-1]} > {MAX_DIM}")

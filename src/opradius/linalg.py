@@ -50,6 +50,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _check_count(name: str, value, minimum: int) -> int:
+    """value as an int; bools, non-integers and values below minimum raise."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def singular_values(a) -> np.ndarray:
     """Singular values of a square matrix, descending, from the LAPACK SVD.
 
@@ -123,15 +131,17 @@ def matrix_from_payload(payload: dict) -> np.ndarray:
     missing = {"dim", "re", "im"} - set(payload)
     if missing:
         raise ValueError(f"matrix payload is missing keys: {sorted(missing)}")
-    n = payload["dim"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("matrix payload 'dim' must be a positive integer")
+    n = _check_count("matrix payload 'dim'", payload["dim"], 1)
     entries = payload["re"], payload["im"]
+    message = "matrix payload 're'/'im' must hold dim*dim floats"
     # JSON numbers only: a float64 conversion alone takes "1.5" and true too
     if not all(isinstance(x, list) and len(x) == n * n
                and set(map(type, x)) <= {int, float} for x in entries):
-        raise ValueError("matrix payload 're'/'im' must hold dim*dim floats")
-    re, im = (np.array(x, dtype=np.float64) for x in entries)
+        raise ValueError(message)
+    try:
+        re, im = (np.array(x, dtype=np.float64) for x in entries)
+    except OverflowError:  # an integer beyond float64's range
+        raise ValueError(message) from None
     return as_matrix((re + 1j * im).reshape(n, n))
 
 

@@ -60,8 +60,11 @@ kernel per matrix (S_theta or H_theta below at rho = 2, K_theta in between)
 with the value lower(a, v) a unit vector v attains: |<Av, v>| at rho = 2,
 g(v) in between. The sweep numbers its owners in record order, so each
 record owns one contiguous range; it sweeps all of them in lockstep, then
-each record takes eigenvectors and witnesses at its owners' best angles. A
-bracket that is not finite, as when (A + A*)/2 overflows, raises ValueError.
+each record takes eigenvectors and witnesses at its owners' best angles.
+Entries too large for float64 raise ValueError: at rho > 1 before any kernel
+is built, when n max|a_ij| exceeds half the float64 maximum (the bound on the
+kernels stated in _radii), at rho = 1 when the norm overflows, and after the
+sweep when a bracket is still not finite.
 Every interval of the sweep carries the index of the owner it belongs to, one
 stacked eigvalsh call per kernel record evaluates the live angles of its
 owners together, and each owner keeps its own best value, best angle,
@@ -177,7 +180,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _check_rho
-from .linalg import _signed_conjugate, as_matrix
+from .linalg import _check_count, _signed_conjugate, as_matrix
 
 __all__ = [
     "RadiusEstimate",
@@ -210,6 +213,8 @@ _COARSE = 8
 # stacks are evaluated in chunks, which keeps n = 500 sweeps and lockstep
 # sweeps over many matrices in bounded memory.
 _BATCH_BYTES = 128 * 2**10
+# the one message of every radius that float64 cannot bracket
+_TOO_LARGE = "radius bracket is not finite: matrix entries too large for float64"
 
 
 def _check_tol(tol: float) -> float:
@@ -356,10 +361,7 @@ def range_boundary(a, samples: int = 256) -> list[SupportPoint]:
     The convex hull of the returned boundary points approximates W(A) from
     the inside.
     """
-    if not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 8:
-        raise ValueError("samples must be >= 8")
+    samples = _check_count("samples", samples, 8)
     thetas = 2 * np.pi * np.arange(samples) / samples
     return support_points(a, thetas)
 
@@ -394,7 +396,7 @@ def _vertex(alpha: float, beta: float):
             # Newton steps on the intervals whose two constraints cross
             cross = live & ~low & ~high
             pc, qc, xc = p[cross], q[cross], x[cross]
-            dc = np.broadcast_to(d, cross.shape)[cross]
+            dc = d[cross]
             for _ in range(3):
                 step = np.log(pc * m(np.cos(dc - xc)) / (qc * m(np.cos(xc))))
                 xc = np.clip(xc - step / (slope(xc) + slope(dc - xc)), 0, dc)
@@ -504,7 +506,9 @@ def _sweep(values, count: int, tol: float, vertex, order: int = 1,
         # stays reachable for |best| > 1
         guard = np.minimum(1e-12 * np.maximum(1.0, np.abs(best)), tol / 2)
         s = slack[owner, None]
-        top, offset = vertex(h_left + s, h_right + s, (right - left)[:, None])
+        # widths in the endpoints' shape: no ufunc of the rule broadcasts
+        width = np.repeat((right - left)[:, None], halves, axis=1)
+        top, offset = vertex(h_left + s, h_right + s, width)
         # the half with the larger bound, the first on a tie
         pair, half = np.arange(owner.size), np.argmax(top, axis=1)
         return top[pair, half] + guard[owner], offset[pair, half]
@@ -542,7 +546,15 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float, order: int = 1,
     rho = 1 each size-and-dtype group takes one stacked SVD, else it becomes
     kernel records (inputs, slacks, build, dim, lower), lower(a, v) the value
     a unit v attains for a; one sweep serves them all, record k owning sweep
-    indices start[k]:start[k + 1]. A bracket that is not finite raises."""
+    indices start[k]:start[k + 1].
+
+    Overflow raises ValueError. At rho > 1 a group whose largest entry
+    modulus M has n M above half the float64 maximum raises before any kernel
+    is built: every kernel is Hermitian with norm at most w_rho(A) <= ||A|| <=
+    n M, and its entries and those of A + A* are at most 2 M, so no kernel
+    overflows, and neither does an interval bound, at most an endpoint value
+    plus slack over m(cos d) >= cos(pi/4). At rho = 1 a top singular value that
+    overflows raises, and so does a sweep bracket that is not finite."""
     out = [RadiusEstimate(0.0, rho, 0.0, True, None)] * len(mats)
     groups = {}
     for i, m in enumerate(mats):
@@ -553,12 +565,18 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float, order: int = 1,
     for group in groups.values():
         stack, inputs = np.stack([mats[i] for i in group]), np.array(group)
         n = stack.shape[-1]
+        if rho > 1.0 and np.abs(stack).max() > np.finfo(np.float64).max / (2 * n):
+            raise ValueError(_TOO_LARGE)
         if rho == 1.0:
             s, vh = np.linalg.svd(stack)[1:]
+            if not np.isfinite(s[:, 0]).all():
+                raise ValueError(_TOO_LARGE)
             for i, j in enumerate(group):
                 out[j] = RadiusEstimate(float(s[i, 0]), 1.0, 0.0, True, vh[i, 0].conj())
         elif rho == 2.0:
-            skew = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2)) / 2
+            # an e whose squares overflow is inf, which takes the complex path
+            with np.errstate(over="ignore"):
+                skew = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2)) / 2
             real = slack + skew <= tol / 2
             slacks = np.where(real, slack + skew, slack)
             # |<Av, v>| >= h(best_theta), also for the real v of S_theta
@@ -588,8 +606,7 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float, order: int = 1,
         values, start[-1], tol, _vertex(alpha, beta), order,
         np.array([s for record in records for s in record[1]]))
     if not np.isfinite([best, gap]).all():
-        raise ValueError("radius bracket is not finite: matrix entries too large "
-                         "for float64")
+        raise ValueError(_TOO_LARGE)
     for k, (inputs, _, build, dim, lower) in enumerate(records):
         own = range(start[k], start[k + 1])
         for i, j, v in zip(own, inputs, _top_eigenpairs(
@@ -672,8 +689,8 @@ def sphere_maximize(
     lowest index.
     """
     a = as_matrix(a)
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    restarts = _check_count("restarts", restarts, 1)
+    iters = _check_count("iters", iters, 0)
     n = a.shape[0]
     alpha = 1.0 - 1.0 / rho
     beta = 2.0 / rho - 1.0

@@ -270,9 +270,11 @@ class TestBoundCurve:
             bounds.bound_curve(2.0, 1.5, 1.0, 5)
         with pytest.raises(ValueError, match="steps"):
             bounds.bound_curve(2.0, 1.0, 2.0, 0)
-        # a float count must not reach numpy's linspace, which raises TypeError
-        with pytest.raises(ValueError, match="steps must be an integer"):
-            bounds.bound_curve(2.0, 1.0, 2.0, 2.5)
+        # a float count must not reach numpy's linspace, which raises
+        # TypeError, and True would tabulate one row
+        for steps in (2.5, True, np.bool_(True)):
+            with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+                bounds.bound_curve(2.0, 1.0, 2.0, steps)
         assert len(bounds.bound_curve(2.0, 1.0, 2.0, np.int64(3)).rows) == 3
 
     @pytest.mark.parametrize("r_min, r_max", [(math.nan, 2.0), (1.0, math.nan),

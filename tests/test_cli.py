@@ -97,8 +97,9 @@ class TestGap:
         {"dim": True, "re": [1.0], "im": [0.0]},
         {"dim": 1, "re": [{"a": 1}], "im": [0.0]},
         {"dim": 1, "re": ["1.5"], "im": [0.0]},
-        {"dim": 1, "re": [1.5], "im": [True]}],
-        ids=["bool-dim", "dict-entry", "string-entry", "bool-entry"])
+        {"dim": 1, "re": [1.5], "im": [True]},
+        {"dim": 2, "re": [10**400, 0, 0, 1], "im": [0, 0, 0, 0]}],
+        ids=["bool-dim", "dict-entry", "string-entry", "bool-entry", "huge-int-entry"])
     def test_malformed_matrix_file_is_usage_error(self, payload, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
@@ -241,9 +242,12 @@ class TestRandomTest:
             random_test(2, 4, 3, 2.5)
         with pytest.raises(ValueError, match="tol"):
             random_test(2, 4, 3, 2.0, tol=0.5)
-        # dim_min 2.5 would draw a 2 x 2 sample and report dim_min 2.5
-        for counts in [(2.5, 4.5, 3), (2, 4, 3.0), (2, 4.0, 3)]:
-            with pytest.raises(ValueError, match="integers"):
+        # dim_min 2.5 would draw a 2 x 2 sample and report dim_min 2.5, and
+        # samples True would run one sample and report samples: true
+        for counts, name in [((2.5, 4.5, 3), "dim_min"), ((2, 4, 3.0), "samples"),
+                             ((2, 4.0, 3), "dim_max"), ((2, 3, True), "samples"),
+                             ((True, True, 3), "dim_min"), ((2, True, 3), "dim_max")]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
                 random_test(*counts, 2.0)
 
     def test_gives_up_after_100_singular_draws(self, monkeypatch):

@@ -69,11 +69,13 @@ class TestBuild:
             assert np.all(np.diag(fam.E) == 0)
 
     def test_rejects_bad_n(self):
-        for bad in (13, 11, 4, 8, 0, -12, 16):
+        for bad in (13, 16, 19, 37):
             with pytest.raises(ValueError, match="8k"):
                 extremal.build(bad)
-        with pytest.raises(ValueError, match="integer"):
-            extremal.build(12.0)
+        # below the smallest member, n = 12, or not an integer
+        for bad in (11, 4, 8, 0, -12, 12.0, True):
+            with pytest.raises(ValueError, match="n must be an integer >= 12"):
+                extremal.build(bad)
         with pytest.raises(ValueError, match="capped"):
             extremal.build(8 * 63 + 4)
 
@@ -313,13 +315,15 @@ class TestScaling:
     def test_validation(self):
         with pytest.raises(ValueError, match="k_min"):
             extremal.scaling_experiment(0, 3)
-        with pytest.raises(ValueError, match="k_min"):
+        with pytest.raises(ValueError, match="k_max must be an integer >= 4"):
             extremal.scaling_experiment(4, 3)
         with pytest.raises(ValueError, match="> 500"):
             extremal.scaling_experiment(1, 80)
-        # a float k must not reach range(), which raises TypeError
-        for ks in [(1.5, 2), (1, 2.0)]:
-            with pytest.raises(ValueError, match="must be integers"):
+        # a float k must not reach range(), which raises TypeError, and a
+        # bool k_min would run from k = 1
+        for ks, name in [((1.5, 2), "k_min"), ((1, 2.0), "k_max"),
+                         ((True, 1), "k_min"), ((1, True), "k_max")]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
                 extremal.scaling_experiment(*ks)
 
 

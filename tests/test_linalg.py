@@ -201,8 +201,9 @@ class TestMatrixIO:
             linalg.matrix_from_payload({"dim": 0, "re": [], "im": []})
         with pytest.raises(ValueError, match="dim\\*dim"):
             linalg.matrix_from_payload({"dim": 2, "re": [1.0], "im": [0.0]})
-        # JSON numbers only, though float64 would convert these
-        for entry in ("1.5", True):
+        # JSON numbers only, though float64 would convert the first two, and
+        # within float64's range: a huge integer used to raise OverflowError
+        for entry in ("1.5", True, 10**400):
             with pytest.raises(ValueError, match="dim\\*dim"):
                 linalg.matrix_from_payload({"dim": 1, "re": [entry], "im": [0]})
         with pytest.raises(ValueError, match="object"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,26 @@ class TestRhoRadius:
         # guard's tol/2 cap can leave it a few ulps below 0 at this scale
         est = rho_radius([[1e300, 0], [0, 1]], rho, tol=1e-10)
         assert est.value == pytest.approx(1e300, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [1.0, 1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("a, norm", [
+        (np.full((3, 3), 8e307), None), (1e308 * np.eye(2), 1e308),
+        ([[1e308, 0], [0, 1]], 1e308), ([[1e300, 0], [0, 1]], 1e300)],
+        ids=["full-8e307", "1e308-I", "1e308-corner", "1e300-corner"])
+    def test_overflow_raises_one_error_or_stays_finite(self, a, norm, rho):
+        # norm is ||A||, None where it overflows (rho = 1 used to return inf);
+        # from 1e308 on, rho > 1 raises before any kernel is built, where
+        # RuntimeWarnings used to precede the error, or eigvalsh fail to
+        # converge on the NaN kernels of 1e308 I
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if norm is None or (rho > 1.0 and norm == 1e308):
+                with pytest.raises(ValueError, match="not finite"):
+                    rho_radius(a, rho)
+            else:
+                est = rho_radius(a, rho)
+                assert np.isfinite(est.tolerance)
+                assert est.value == pytest.approx(norm, rel=1e-12)
 
     @pytest.mark.parametrize("rho", [1.5, 2.0])
     def test_entries_too_large_for_the_kernels_raise(self, rho):
@@ -1007,12 +1029,17 @@ class TestRangeBoundary:
 
     def test_rejects_non_integer_samples(self):
         # 8.5 angles spaced 2 pi/8.5 would not close the circle
-        with pytest.raises(ValueError, match="integer"):
-            range_boundary(np.eye(2), 8.5)
+        for samples in (8.5, True):
+            with pytest.raises(ValueError, match="samples must be an integer >= 8"):
+                range_boundary(np.eye(2), samples)
         assert len(range_boundary(np.eye(2), np.int64(8))) == 8
 
 
 class TestSphereMaximize:
     def test_rejects_no_restarts(self):
-        with pytest.raises(ValueError, match="restarts"):
-            sphere_maximize(np.eye(2), 2.0, restarts=0)
+        # restarts=2.5 used to raise TypeError from numpy's sampler
+        for restarts in (0, 2.5, True):
+            with pytest.raises(ValueError, match="restarts must be an integer >= 1"):
+                sphere_maximize(np.eye(2), 2.0, restarts=restarts)
+        with pytest.raises(ValueError, match="iters must be an integer >= 0"):
+            sphere_maximize(np.eye(2), 2.0, iters=1.5)

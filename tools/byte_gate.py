@@ -18,7 +18,12 @@ rho 2 and 1.5, where the rounding guard's tol/2 cap binds and the end-case
 interval bounds decide when an owner stops, the benchmark's two family runs
 and the paper's largest ones (`extremal verify --n 500` and `extremal scaling
 --kmin 1 --kmax 18`, about a second each), the usage-error paths and two
-`--out` artifacts. Input matrices are written once to a temporary directory
+`--out` artifacts. The usage errors include one count error per counted CLI
+argument (`random-test --samples 0`, `random-test --dim-min 5 --dim-max 3`,
+`bounds --steps 0`, `range --samples 4`, `extremal scaling --kmin 3 --kmax
+2`), `gap --matrix {HUGE}` at rho 1.5 and 2, where {HUGE} is 1e308 I (2 x 2),
+whose kernels would overflow, and `gap --matrix {BIGINT}`, a file with a JSON
+integer beyond float64's range. Input matrices are written once to a temporary directory
 that both sides share, so file paths in messages agree.
 
 One line per invocation says whether stdout (followed by the `--out` file,
@@ -42,8 +47,9 @@ import tempfile
 import numpy as np
 
 FORMATS = ("csv", "json", "text")
-# "{GAUSS}", "{SYMMETRIC}", "{WITNESS}", "{SINGULAR}", "{MISSING}" stand for
-# input files and "{OUT}" for an artifact path of the running side.
+# "{GAUSS}", "{SYMMETRIC}", "{WITNESS}", "{SINGULAR}", "{HUGE}", "{BIGINT}",
+# "{MISSING}" stand for input files and "{OUT}" for an artifact path of the
+# running side.
 INVOCATIONS = (
     [["gap", "--matrix", "{GAUSS}", "--rho", rho, "--format", fmt]
      for rho in ("1", "1.5", "2") for fmt in FORMATS]
@@ -91,6 +97,16 @@ INVOCATIONS = (
         ["bounds", "--r-min", "nan", "--steps", "3"],
         ["bounds", "--r-max", "nan", "--steps", "3"],
         ["bounds", "--r-max", "inf", "--steps", "3"],
+        # count errors, one per counted argument of the CLI
+        ["random-test", "--samples", "0"],
+        ["random-test", "--dim-min", "5", "--dim-max", "3"],
+        ["bounds", "--steps", "0"],
+        ["range", "--matrix", "{GAUSS}", "--samples", "4"],
+        ["extremal", "scaling", "--kmin", "3", "--kmax", "2"],
+        # entries too large for float64 kernels, and for float64 itself
+        ["gap", "--matrix", "{HUGE}", "--rho", "1.5"],
+        ["gap", "--matrix", "{HUGE}", "--rho", "2"],
+        ["gap", "--matrix", "{BIGINT}"],
         ["bounds", "--steps", "5", "--out", "{OUT}"],
         ["random-test", "--rho", "1.5", "--samples", "10", "--out", "{OUT}"],
     ]
@@ -109,12 +125,15 @@ def write_inputs(directory: str) -> dict[str, str]:
     gauss = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) / np.sqrt(12)
     files = {"GAUSS": gauss, "SYMMETRIC": (gauss + gauss.T) / 2,
              "WITNESS": np.array([[1.0, 1.5], [0.0, -1.0]]),
-             "SINGULAR": np.zeros((2, 2))}
+             "SINGULAR": np.zeros((2, 2)), "HUGE": 1e308 * np.eye(2)}
+    texts = {name: _payload(a) for name, a in files.items()}
+    # a JSON integer beyond float64's range
+    texts["BIGINT"] = json.dumps({"dim": 2, "re": [10**400, 0, 0, 1], "im": [0] * 4})
     paths = {"MISSING": os.path.join(directory, "missing.json")}
-    for name, a in files.items():
+    for name, text in texts.items():
         paths[name] = os.path.join(directory, f"{name.lower()}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:
-            fh.write(_payload(a))
+            fh.write(text)
     return paths
 
 
