@@ -186,15 +186,8 @@ def bound_curve(rho: float, r_min: float = 1.0, r_max: float = 2.0,
         raise ValueError("r_max must be >= r_min")
     r_max = _check_r(r_max)
     rs = np.linspace(r_min, r_max, _check_count("steps", steps, 1))
-    rows = []
-    for r in rs:
-        r = float(r)
-        lower = x_of_r(r) if rho == 2.0 else r
-        rows.append(BoundRow(
-            r=r,
-            x_value=x_rho(rho, r),
-            psi_upper=psi_rho_upper(rho, r),
-            psi_lower=lower,
-            asymptotic=_asymptotic_unchecked(r - 1.0, rho),
-        ))
-    return BoundCurve(rho, rows)
+    return BoundCurve(rho, [
+        BoundRow(r=r, x_value=x_rho(rho, r), psi_upper=psi_rho_upper(rho, r),
+                 psi_lower=x_of_r(r) if rho == 2.0 else r,
+                 asymptotic=_asymptotic_unchecked(r - 1.0, rho))
+        for r in map(float, rs)])

@@ -33,7 +33,8 @@ from .linalg import (_check_count, _inverse, atomic_write, load_matrix,
 # numerical_radius stays bound here: perfbench's tracer self-test patches it.
 from .radii import (DEFAULT_SEED, _check_tol, numerical_radius,  # noqa: F401
                     range_boundary, rho_radii)
-from .unitary import _excesses, distance_to_unitaries, stampfli_gap_bound
+from .unitary import (_distance_violated, _excesses, _norm_violated,
+                      distance_to_unitaries, stampfli_gap_bound)
 
 __all__ = ["main", "random_test", "RandomTestSummary", "DEFAULT_SEED"]
 
@@ -99,7 +100,7 @@ def _cmd_gap(ns) -> _Result:
         "bound": bound,
     }
     failures = ((f"distance {gap.distance:.12g} exceeds bound {bound:.12g}",)
-                if gap.distance > bound + 1e-8 else ())
+                if _distance_violated(gap.distance, bound) else ())
     return _Result(",".join(report), [tuple(report.values())], report,
                    "".join(f"{k} = {_fmt_float(v)}\n" for k, v in report.items()),
                    failures=failures)
@@ -194,13 +195,12 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
 
     Each sample draws a complex Gaussian matrix on its own deterministic
     substream keyed by (seed, index), rescales it so the matrix and its
-    inverse share the same rho-radius r, and checks the norm bound with
-    1e-6 relative slack and, at every rho as in gap, its unitary-distance
-    consequence distance <= bound - 1 + 1e-8. Samples are certified in
-    blocks of max(1, _BLOCK_BYTES // (2 * 16 * dim_max^2)) consecutive
-    samples, so a block's matrices and inverses fit _BLOCK_BYTES, with one
-    rho_radii call per block on its matrices and their inverses; every entry
-    of that call is its own sweep, so the blocks never change a record.
+    inverse share the same rho-radius r, and checks the norm bound and, at
+    every rho as in gap, its unitary-distance consequence by the rules of
+    unitary._norm_violated and _distance_violated. Each block of samples that
+    fits _BLOCK_BYTES takes one rho_radii call on its matrices and their
+    inverses; every entry of that call is its own sweep, so the blocks never
+    change a record.
     Each sample's one SVD serves its invertibility check, its norm and its
     unitary distance, which scale with it. samples and dim_min must be
     integers >= 1 and dim_max one >= dim_min; rho and tol go through the same
@@ -211,7 +211,6 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     dim_max = _check_count("dim_max", dim_max, dim_min)
     rho = _check_rho(rho)
     tol = _check_tol(tol)
-    violations = 0
     gap_violations = 0
     max_ratio = -np.inf
     worst = None
@@ -229,19 +228,16 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
             norm = float(t * s[0])
             bound = bounds_mod.psi_rho_upper(rho, r)
             ratio = norm / bound
-            violated = norm > bound * (1.0 + 1e-6)
-            if max(_excesses(t * s)) > bound - 1.0 + 1e-8:
-                gap_violations += 1
-            if violated:
-                violations += 1
+            gap_violations += _distance_violated(max(_excesses(t * s)), bound - 1.0)
             if ratio > max_ratio:
                 max_ratio = ratio
                 worst = t * a
                 worst_index = i
-            records.append(SampleRecord(i, dim, r, norm, bound, float(ratio), violated))
+            records.append(SampleRecord(i, dim, r, norm, bound, float(ratio),
+                                        _norm_violated(norm, bound)))
     return RandomTestSummary(
         rho=rho, samples=samples, dim_min=dim_min, dim_max=dim_max, seed=seed,
-        violations=violations, gap_violations=gap_violations,
+        violations=sum(rec.violated for rec in records), gap_violations=gap_violations,
         max_ratio=float(max_ratio), worst_index=worst_index, worst_case=worst,
         records=tuple(records))
 

@@ -12,9 +12,7 @@ shift-and-sign unitary P Delta rotates A by e^{2 i pi / n}. Consequences that
 this module machine-checks:
 
   * ||E|| = n/4, ||M2|| = 1/(8 sqrt(n)) and ||A|| = ||B|| = 1 + 1/(8 sqrt(n)),
-    with E_opnorm_err, M2_opnorm_err, B_norm_err and A_vs_B_norm_gap derived
-    from the row sums r_i of E, M2 = c E and B: min r_i <= ||X|| <= max r_i for
-    symmetric nonnegative X (Perron-Frobenius); the gap also reads A's SVD,
+    by _bracket_check from the row sums of E, M2 = c E and B and A's SVD,
   * the numerical range is invariant under rotation by 2 pi / n,
   * both Hermitian parts (A + A*)/2 and (A^-1 + (A^-1)*)/2 have norm <= 1,
     via explicit certificate matrices whose norms obey fixed rational bounds,
@@ -45,8 +43,6 @@ __all__ = [
 ]
 
 MAX_DIM = 500
-# _check's default slack for certificate pass/fail decisions
-CHECK_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -108,9 +104,10 @@ class CertificateReport:
 
 
 def _check(name: str, value: float, bound: float,
-           slack: float = CHECK_SLACK) -> CertificateCheck:
+           allowance: float = 1e-10) -> CertificateCheck:
+    """Passed iff value <= bound + allowance; the slack is bound - value."""
     value, bound = float(value), float(bound)
-    return CertificateCheck(name, value, bound, value <= bound + slack,
+    return CertificateCheck(name, value, bound, value <= bound + allowance,
                             bound - value)
 
 
@@ -176,11 +173,12 @@ def _norm_excess(n: int) -> float:
     return 1.0 / (8.0 * np.sqrt(n))
 
 
-def _bracket_err(x: np.ndarray, target: float) -> float:
-    """max |r_i - target| over X's row sums, a bound on | ||X|| - target | if X = X^T >= 0."""
-    if not (np.array_equal(x, x.T) and np.all(x >= 0)):
-        return float("inf")
-    return float(np.max(np.abs(x.sum(axis=1) - target)))
+def _bracket_check(name: str, x: np.ndarray, target: float) -> CertificateCheck:
+    """| ||X|| - target | <= 1e-11, read as max |r_i - target| over X's row sums
+    r_i, which bounds it if X = X^T >= 0 (Perron-Frobenius), else inf."""
+    symmetric = np.array_equal(x, x.T) and np.all(x >= 0)
+    err = np.max(np.abs(x.sum(axis=1) - target)) if symmetric else np.inf
+    return _check(name, err, 1e-11)
 
 
 def check_norm(fam: ExtremalFamily) -> CertificateReport:
@@ -192,8 +190,8 @@ def check_norm(fam: ExtremalFamily) -> CertificateReport:
     checks = (
         _check("E_row_sum_err", float(np.max(np.abs(fam.E.sum(axis=1) - n // 4))), 0.0),
         _check("B_ones_residual", float(np.max(np.abs(image - target))), 1e-13),
-        _check("B_norm_err", _bracket_err(fam.B, target), 1e-11),
-        _check("A_vs_B_norm_gap", _bracket_err(fam.B, fam._a_sv[0]), 1e-11),
+        _bracket_check("B_norm_err", fam.B, target),
+        _bracket_check("A_vs_B_norm_gap", fam.B, fam._a_sv[0]),
     )
     return CertificateReport("norm_identity", n, checks)
 
@@ -227,7 +225,7 @@ def certificate_31(fam: ExtremalFamily) -> CertificateReport:
     lam_min = float(np.linalg.eigvalsh(quad)[0])
     checks = (
         _check("M_frobenius_sq", float(np.sum(m * m)), 9.0 / 32.0),
-        _check("E_opnorm_err", _bracket_err(fam.E, n / 4.0), 1e-11),
+        _bracket_check("E_opnorm_err", fam.E, n / 4.0),
         _check("M_plus_E_opnorm", fam._m_norm + e_norm * scale, 7.0 / 8.0),
         _check("quad_form_neg_min", -lam_min, 0.0),
     )
@@ -252,7 +250,7 @@ def certificate_32(fam: ExtremalFamily) -> CertificateReport:
     f_norm = float(singular_values(f)[0])
     checks = (
         _check("M1_opnorm", fam._m_norm, 3.0 / 4.0),
-        _check("M2_opnorm_err", _bracket_err(m2, _norm_excess(n)), 1e-11),
+        _bracket_check("M2_opnorm_err", m2, _norm_excess(n)),
         _check("F_opnorm", f_norm, n * n / 14.0),
         _check("M3_opnorm", float(singular_values(m3)[0]), 1.0 / 14.0),
         _check("M4_opnorm", f_norm / (4.0 * n ** 3), 1.0 / 56.0),
@@ -261,6 +259,12 @@ def certificate_32(fam: ExtremalFamily) -> CertificateReport:
         _check("F_entry_max", float(np.max(np.abs(f))), 2.0 * n / 7.0),
     )
     return CertificateReport("inverse_hermitian_part_certificate", n, checks)
+
+
+def _radius_checks(n: int, w: float, w_inv: float) -> tuple[CertificateCheck, ...]:
+    """The family radius rule: w(A_n) and w(A_n^-1) <= 1/cos(pi/n) + 1e-8."""
+    bound = 1.0 / np.cos(np.pi / n)
+    return _check("w", w, bound, 1e-8), _check("w_inv", w_inv, bound, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -278,15 +282,14 @@ class ScalingTable:
     slope: float    # least-squares slope of log(delta) against log(eps)
 
     def failures(self) -> list[str]:
-        """Rows off the norm-excess identity by more than 1e-11 or with a
-        radius above 1/cos(pi/n) by more than 1e-8, one message per check."""
+        """One message per failed check of a row: its norm-excess identity,
+        then the radius rule of _radius_checks."""
         failures = []
         for row in self.rows:
-            if abs(row.delta - _norm_excess(row.n)) > 1e-11:
+            if not _check("", abs(row.delta - _norm_excess(row.n)), 1e-11, 0.0).passed:
                 failures.append(f"norm excess identity at n={row.n}")
-            for name, w in (("w", row.w), ("w_inv", row.w_inv)):
-                if w > 1.0 + row.eps + 1e-8:
-                    failures.append(f"{name} bound at n={row.n}")
+            failures += [f"{c.name} bound at n={row.n}"
+                         for c in _radius_checks(row.n, row.w, row.w_inv) if not c.passed]
         return failures
 
 
@@ -308,23 +311,21 @@ def verify(n: int, tol: float) -> list[CertificateReport]:
     """Build the member for n and run every certificate on it.
 
     Besides the four certificate reports it checks the rotation residual of
-    check_symmetry against 1e-13 with no slack, and the family radii of A and
-    A^-1, swept to `tol`, against 1/cos(pi/n) with slack 1e-8.
+    check_symmetry against 1e-13 with no allowance, and the family radii of A
+    and A^-1, swept to `tol`, by the rule of _radius_checks.
     """
     fam = build(n)
     residual = check_symmetry(fam)
-    cos_bound = 1.0 / np.cos(np.pi / n)
     w, w_inv = family_radii(fam, tol)
     return [
         CertificateReport("rotation_symmetry", fam.n, (
-            _check("conjugation_residual", residual, 1e-13, slack=0.0),)),
+            _check("conjugation_residual", residual, 1e-13, 0.0),)),
         check_norm(fam),
         check_real_parts(fam),
         certificate_31(fam),
         certificate_32(fam),
-        CertificateReport("radius_bound", fam.n, (
-            _check("w", w.value, cos_bound, slack=1e-8),
-            _check("w_inv", w_inv.value, cos_bound, slack=1e-8))),
+        CertificateReport("radius_bound", fam.n,
+                          _radius_checks(fam.n, w.value, w_inv.value)),
     ]
 
 
@@ -348,8 +349,7 @@ def scaling_experiment(k_min: int, k_max: int,
     k_min = _check_count("k_min", k_min, 1)
     k_max = _check_count("k_max", k_max, k_min)
     ns = [8 * k + 4 for k in range(k_min, k_max + 1)]
-    if ns[-1] > MAX_DIM:
-        raise ValueError(f"k_max gives n = {ns[-1]} > {MAX_DIM}")
+    _validate_n(ns[-1])
     rows = [_scaling_row(n, radius_tol) for n in ns]
     slope = float("nan")
     if len(rows) >= 2:

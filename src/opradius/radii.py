@@ -46,11 +46,8 @@ rounds past the coarse grid suffices even for tolerances near 1e-12, whatever
 the grid. The exception is a support function that is flat to within tol, as
 for a matrix whose numerical range is a disk about 0: every interval is split
 down to width sqrt(8 tol/w), so the sweep evaluates about 2 pi/sqrt(8 tol/w)
-angles (262,144 for the 2 x 2 nilpotent at tol 1e-10, read from 131,072
-eigensolves by the antipodal pairs at the end of this docstring). Near rho =
-1 the minorant is as flat as u*, so rho near 1 is not a flat case; a disk
-still is, at about 2 pi/sqrt(8 tol/((rho - 1) w)) angles (65,536 eigensolves
-for the nilpotent at rho = 1.5 and tol 1e-10, half the numerical radius's).
+angles. Near rho = 1 the minorant is as flat as u*, so rho near 1 is not a
+flat case; a disk still is, at about 2 pi/sqrt(8 tol/((rho - 1) w)) angles.
 
 Every radius takes one pipeline, and a rho_radii call makes one sweep for all
 of its input: zero matrices get value 0, rho = 1 reads the top singular pair
@@ -93,11 +90,10 @@ claim costs time, never correctness.
 
 A complex symmetric A (A^T = A, as the extremal family and its inverse are)
 has real symmetric H_theta, the entrywise real part (Garcia & Putinar,
-Trans. AMS 358, 2006). A stacked float64 eigvalsh of 8 of them took 0.36-0.60
-times the complex time at n = 100 and 0.31-0.33 times at n = 500 (2 cores,
-OpenBLAS 0.3.31). The symmetry is measured, not trusted. With A_s = (A +
-A^T)/2 and e = ||A - A^T||_F / 2, the real symmetric S_theta = cos(theta)
-Re A_s - sin(theta) Im A_s has top eigenvalue
+Trans. AMS 358, 2006), a cheaper float64 eigenproblem. The symmetry is
+measured, not trusted. With A_s = (A + A^T)/2 and e = ||A - A^T||_F / 2,
+the real symmetric S_theta = cos(theta) Re A_s - sin(theta) Im A_s has top
+eigenvalue
 
     f(theta) = max over real unit v of Re(e^{i theta} <Av, v>) <= h(theta),
 
@@ -168,9 +164,9 @@ interval pairs ([l, r], [l + pi, r + pi]), each end of a pair carrying the
 values of both halves. A pair's bound is the larger of its two interval
 bounds, it is split at the split angle of that half, and one eigensolve there
 gives the new values of both halves. The 8 coarse angles take 4 eigensolves,
-and a flat support function, which never prunes, takes half the eigensolves
-of the full circle: 262,144 -> 131,072 for the nilpotent at tol 1e-10. A
-rotation sweep's period is shorter than pi, so it reads only lambda_max.
+and a flat support function, which never prunes, half those of the full
+circle. A rotation sweep's period is shorter than pi, so it reads only
+lambda_max.
 """
 
 from __future__ import annotations
@@ -425,7 +421,9 @@ def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
         raise ValueError(f"rotation order must be a nonzero integer, got {m!r}")
     m = int(m)
     resid = _signed_conjugate(a, perm, signs) - np.exp(2j * np.pi / m) * a
-    return abs(m), (abs(m) // 2) * float(np.linalg.norm(resid))
+    # taken at the power of two c of resid's largest entry: exact, no square overflows
+    c = np.ldexp(1.0, np.frexp(np.abs(resid).max())[1])
+    return abs(m), (abs(m) // 2) * c * float(np.linalg.norm(resid / c))
 
 
 def _sweep(values, count: int, tol: float, vertex, order: int = 1,
@@ -639,7 +637,7 @@ def numerical_radius(a, tol: float = 1e-9,
     a = as_matrix(a)
     tol = _check_tol(tol)
     order, slack = _rotation_slack(a, rotation) if rotation is not None else (1, 0.0)
-    if slack > tol / 2:
+    if not slack <= tol / 2:
         order, slack = 1, 0.0
     return _radii([a], 2.0, tol, order, slack)[0]
 

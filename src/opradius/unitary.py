@@ -58,3 +58,13 @@ def stampfli_gap_bound(w: float, w_inv: float, rho: float = 2.0) -> float:
     finite and >= 1 (up to 1e-12 slack).
     """
     return psi_rho_upper(rho, max(_check_r(w), _check_r(w_inv))) - 1.0
+
+
+def _distance_violated(distance: float, gap_bound: float) -> bool:
+    """dist(A, U) exceeds the gap bound psi_rho(r) - 1 by more than 1e-8."""
+    return distance > gap_bound + 1e-8
+
+
+def _norm_violated(norm: float, psi: float) -> bool:
+    """||A|| exceeds psi_rho(r) by more than 1e-6 relative."""
+    return norm > psi * (1.0 + 1e-6)

@@ -14,6 +14,7 @@ import opradius
 from opradius import bounds, cli, extremal, linalg
 from opradius.cli import main, random_test
 from opradius.radii import numerical_radius, rho_radius
+from opradius.unitary import distance_to_unitaries
 
 
 @pytest.fixture()
@@ -105,6 +106,46 @@ class TestGap:
         path.write_text(json.dumps(payload))
         assert main(["gap", "--matrix", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: matrix payload ")
+
+
+class TestVerdictRules:
+    # each rule passes a value just inside its allowance and fails one just
+    # outside, at every site that applies it
+
+    @pytest.mark.parametrize("inside", [True, False])
+    @pytest.mark.parametrize("site", ["gap", "random-test"])
+    def test_distance_rule_at_every_site(self, site, inside, witness_file, capsys,
+                                         monkeypatch):
+        # the gap bound psi - 1 sits this far below the distance
+        below = 0.99e-8 if inside else 1.01e-8
+        if site == "gap":
+            distance = distance_to_unitaries(linalg.load_matrix(witness_file)).distance
+            monkeypatch.setattr(cli, "stampfli_gap_bound", lambda *args: distance - below)
+            assert main(["gap", "--matrix", witness_file]) == (0 if inside else 1)
+            assert capsys.readouterr().err == (
+                "" if inside else
+                f"check failed: distance {distance:.12g} exceeds bound "
+                f"{distance - below:.12g}\n")
+            return
+        # the sample's distance, read where random_test takes it
+        distances = []
+        excesses = cli._excesses
+        monkeypatch.setattr(cli, "_excesses",
+                            lambda s: distances.append(max(excesses(s))) or excesses(s))
+        random_test(2, 2, 1, 2.0)
+        monkeypatch.setattr(cli.bounds_mod, "psi_rho_upper",
+                            lambda rho, r: 1.0 + distances[0] - below)
+        summary = random_test(2, 2, 1, 2.0)
+        assert (summary.violations, summary.gap_violations) == (0, 0 if inside else 1)
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_norm_rule(self, inside, monkeypatch):
+        norm = random_test(2, 2, 1, 2.0).records[0].norm
+        psi = norm / (1.0 + (0.99e-6 if inside else 1.01e-6))
+        monkeypatch.setattr(cli.bounds_mod, "psi_rho_upper", lambda rho, r: psi)
+        summary = random_test(2, 2, 1, 2.0)
+        assert summary.records[0].violated is not inside
+        assert summary.violations == (0 if inside else 1)
 
 
 class TestBounds:

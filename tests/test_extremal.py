@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -317,7 +318,7 @@ class TestScaling:
             extremal.scaling_experiment(0, 3)
         with pytest.raises(ValueError, match="k_max must be an integer >= 4"):
             extremal.scaling_experiment(4, 3)
-        with pytest.raises(ValueError, match="> 500"):
+        with pytest.raises(ValueError, match="n is capped at 500, got 644"):
             extremal.scaling_experiment(1, 80)
         # a float k must not reach range(), which raises TypeError, and a
         # bool k_min would run from k = 1
@@ -325,6 +326,70 @@ class TestScaling:
                          ((True, 1), "k_min"), ((1, True), "k_max")]:
             with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
                 extremal.scaling_experiment(*ks)
+
+
+class TestVerdictRules:
+    # each rule passes a value just inside its allowance and fails one just
+    # outside, at every site that applies it
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_radius_rule_at_every_site(self, inside, monkeypatch):
+        n = 12
+        w = 1.0 / math.cos(math.pi / n) + (0.99e-8 if inside else 1.01e-8)
+        calls = []
+        radius_checks = extremal._radius_checks
+        monkeypatch.setattr(extremal, "_radius_checks",
+                            lambda *args: calls.append(args) or radius_checks(*args))
+        row = extremal.ScalingRow(n=n, eps=1.0 / math.cos(math.pi / n) - 1.0,
+                                  delta=extremal._norm_excess(n), w=w, w_inv=w)
+        assert extremal.ScalingTable((row,), float("nan")).failures() == (
+            [] if inside else ["w bound at n=12", "w_inv bound at n=12"])
+        estimate = radii.RadiusEstimate(w, 2.0, 0.0, True, None)
+        monkeypatch.setattr(extremal, "family_radii", lambda fam, tol: (estimate,) * 2)
+        *certificates, radius = extremal.verify(n, 1e-8)
+        assert all(rep.all_pass for rep in certificates)
+        assert [(c.name, c.passed) for c in radius.checks] == [("w", inside),
+                                                               ("w_inv", inside)]
+        assert calls == [(n, w, w)] * 2
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_norm_excess_identity_rule(self, inside):
+        n = 12
+        delta = extremal._norm_excess(n) + (0.99e-11 if inside else 1.01e-11)
+        row = extremal.ScalingRow(n=n, eps=1.0 / math.cos(math.pi / n) - 1.0,
+                                  delta=delta, w=1.0, w_inv=1.0)
+        assert extremal.ScalingTable((row,), float("nan")).failures() == (
+            [] if inside else ["norm excess identity at n=12"])
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_bracket_rule(self, inside):
+        # the bound 1e-11 plus _check's default allowance 1e-10
+        err = 1.1e-10 * (0.99 if inside else 1.01)
+        check = extremal._bracket_check("x", np.diag([err, 0.0]), 0.0)
+        assert (check.value, check.passed) == (err, inside)
+        # no bracket without symmetry and nonnegative entries
+        for x in (np.array([[0.0, 1.0], [0.0, 0.0]]), -np.eye(2)):
+            assert extremal._bracket_check("x", x, 0.0).value == float("inf")
+
+    def test_four_bracket_checks_share_the_helper(self, fam12, monkeypatch):
+        names = []
+        bracket_check = extremal._bracket_check
+        monkeypatch.setattr(extremal, "_bracket_check",
+                            lambda name, *args: names.append(name)
+                            or bracket_check(name, *args))
+        for certify in (extremal.check_norm, extremal.certificate_31,
+                        extremal.certificate_32):
+            assert certify(fam12).all_pass
+        assert names == ["B_norm_err", "A_vs_B_norm_gap", "E_opnorm_err",
+                         "M2_opnorm_err"]
+
+    def test_scaling_cap_is_the_build_cap(self, monkeypatch):
+        # k = 63 gives n = 508: refused before any member is built
+        built = []
+        monkeypatch.setattr(extremal, "build", built.append)
+        with pytest.raises(ValueError, match="capped"):
+            extremal.scaling_experiment(1, 63)
+        assert built == []
 
 
 def assert_same_estimate(got, want):
@@ -451,6 +516,18 @@ class TestFamilyRadii:
         for bad_perm in (repeated, perm + 1, perm.astype(float), perm[::2]):
             with pytest.raises(ValueError, match="permutation of range"):
                 numerical_radius(fam12.A, rotation=(bad_perm, signs, 12))
+
+    def test_huge_claim_keeps_a_finite_slack(self):
+        # the residual's squares overflow float64 at this scale; its norm
+        # stays finite, so a claim of order 1 has slack 0, not 0 * inf = nan,
+        # and sweeps the full circle without a warning
+        g = np.random.default_rng(1).standard_normal((4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = numerical_radius(1e200 * g, rotation=(np.arange(4), np.ones(4), 1))
+            want = numerical_radius(1e200 * g)
+        assert got.value.hex() == (1.6992575000305276e+200).hex()
+        assert_same_estimate(got, want)
 
     def test_non_unitary_claim_cannot_be_stated(self):
         # U* A U = omega A holds to rounding for the cyclic shift with its

@@ -3,28 +3,12 @@
     python tools/byte_gate.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts. Every
-invocation of a fixed list runs once per side, each in its own `python -m
+invocation of INVOCATIONS below runs once per side, each in its own `python -m
 opradius.cli` process with that side's `src` first on PYTHONPATH. The list
-covers every subcommand in csv, json and text (`gap` and `random-test` at rho
-1, 1.5 and 2), `random-test --samples 40 --dim-min 30 --dim-max 40` in csv at
-rho 1, 1.5 and 2, whose samples fill more than one block (about 4 s per side;
-at rho 1 they run on the stacked-SVD path), `gap --rho 1.000001` and
-`random-test --rho 1.25 --samples 20` in csv, which take the rho-pencil near
-rho = 1 and below its middle, `gap --matrix {SYMMETRIC}` in csv at rho 2 and
-1.5, where {SYMMETRIC} is (g + g^T)/2 of the Gaussian g of the other `gap`
-runs, so that the full-circle sweep takes the real S_theta path and its
-witness pass at rho 2, `random-test --samples 30 --tol 1e-12` in csv at
-rho 2 and 1.5, where the rounding guard's tol/2 cap binds and the end-case
-interval bounds decide when an owner stops, the benchmark's two family runs
-and the paper's largest ones (`extremal verify --n 500` and `extremal scaling
---kmin 1 --kmax 18`, about a second each), the usage-error paths and two
-`--out` artifacts. The usage errors include one count error per counted CLI
-argument (`random-test --samples 0`, `random-test --dim-min 5 --dim-max 3`,
-`bounds --steps 0`, `range --samples 4`, `extremal scaling --kmin 3 --kmax
-2`), `gap --matrix {HUGE}` at rho 1.5 and 2, where {HUGE} is 1e308 I (2 x 2),
-whose kernels would overflow, and `gap --matrix {BIGINT}`, a file with a JSON
-integer beyond float64's range. Input matrices are written once to a temporary directory
-that both sides share, so file paths in messages agree.
+covers every subcommand in every format, the paper's largest family runs and
+the usage-error paths; its comments give the reason for each group. Input
+matrices are written once to a temporary directory that both sides share, so
+file paths in messages agree.
 
 One line per invocation says whether stdout (followed by the `--out` file,
 if any), the stderr text and the exit code match; differing stderr is printed
@@ -51,6 +35,7 @@ FORMATS = ("csv", "json", "text")
 # "{MISSING}" stand for input files and "{OUT}" for an artifact path of the
 # running side.
 INVOCATIONS = (
+    # every subcommand in every format, gap and random-test at rho 1, 1.5 and 2
     [["gap", "--matrix", "{GAUSS}", "--rho", rho, "--format", fmt]
      for rho in ("1", "1.5", "2") for fmt in FORMATS]
     + [["bounds", "--rho", "1.5", "--r-min", "1", "--r-max", "1.3", "--steps", "7",
@@ -60,6 +45,7 @@ INVOCATIONS = (
     + [["random-test", "--rho", rho, "--samples", "20", "--format", fmt]
        for rho in ("1", "1.5", "2") for fmt in FORMATS]
     # samples up to 40 x 40, which random-test certifies in several blocks
+    # (at rho 1 on the stacked-SVD path)
     + [["random-test", "--rho", rho, "--samples", "40", "--dim-min", "30",
         "--dim-max", "40", "--format", "csv"] for rho in ("1", "1.5", "2")]
     # the rho-pencil near rho = 1 and below its middle
@@ -82,6 +68,7 @@ INVOCATIONS = (
        ["extremal", "scaling", "--kmin", "1", "--kmax", "8", "--format", "csv"],
        ["extremal", "verify", "--n", "500", "--format", "csv"],
        ["extremal", "scaling", "--kmin", "1", "--kmax", "18", "--format", "csv"]]
+    # usage errors, then two --out artifacts
     + [
         ["gap", "--matrix", "{WITNESS}", "--tol", "0.5"],
         ["random-test", "--samples", "2", "--tol", "1e-13"],
@@ -103,7 +90,8 @@ INVOCATIONS = (
         ["bounds", "--steps", "0"],
         ["range", "--matrix", "{GAUSS}", "--samples", "4"],
         ["extremal", "scaling", "--kmin", "3", "--kmax", "2"],
-        # entries too large for float64 kernels, and for float64 itself
+        # entries too large for float64 kernels ({HUGE} = 1e308 I), and for
+        # float64 itself ({BIGINT}, a JSON integer beyond its range)
         ["gap", "--matrix", "{HUGE}", "--rho", "1.5"],
         ["gap", "--matrix", "{HUGE}", "--rho", "2"],
         ["gap", "--matrix", "{BIGINT}"],
