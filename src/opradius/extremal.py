@@ -178,7 +178,7 @@ def _bracket_check(name: str, x: np.ndarray, target: float) -> CertificateCheck:
     r_i, which bounds it if X = X^T >= 0 (Perron-Frobenius), else inf."""
     symmetric = np.array_equal(x, x.T) and np.all(x >= 0)
     err = np.max(np.abs(x.sum(axis=1) - target)) if symmetric else np.inf
-    return _check(name, err, 1e-11)
+    return _check(name, err, 1e-11, 0.0)
 
 
 def check_norm(fam: ExtremalFamily) -> CertificateReport:
@@ -188,8 +188,8 @@ def check_norm(fam: ExtremalFamily) -> CertificateReport:
     target = 1.0 + _norm_excess(n)
     image = fam.B @ np.ones(n)
     checks = (
-        _check("E_row_sum_err", float(np.max(np.abs(fam.E.sum(axis=1) - n // 4))), 0.0),
-        _check("B_ones_residual", float(np.max(np.abs(image - target))), 1e-13),
+        _check("E_row_sum_err", float(np.max(np.abs(fam.E.sum(axis=1) - n // 4))), 0.0, 0.0),
+        _check("B_ones_residual", float(np.max(np.abs(image - target))), 1e-13, 0.0),
         _bracket_check("B_norm_err", fam.B, target),
         _bracket_check("A_vs_B_norm_gap", fam.B, fam._a_sv[0]),
     )
@@ -255,7 +255,7 @@ def certificate_32(fam: ExtremalFamily) -> CertificateReport:
         _check("M3_opnorm", float(singular_values(m3)[0]), 1.0 / 14.0),
         _check("M4_opnorm", f_norm / (4.0 * n ** 3), 1.0 / 56.0),
         _check("M_sum_opnorm", float(singular_values(m1 + m2 + m3 + m4)[0]), 1.0),
-        _check("E_maxnorm_err", abs(float(np.max(np.abs(e).sum(axis=1))) - n / 4.0), 0.0),
+        _check("E_maxnorm_err", abs(float(np.max(np.abs(e).sum(axis=1))) - n / 4.0), 0.0, 0.0),
         _check("F_entry_max", float(np.max(np.abs(f))), 2.0 * n / 7.0),
     )
     return CertificateReport("inverse_hermitian_part_certificate", n, checks)

@@ -58,10 +58,6 @@ with the value lower(a, v) a unit vector v attains: |<Av, v>| at rho = 2,
 g(v) in between. The sweep numbers its owners in record order, so each
 record owns one contiguous range; it sweeps all of them in lockstep, then
 each record takes eigenvectors and witnesses at its owners' best angles.
-Entries too large for float64 raise ValueError: at rho > 1 before any kernel
-is built, when n max|a_ij| exceeds half the float64 maximum (the bound on the
-kernels stated in _radii), at rho = 1 when the norm overflows, and after the
-sweep when a bracket is still not finite.
 Every interval of the sweep carries the index of the owner it belongs to, one
 stacked eigvalsh call per kernel record evaluates the live angles of its
 owners together, and each owner keeps its own best value, best angle,
@@ -71,6 +67,13 @@ call; a single matrix is the call of one. Every kernel is built like
 H_theta, as cos(theta) P + sin(theta) Q for a pair fixed before the sweep:
 (H, K) for H_theta, (Re A_s, -Im A_s) for S_theta and (2 alpha H, 2 alpha K)
 for the top-left block of K_theta.
+
+Every radius is homogeneous, w_rho(2^e A) = 2^e w_rho(A). An n x n stack with
+n max|a_ij| above half the float64 maximum raises ValueError before any work,
+at every rho; every other matrix, like every input of support_points and
+sphere_maximize, is divided exactly by 2^e, 2^(e-1) <= max|a_ij| < 2^e
+(_unit_scale), so nothing overflows, swept to tol/2^e, e capped at the
+smallest normal exponent, and its value, gap and witness value scaled back.
 
 When the caller claims a rotation symmetry U* A U ~ e^{2 pi i/m} A for a
 signed permutation U e_j = signs[j] e_{perm[j]}, every sign exactly +1 or -1
@@ -209,8 +212,6 @@ _COARSE = 8
 # stacks are evaluated in chunks, which keeps n = 500 sweeps and lockstep
 # sweeps over many matrices in bounded memory.
 _BATCH_BYTES = 128 * 2**10
-# the one message of every radius that float64 cannot bracket
-_TOO_LARGE = "radius bracket is not finite: matrix entries too large for float64"
 
 
 def _check_tol(tol: float) -> float:
@@ -262,6 +263,14 @@ class SupportPoint:
     theta: float
     support_value: float
     boundary_point: complex
+
+
+def _unit_scale(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(stack / 2^e, e), 2^(e-1) <= max|a_ij| < 2^e for each matrix (e = 0 if
+    zero), by ldexp on the real and imaginary parts: 2^-e may not be a float."""
+    e = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
+    parts = np.ascontiguousarray(stack).view(np.float64)
+    return np.ldexp(parts, -e[:, None, None]).view(stack.dtype), e
 
 
 def _chunks(count: int, dim: int):
@@ -342,13 +351,15 @@ def _pencil_builder(mats: np.ndarray, alpha: float, beta: float):
 
 def support_points(a, thetas) -> list[SupportPoint]:
     """Boundary samples of the numerical range at the given support angles."""
-    a = as_matrix(a)
+    (a,), e = _unit_scale(as_matrix(a)[None])
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     lam, vec = _top_eigenpairs(_rotation_builder(*_hermitian_parts(a[None])),
                                a.shape[0], np.zeros(thetas.size, dtype=np.intp),
                                thetas)
-    return [SupportPoint(float(t), float(h), complex(v.conj() @ (a @ v)))
-            for t, h, v in zip(thetas, lam, vec)]
+    points = np.array([v.conj() @ (a @ v) for v in vec], dtype=np.complex128)
+    points = np.ldexp(points.view(np.float64), e).view(np.complex128)
+    return [SupportPoint(float(t), float(h), complex(z))
+            for t, h, z in zip(thetas, np.ldexp(lam, e), points)]
 
 
 def range_boundary(a, samples: int = 256) -> list[SupportPoint]:
@@ -405,38 +416,40 @@ def _vertex(alpha: float, beta: float):
     return vertex
 
 
-def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
-    """(|m|, (|m| // 2) ||U* A U - e^{2 pi i/m} A||_F) for a claimed rotation
-    (perm, signs, m) by the signed permutation U e_j = signs[j] e_{perm[j]}."""
+def _check_rotation(rotation, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(perm, signs, m) of a well-formed rotation claim on n x n matrices."""
     if len(rotation) != 3:
         raise ValueError(f"rotation must be (perm, signs, m), got {len(rotation)} "
                          "entries")
     perm, signs, m = rotation
-    perm, signs, n = np.asarray(perm), np.asarray(signs), a.shape[0]
+    perm, signs = np.asarray(perm), np.asarray(signs)
     if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError(f"rotation perm must be a permutation of range({n})")
     if signs.shape != (n,) or not np.all((signs == 1) | (signs == -1)):
         raise ValueError(f"rotation signs must be {n} entries, each +1 or -1")
     if not isinstance(m, (int, np.integer)) or m == 0:
         raise ValueError(f"rotation order must be a nonzero integer, got {m!r}")
-    m = int(m)
+    return perm, signs, int(m)
+
+
+def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
+    """(|m|, (|m| // 2) ||U* A U - e^{2 pi i/m} A||_F) of a checked claim."""
+    perm, signs, m = rotation
     resid = _signed_conjugate(a, perm, signs) - np.exp(2j * np.pi / m) * a
-    # taken at the power of two c of resid's largest entry: exact, no square overflows
-    c = np.ldexp(1.0, np.frexp(np.abs(resid).max())[1])
-    return abs(m), (abs(m) // 2) * c * float(np.linalg.norm(resid / c))
+    return abs(m), (abs(m) // 2) * float(np.linalg.norm(resid))
 
 
-def _sweep(values, count: int, tol: float, vertex, order: int = 1,
+def _sweep(values, count: int, tol: float | np.ndarray, vertex, order: int = 1,
            slack: float | np.ndarray = 0.0) -> tuple[np.ndarray, ...]:
     """Certified maxima of `count` functions of theta, swept in lockstep.
 
     values(owner, thetas) returns, for every i, the values of function
     owner[i] at thetas[i] and at thetas[i] + pi, one row each. Each function
     must dominate w m(cos(theta - phi)) - slack, where w > 0 is its maximum,
-    phi the angle of a maximizer, slack a scalar or one value per owner and
-    m the minorant of the interval rule vertex = _vertex(alpha, beta), one
-    rule for every rho in (1, 2]: max(c, 0) at rho = 2 for H_theta and
-    S_theta, the pencil's m in between for K_theta.
+    phi the angle of a maximizer, tol and slack each a scalar or one value
+    per owner and m the minorant of the interval rule vertex = _vertex(alpha,
+    beta), one rule for every rho in (1, 2]: max(c, 0) at rho = 2 for H_theta
+    and S_theta, the pencil's m in between for K_theta.
 
     On the full circle (order 1) the half circle [0, pi] is swept in interval
     pairs ([l, r], [l + pi, r + pi]), each row of values giving one value to
@@ -457,7 +470,7 @@ def _sweep(values, count: int, tol: float, vertex, order: int = 1,
     counts its rows of values and rounds[i] its refinement rounds.
     """
     owners = np.arange(count)
-    slack = np.broadcast_to(slack, (count,))
+    tol, slack = np.broadcast_to(tol, (count,)), np.broadcast_to(slack, (count,))
     # the halves of an interval pair: both on the full circle, one otherwise
     halves = 2 if order == 1 else 1
     shift = np.pi * np.arange(halves)
@@ -514,7 +527,7 @@ def _sweep(values, count: int, tol: float, vertex, order: int = 1,
     for _ in range(_MAX_ROUNDS):
         upper, offset = bounds()
         # upper - best, not best + tol: the final gap is the same difference
-        split = upper - best[owner] > tol
+        split = upper - best[owner] > tol[owner]
         np.maximum.at(bound, owner[~split], upper[~split])
         left, right, h_left, h_right, owner, offset = (
             x[split] for x in (left, right, h_left, h_right, owner, offset))
@@ -537,45 +550,43 @@ def _sweep(values, count: int, tol: float, vertex, order: int = 1,
     return best, best_theta, bound - best, evaluations, rounds
 
 
-def _radii(mats: list[np.ndarray], rho: float, tol: float, order: int = 1,
-           slack: float = 0.0) -> list[RadiusEstimate]:
+def _radii(mats: list[np.ndarray], rho: float, tol: float,
+           rotation: tuple | None = None) -> list[RadiusEstimate]:
     """Certified rho-radii of square matrices, for rho in [1, 2] and tol in
-    range; order and slack carry a measured rotation claim to the sweep. At
-    rho = 1 each size-and-dtype group takes one stacked SVD, else it becomes
-    kernel records (inputs, slacks, build, dim, lower), lower(a, v) the value
-    a unit v attains for a; one sweep serves them all, record k owning sweep
-    indices start[k]:start[k + 1].
-
-    Overflow raises ValueError. At rho > 1 a group whose largest entry
-    modulus M has n M above half the float64 maximum raises before any kernel
-    is built: every kernel is Hermitian with norm at most w_rho(A) <= ||A|| <=
-    n M, and its entries and those of A + A* are at most 2 M, so no kernel
-    overflows, and neither does an interval bound, at most an endpoint value
-    plus slack over m(cos d) >= cos(pi/4). At rho = 1 a top singular value that
-    overflows raises, and so does a sweep bracket that is not finite."""
+    range; rotation is a checked claim on the one matrix of a rho = 2 call.
+    Each size-and-dtype group is checked and taken to unit scale as one stack;
+    at rho = 1 it takes one stacked SVD, else it becomes kernel records
+    (inputs, slacks, build, dim, lower), lower(a, v) the value a unit v
+    attains for a; one sweep serves them all, record k owning sweep indices
+    start[k]:start[k + 1]."""
     out = [RadiusEstimate(0.0, rho, 0.0, True, None)] * len(mats)
     groups = {}
     for i, m in enumerate(mats):
         if m.any():
             groups.setdefault((m.shape, m.dtype), []).append(i)
     alpha, beta = 1.0 - 1.0 / rho, 2.0 / rho - 1.0
-    records = []
+    # per matrix: unit-scale copy, exponent e and tol/2^e, e capped for subnormals
+    unit, exps, tols = {}, np.zeros(len(mats), dtype=np.intc), np.zeros(len(mats))
+    order, records = 1, []
     for group in groups.values():
         stack, inputs = np.stack([mats[i] for i in group]), np.array(group)
         n = stack.shape[-1]
-        if rho > 1.0 and np.abs(stack).max() > np.finfo(np.float64).max / (2 * n):
-            raise ValueError(_TOO_LARGE)
+        if np.abs(stack).max() > np.finfo(np.float64).max / (2 * n):
+            raise ValueError("radius bracket is not finite: matrix entries too large "
+                             "for float64")
+        stack, exps[inputs] = _unit_scale(stack)
+        tols[inputs] = np.ldexp(tol, -np.maximum(exps[inputs], np.finfo(np.float64).minexp))
+        unit.update(zip(group, stack))
         if rho == 1.0:
             s, vh = np.linalg.svd(stack)[1:]
-            if not np.isfinite(s[:, 0]).all():
-                raise ValueError(_TOO_LARGE)
-            for i, j in enumerate(group):
-                out[j] = RadiusEstimate(float(s[i, 0]), 1.0, 0.0, True, vh[i, 0].conj())
+            for j, v, x in zip(group, np.ldexp(s[:, 0], exps[inputs]), vh[:, 0]):
+                out[j] = RadiusEstimate(float(v), 1.0, 0.0, True, x.conj())
         elif rho == 2.0:
-            # an e whose squares overflow is inf, which takes the complex path
-            with np.errstate(over="ignore"):
-                skew = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2)) / 2
-            real = slack + skew <= tol / 2
+            order, slack = (1, 0.0) if rotation is None else _rotation_slack(stack[0], rotation)
+            if not slack <= tols[inputs[0]] / 2:
+                order, slack = 1, 0.0
+            skew = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2)) / 2
+            real = slack + skew <= tols[inputs] / 2
             slacks = np.where(real, slack + skew, slack)
             # |<Av, v>| >= h(best_theta), also for the real v of S_theta
             records += [(inputs[mask], slacks[mask],
@@ -585,7 +596,7 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float, order: int = 1,
                                             (real, _real_parts)) if mask.any()]
         else:
             # g(v) >= u*(best_theta) for the top half v of an eigenvector
-            records.append((inputs, np.full(len(group), slack),
+            records.append((inputs, np.zeros(len(group)),
                             _pencil_builder(stack, alpha, beta), 2 * n,
                             lambda a, v: float(_sphere_objective(
                                 a, v[None], alpha, beta)[0][0])))
@@ -600,22 +611,20 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float, order: int = 1,
             h[sel] = _top_eigenvalues(build, dim, owner[sel] - start[k], thetas[sel])
         return h
 
+    owned = np.array([j for inputs, *_ in records for j in inputs], dtype=np.intp)
     best, best_theta, gap, evaluations, rounds = _sweep(
-        values, start[-1], tol, _vertex(alpha, beta), order,
+        values, start[-1], tols[owned], _vertex(alpha, beta), order,
         np.array([s for record in records for s in record[1]]))
-    if not np.isfinite([best, gap]).all():
-        raise ValueError(_TOO_LARGE)
     for k, (inputs, _, build, dim, lower) in enumerate(records):
         own = range(start[k], start[k + 1])
         for i, j, v in zip(own, inputs, _top_eigenpairs(
                 build, dim, np.arange(len(own)), best_theta[own])[1]):
-            a = mats[j]
-            x = v[:a.shape[0]]
+            x = v[:len(unit[j])]
             witness = x / np.linalg.norm(x)
-            # at least best, and never above w_rho(A)
-            out[j] = RadiusEstimate(
-                max(float(best[i]), lower(a, witness)), rho, float(gap[i]), True,
-                witness, int(evaluations[i]), int(rounds[i]))
+            # at least best, and never above w_rho(A); both scale back by 2^e
+            value, gap_j = np.ldexp([max(best[i], lower(unit[j], witness)), gap[i]], exps[j])
+            out[j] = RadiusEstimate(float(value), rho, float(gap_j), True, witness,
+                                    int(evaluations[i]), int(rounds[i]))
     return out
 
 
@@ -635,23 +644,16 @@ def numerical_radius(a, tol: float = 1e-9,
     the gap, otherwise the claim is ignored and the full circle is swept.
     """
     a = as_matrix(a)
-    tol = _check_tol(tol)
-    order, slack = _rotation_slack(a, rotation) if rotation is not None else (1, 0.0)
-    if not slack <= tol / 2:
-        order, slack = 1, 0.0
-    return _radii([a], 2.0, tol, order, slack)[0]
+    checked = None if rotation is None else _check_rotation(rotation, a.shape[0])
+    return _radii([a], 2.0, _check_tol(tol), checked)[0]
 
 
 # g on the unit sphere: the 1 < rho < 2 witness value and sphere_maximize's objective
 def _sphere_objective(a: np.ndarray, h: np.ndarray, alpha: float, beta: float):
     ah = h @ a.T
     q = np.sum(h.conj() * ah, axis=1)
-    # g is evaluated on t, s and Ah divided by the power of two c at each
-    # row's largest |Ah| entry: exact, and the squares cannot overflow
-    c = np.ldexp(1.0, np.frexp(np.abs(ah).max(axis=1))[1])
-    t, s = np.abs(q) / c, np.linalg.norm(ah / c[:, None], axis=1)
-    g = c * (alpha * t + np.sqrt((alpha * t) ** 2 + beta * s * s))
-    return g, q, c * t, c * s, ah
+    t, s = np.abs(q), np.linalg.norm(ah, axis=1)
+    return alpha * t + np.sqrt((alpha * t) ** 2 + beta * s * s), q, t, s, ah
 
 
 def _sphere_gradient(a, h, q, t, s, ah, alpha, beta):
@@ -686,12 +688,10 @@ def sphere_maximize(
     fixed (a, rho, restarts, iters, seed); ties across restarts resolve to the
     lowest index.
     """
-    a = as_matrix(a)
+    (a,), e = _unit_scale(as_matrix(a)[None])
     restarts = _check_count("restarts", restarts, 1)
     iters = _check_count("iters", iters, 0)
-    n = a.shape[0]
-    alpha = 1.0 - 1.0 / rho
-    beta = 2.0 / rho - 1.0
+    n, alpha, beta = a.shape[0], 1.0 - 1.0 / rho, 2.0 / rho - 1.0
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     h = rng.standard_normal((restarts, n)) + 1j * rng.standard_normal((restarts, n))
@@ -724,7 +724,7 @@ def sphere_maximize(
         if float(step.max()) < 1e-13:
             break
     i = int(np.argmax(g))
-    return float(g[i]), h[i]
+    return float(np.ldexp(g[i], e[0])), h[i]
 
 
 def rho_radii(mats, rho: float, tol: float = 1e-6) -> list[RadiusEstimate]:

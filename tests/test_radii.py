@@ -202,12 +202,12 @@ class TestRhoRadius:
         ids=["full-8e307", "1e308-I", "1e308-corner", "1e300-corner"])
     def test_overflow_raises_one_error_or_stays_finite(self, a, norm, rho):
         # norm is ||A||, None where it overflows (rho = 1 used to return inf);
-        # from 1e308 on, rho > 1 raises before any kernel is built, where
+        # from 1e308 on, every rho raises under the one input limit, where
         # RuntimeWarnings used to precede the error, or eigvalsh fail to
         # converge on the NaN kernels of 1e308 I
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if norm is None or (rho > 1.0 and norm == 1e308):
+            if norm is None or norm == 1e308:
                 with pytest.raises(ValueError, match="not finite"):
                     rho_radius(a, rho)
             else:
@@ -1043,3 +1043,69 @@ class TestSphereMaximize:
                 sphere_maximize(np.eye(2), 2.0, restarts=restarts)
         with pytest.raises(ValueError, match="iters must be an integer >= 0"):
             sphere_maximize(np.eye(2), 2.0, iters=1.5)
+
+
+class TestUnitScale:
+    """Every radius, support sample and oracle runs at unit scale, by an exact
+    power of two."""
+
+    BASE = np.array([[1, 2], [0, 1j]])
+
+    @pytest.mark.parametrize("rho", [1.0, 1.25, 1.5, 2.0])
+    def test_radii_are_scale_covariant_bit_for_bit(self, rho):
+        # w_rho(2^k A) = 2^k w_rho(A) holds in every field: the sweep of
+        # 2^k A at tol 2^k tol is that of A at tol, and value and gap scale
+        # back exactly, down to a subnormal gap at k = -1000
+        mats = [gaussian_matrix(seeded(60, i), 1 + i % 6) for i in range(30)]
+        tol = 2.0 ** -27
+        want = radii._radii(mats, rho, tol)
+        differ = []
+        for k in (-1000, -40, 3, 900):
+            got = radii._radii([2.0 ** k * a for a in mats], rho, 2.0 ** k * tol)
+            for i, (g, w) in enumerate(zip(got, want)):
+                same = (g.value == np.ldexp(w.value, k)
+                        and g.tolerance == np.ldexp(w.tolerance, k)
+                        and np.array_equal(g.witness, w.witness)
+                        and (g.evaluations, g.rounds) == (w.evaluations, w.rounds))
+                if not same:
+                    differ.append((k, i))
+        assert differ == []
+
+    def test_subnormal_identity(self):
+        # the witness value used to divide by a subnormal row scale: two
+        # overflow warnings, and a value of 1e-323, twice the radius
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = rho_radius(5e-324 * np.eye(3), 1.5)
+        assert est.value == 5e-324
+
+    @pytest.mark.parametrize("rho", [1.25, 1.5, 1.9])
+    def test_subnormal_entries_keep_a_bracket(self, rho):
+        # complex division by the subnormal row scale used to return inf; the
+        # sweep stops on the coarse grid, and its bracket holds the radius
+        want = 1e-310 * rho_radius(self.BASE, rho, tol=1e-12).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = rho_radius(1e-310 * self.BASE, rho)
+        assert 0 < est.value <= want * (1 + 1e-9)
+        assert est.value + est.tolerance >= want * (1 - 1e-9)
+        assert est.tolerance <= 1e-6
+
+    def test_support_points_near_overflow(self):
+        # (A + A*)/2 used to overflow: nan support values and two warnings
+        thetas = 2 * np.pi * np.arange(8) / 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = support_points(1e308 * np.eye(2), thetas)
+        for t, p in zip(thetas, points):
+            assert p.support_value == pytest.approx(1e308 * np.cos(t), rel=1e-12,
+                                                    abs=1e293)
+            assert p.boundary_point == pytest.approx(1e308, rel=1e-12)
+
+    def test_sphere_maximize_on_subnormal_entries(self):
+        want = 1e-310 * rho_radius(self.BASE, 1.5, tol=1e-12).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, h = sphere_maximize(1e-310 * self.BASE, 1.5)
+        assert want * (1 - 1e-6) <= value <= want * (1 + 1e-9)
+        assert np.linalg.norm(h) == pytest.approx(1.0)

@@ -90,10 +90,13 @@ INVOCATIONS = (
         ["bounds", "--steps", "0"],
         ["range", "--matrix", "{GAUSS}", "--samples", "4"],
         ["extremal", "scaling", "--kmin", "3", "--kmax", "2"],
-        # entries too large for float64 kernels ({HUGE} = 1e308 I), and for
-        # float64 itself ({BIGINT}, a JSON integer beyond its range)
+        # entries beyond the radii's input limit ({HUGE} = 1e308 I), at every
+        # rho, and for float64 itself ({BIGINT}, a JSON integer beyond its
+        # range); the range of {HUGE}, sampled at unit scale, stays finite
         ["gap", "--matrix", "{HUGE}", "--rho", "1.5"],
         ["gap", "--matrix", "{HUGE}", "--rho", "2"],
+        ["gap", "--matrix", "{HUGE}", "--rho", "1", "--format", "csv"],
+        ["range", "--matrix", "{HUGE}", "--samples", "8", "--format", "csv"],
         ["gap", "--matrix", "{BIGINT}"],
         ["bounds", "--steps", "5", "--out", "{OUT}"],
         ["random-test", "--rho", "1.5", "--samples", "10", "--out", "{OUT}"],
