@@ -9,7 +9,10 @@ self-inverse, has numerical radius r, and attains norm X(r), so X is also the
 certified lower envelope at rho = 2.
 
 Square roots of r^2 - 1 are evaluated as sqrt((r - 1)(r + 1)) to avoid
-cancellation; the quartic-rate experiments probe r - 1 down to 1e-9.
+cancellation; the quartic-rate experiments probe r - 1 down to 1e-9. Where
+r^2 or x_rho's discriminant would overflow, the same quantities are taken
+divided through by r (or as sqrt(r - 1) sqrt(r + 1)), so every envelope is
+finite wherever its value is; a value beyond float64 raises ValueError.
 """
 
 from __future__ import annotations
@@ -56,19 +59,28 @@ def _check_rho(rho: float) -> float:
 
 
 def _sqrt_sq_minus_one(x: float) -> float:
-    return math.sqrt(max(x - 1.0, 0.0) * (x + 1.0))
+    square = max(x - 1.0, 0.0) * (x + 1.0)
+    # beyond sqrt(float64 max) the product overflows, not its square root
+    return math.sqrt(square) if square < math.inf else math.sqrt(x - 1.0) * math.sqrt(x + 1.0)
+
+
+def _in_range(value: float) -> float:
+    """value, unchanged; an envelope value beyond float64 raises ValueError."""
+    if value == math.inf:
+        raise ValueError("bound envelope exceeds the float64 range")
+    return value
 
 
 def x_of_r(r: float) -> float:
     """X(r) = r + sqrt(r^2 - 1); X(1) = 1."""
     r = _check_r(r)
-    return r + _sqrt_sq_minus_one(r)
+    return _in_range(r + _sqrt_sq_minus_one(r))
 
 
 def psi_upper(r: float) -> float:
     """Upper envelope X(r) + sqrt(X(r)^2 - 1); equals 1 at r = 1."""
     x = x_of_r(r)
-    return x + _sqrt_sq_minus_one(x)
+    return _in_range(x + _sqrt_sq_minus_one(x))
 
 
 def x_rho(rho: float, r: float) -> float:
@@ -81,14 +93,20 @@ def x_rho(rho: float, r: float) -> float:
     q = 2.0 + rho * r * r - rho
     # discriminant factored so that the (r - 1) root is taken exactly
     disc = max(r - 1.0, 0.0) * (rho * r + rho - 2.0) * (q + 2.0 * r)
-    # X_rho(r) >= X_rho(1) = 1; the clamp absorbs one-ulp rounding in q
-    return max((q + math.sqrt(max(disc, 0.0))) / (2.0 * r), 1.0)
+    if disc < math.inf:
+        # X_rho(r) >= X_rho(1) = 1; the clamp absorbs one-ulp rounding in q
+        return max((q + math.sqrt(max(disc, 0.0))) / (2.0 * r), 1.0)
+    # r above about 1e77: the same quantity divided through by r, with q/r^2
+    # and disc/r^4 of order 1, keeps every intermediate finite
+    q_r = rho + (2.0 - rho) / r / r
+    disc_r = (1.0 - 1.0 / r) * (rho + (rho - 2.0) / r) * (q_r + 2.0 / r)
+    return _in_range(r * ((q_r + math.sqrt(disc_r)) / 2.0))
 
 
 def psi_rho_upper(rho: float, r: float) -> float:
     """Upper envelope X_rho(r) + sqrt(X_rho(r)^2 - 1); always >= 1."""
     x = x_rho(rho, r)
-    return x + _sqrt_sq_minus_one(x)
+    return _in_range(x + _sqrt_sq_minus_one(x))
 
 
 def _asymptotic_unchecked(eps: float, rho: float) -> float:

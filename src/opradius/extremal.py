@@ -33,7 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import _check_count, _inverse, _signed_conjugate, singular_values
-from .radii import RadiusEstimate, numerical_radius
+# numerical_radius stays bound here: perfbench's tracer self-test patches it.
+from .radii import RadiusEstimate, _check_tol, _radii, numerical_radius  # noqa: F401
 
 __all__ = [
     "ExtremalFamily", "CertificateCheck", "CertificateReport", "ScalingRow",
@@ -43,6 +44,10 @@ __all__ = [
 ]
 
 MAX_DIM = 500
+# Bytes of members that scaling_experiment sweeps at once, counted as the
+# 32 n^2 of each member's complex A and A^-1; a block holds at least one
+# member, so the table streams through bounded memory up to MAX_DIM.
+_BLOCK_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -293,17 +298,23 @@ class ScalingTable:
         return failures
 
 
+def _claims(n: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """The rotation claims on A (order n) and A^-1 (order -n): P Delta
+    rotates A by e^{2 i pi/n} and hence A^-1 by e^{-2 i pi/n}."""
+    perm, signs = _signed_shift(n)
+    return [(perm, signs, n), (perm, signs, -n)]
+
+
 def family_radii(fam: ExtremalFamily,
                  tol: float) -> tuple[RadiusEstimate, RadiusEstimate]:
     """Certified numerical radii of A and A^-1, each swept over one period.
 
-    P Delta rotates A by e^{2 i pi/n} and hence A^-1 by e^{-2 i pi/n};
-    numerical_radius takes P Delta as its signed permutation (perm, signs),
-    measures each claim and folds the residual into the gap.
+    One lockstep sweep of the radii engine takes P Delta as the signed
+    permutation (perm, signs) of both claims, measures each claim on its own
+    matrix and folds its residual into that matrix's gap; each result is bit
+    for bit numerical_radius(..., rotation=...) of its matrix.
     """
-    perm, signs = _signed_shift(fam.n)
-    w = numerical_radius(fam.A, tol=tol, rotation=(perm, signs, fam.n))
-    w_inv = numerical_radius(fam._a_inv, tol=tol, rotation=(perm, signs, -fam.n))
+    w, w_inv = _radii([fam.A, fam._a_inv], 2.0, _check_tol(tol), _claims(fam.n))
     return w, w_inv
 
 
@@ -329,12 +340,34 @@ def verify(n: int, tol: float) -> list[CertificateReport]:
     ]
 
 
-def _scaling_row(n: int, radius_tol: float) -> ScalingRow:
+def _member(n: int) -> tuple[int, float, float, np.ndarray, np.ndarray]:
+    """(n, eps, delta, A, A^-1) of the member for n, its D, E and B dropped."""
     fam = build(n)
     eps = 1.0 / np.cos(np.pi / n) - 1.0
-    delta = float(fam._a_sv[0]) - 1.0
-    w, w_inv = family_radii(fam, radius_tol)
-    return ScalingRow(n=n, eps=float(eps), delta=delta, w=w.value, w_inv=w_inv.value)
+    return n, float(eps), float(fam._a_sv[0]) - 1.0, fam.A, fam._a_inv
+
+
+def _blocks(ns: list[int]):
+    """Consecutive runs of ns whose members fit _BLOCK_BYTES, one member at
+    least."""
+    block, size = [], 0
+    for n in ns:
+        if block and size + 32 * n * n > _BLOCK_BYTES:
+            yield block
+            block, size = [], 0
+        block.append(n)
+        size += 32 * n * n
+    yield block
+
+
+def _block_rows(ns: list[int], tol: float) -> list[ScalingRow]:
+    """The rows of members ns from one lockstep sweep of their radii; the
+    members are freed on return, before the next block is built."""
+    members = [_member(n) for n in ns]
+    ests = _radii([a for *_, a, a_inv in members for a in (a, a_inv)], 2.0, tol,
+                  [claim for n in ns for claim in _claims(n)])
+    return [ScalingRow(n=n, eps=eps, delta=delta, w=w.value, w_inv=w_inv.value)
+            for (n, eps, delta, _, _), w, w_inv in zip(members, ests[::2], ests[1::2])]
 
 
 def scaling_experiment(k_min: int, k_max: int,
@@ -345,12 +378,18 @@ def scaling_experiment(k_min: int, k_max: int,
     exponent of the norm excess in the radius excess (1/4 asymptotically).
     k_min must be an integer >= 1 and k_max one >= k_min. Rows are listed in
     ascending n.
+
+    Each block of members that fits _BLOCK_BYTES keeps only (n, eps, delta,
+    A, A^-1) of its members and takes one lockstep sweep for all their radii,
+    each claim on its own matrix; every radius equals family_radii's of its
+    member bit for bit, so the blocks never change a row.
     """
     k_min = _check_count("k_min", k_min, 1)
     k_max = _check_count("k_max", k_max, k_min)
     ns = [8 * k + 4 for k in range(k_min, k_max + 1)]
     _validate_n(ns[-1])
-    rows = [_scaling_row(n, radius_tol) for n in ns]
+    tol = _check_tol(radius_tol)
+    rows = [row for block in _blocks(ns) for row in _block_rows(block, tol)]
     slope = float("nan")
     if len(rows) >= 2:
         slope = float(np.polyfit(np.log([row.eps for row in rows]),

@@ -49,24 +49,26 @@ down to width sqrt(8 tol/w), so the sweep evaluates about 2 pi/sqrt(8 tol/w)
 angles. Near rho = 1 the minorant is as flat as u*, so rho near 1 is not a
 flat case; a disk still is, at about 2 pi/sqrt(8 tol/((rho - 1) w)) angles.
 
-Every radius takes one pipeline, and a rho_radii call makes one sweep for all
-of its input: zero matrices get value 0, rho = 1 reads the top singular pair
+Every radius takes one pipeline, and a call of it makes one sweep for all of
+its input: zero matrices get value 0, rho = 1 reads the top singular pair
 from one SVD per size and dtype, and any other rho groups the matrices by
-size and dtype into kernel records (inputs, slacks, build, dim, lower), one
-kernel per matrix (S_theta or H_theta below at rho = 2, K_theta in between)
-with the value lower(a, v) a unit vector v attains: |<Av, v>| at rho = 2,
-g(v) in between. The sweep numbers its owners in record order, so each
-record owns one contiguous range; it sweeps all of them in lockstep, then
-each record takes eigenvectors and witnesses at its owners' best angles.
-Every interval of the sweep carries the index of the owner it belongs to, one
-stacked eigvalsh call per kernel record evaluates the live angles of its
-owners together, and each owner keeps its own best value, best angle,
-stopping round and gap. An owner's result is therefore bit for bit that of
-its own sweep, while the per-round Python overhead is paid once for the whole
-call; a single matrix is the call of one. Every kernel is built like
-H_theta, as cos(theta) P + sin(theta) Q for a pair fixed before the sweep:
-(H, K) for H_theta, (Re A_s, -Im A_s) for S_theta and (2 alpha H, 2 alpha K)
-for the top-left block of K_theta.
+size and dtype into kernel records (inputs, build, dim, lower), one kernel
+per matrix (S_theta or H_theta below at rho = 2, K_theta in between) with
+the value lower(a, v) a unit vector v attains: |<Av, v>| at rho = 2, g(v) in
+between. The sweep numbers its owners (the swept matrices) in record order,
+so each record owns one contiguous range; it sweeps all of them in lockstep,
+then each record takes eigenvectors and witnesses at its owners' best
+angles. Every interval of the sweep carries the index of the owner it
+belongs to, one stacked eigvalsh call per kernel record evaluates the live
+angles of its owners together, and each owner keeps its own tol, slack and
+order (full circle or one period, below), and its own best value, best
+angle, stopping round and gap. An owner's result is therefore bit for bit
+that of its own sweep, while the per-round Python overhead is paid once for
+the whole call; a single matrix is the call of one. rho_radii, random_test's
+blocks, family_radii and scaling_experiment's blocks of family members are
+such calls. Every kernel is built like H_theta, as cos(theta) P + sin(theta)
+Q for a pair fixed before the sweep: (H, K) for H_theta, (Re A_s, -Im A_s)
+for S_theta and (2 alpha H, 2 alpha K) for the top-left block of K_theta.
 
 Every radius is homogeneous, w_rho(2^e A) = 2^e w_rho(A). An n x n stack with
 n max|a_ij| above half the float64 maximum raises ValueError before any work,
@@ -78,18 +80,21 @@ smallest normal exponent, and its value, gap and witness value scaled back.
 When the caller claims a rotation symmetry U* A U ~ e^{2 pi i/m} A for a
 signed permutation U e_j = signs[j] e_{perm[j]}, every sign exactly +1 or -1
 and so U unitary by construction, the sweep covers one period [0, 2 pi/|m|]
-on a closed grid instead of the whole circle. U* A U is a gather of A's
-entries with sign flips, exact and without a dense product, and the rotation
-is checked, not trusted: with r = ||U* A U - e^{2 pi i/m} A||_F, unitary
-invariance gives |h(theta + 2 pi/m) - h(theta)| <= r, and a copy of theta*
-lies within |m|//2 shifts of the period, so on the period
+of that matrix on a closed grid instead of the whole circle. U* A U is a
+gather of A's entries with sign flips, exact and without a dense product,
+and the rotation is checked, not trusted: with r = ||U* A U - e^{2 pi i/m}
+A||_F, unitary invariance gives |h(theta + 2 pi/m) - h(theta)| <= r, and a
+copy of theta* lies within |m|//2 shifts of the period, so on the period
 
     h(theta) >= w cos(theta - phi) - slack,   slack = (|m| // 2) r,
 
 for some phi in [0, 2 pi/|m|]. The interval rule then takes h + slack in
-place of h at both endpoints, so the slack enters the gap. A claim whose
-slack exceeds tol/2 is ignored and the full circle is swept, so a false
-claim costs time, never correctness.
+place of h at both endpoints, so the slack enters the gap. Claims are made
+per matrix at rho = 2, None for no claim, and each is measured on its own
+unit-scale matrix: a claim whose slack exceeds that matrix's tol/2 is
+refused and its matrix swept on the full circle, so a false claim costs
+time, never correctness. Owners of one period and of the full circle share
+a sweep; a period owner reads only lambda_max.
 
 A complex symmetric A (A^T = A, as the extremal family and its inverse are)
 has real symmetric H_theta, the entrywise real part (Garcia & Putinar,
@@ -212,6 +217,7 @@ _COARSE = 8
 # stacks are evaluated in chunks, which keeps n = 500 sweeps and lockstep
 # sweeps over many matrices in bounded memory.
 _BATCH_BYTES = 128 * 2**10
+_NOT_FINITE = "radius bracket is not finite: matrix entries too large for float64"
 
 
 def _check_tol(tol: float) -> float:
@@ -271,6 +277,16 @@ def _unit_scale(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
     parts = np.ascontiguousarray(stack).view(np.float64)
     return np.ldexp(parts, -e[:, None, None]).view(stack.dtype), e
+
+
+def _scale_back(x: np.ndarray, e) -> np.ndarray:
+    """x 2^e of unit-scale results, by ldexp on the real and imaginary parts;
+    a result beyond float64 raises ValueError, without a warning."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(x.view(np.float64), e).view(x.dtype)
+    if not np.isfinite(out).all():
+        raise ValueError(_NOT_FINITE)
+    return out
 
 
 def _chunks(count: int, dim: int):
@@ -357,9 +373,8 @@ def support_points(a, thetas) -> list[SupportPoint]:
                                a.shape[0], np.zeros(thetas.size, dtype=np.intp),
                                thetas)
     points = np.array([v.conj() @ (a @ v) for v in vec], dtype=np.complex128)
-    points = np.ldexp(points.view(np.float64), e).view(np.complex128)
     return [SupportPoint(float(t), float(h), complex(z))
-            for t, h, z in zip(thetas, np.ldexp(lam, e), points)]
+            for t, h, z in zip(thetas, _scale_back(lam, e), _scale_back(points, e))]
 
 
 def range_boundary(a, samples: int = 256) -> list[SupportPoint]:
@@ -439,22 +454,24 @@ def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
     return abs(m), (abs(m) // 2) * float(np.linalg.norm(resid))
 
 
-def _sweep(values, count: int, tol: float | np.ndarray, vertex, order: int = 1,
+def _sweep(values, count: int, tol: float | np.ndarray, vertex,
+           order: int | np.ndarray = 1,
            slack: float | np.ndarray = 0.0) -> tuple[np.ndarray, ...]:
     """Certified maxima of `count` functions of theta, swept in lockstep.
 
     values(owner, thetas) returns, for every i, the values of function
     owner[i] at thetas[i] and at thetas[i] + pi, one row each. Each function
     must dominate w m(cos(theta - phi)) - slack, where w > 0 is its maximum,
-    phi the angle of a maximizer, tol and slack each a scalar or one value
-    per owner and m the minorant of the interval rule vertex = _vertex(alpha,
-    beta), one rule for every rho in (1, 2]: max(c, 0) at rho = 2 for H_theta
-    and S_theta, the pencil's m in between for K_theta.
+    phi the angle of a maximizer, tol, order and slack each a scalar or one
+    value per owner and m the minorant of the interval rule vertex =
+    _vertex(alpha, beta), one rule for every rho in (1, 2]: max(c, 0) at rho
+    = 2 for H_theta and S_theta, the pencil's m in between for K_theta.
 
-    On the full circle (order 1) the half circle [0, pi] is swept in interval
-    pairs ([l, r], [l + pi, r + pi]), each row of values giving one value to
-    each half. With order > 1 only the closed period [0, 2 pi/order] is
-    swept, phi must lie in it, and only the first value of each row is read.
+    An owner of order 1 sweeps the full circle: the half circle [0, pi] in
+    interval pairs ([l, r], [l + pi, r + pi]), each row of values giving one
+    value to each half. An owner of order > 1 sweeps only the closed period
+    [0, 2 pi/order], phi must lie in it, and only the first value of each of
+    its rows is read: its second half never enters best, a bound or a split.
 
     Every interval pair carries its own endpoints and the index of its
     owner, and each half is bounded by vertex: no phi in it allows a
@@ -470,23 +487,28 @@ def _sweep(values, count: int, tol: float | np.ndarray, vertex, order: int = 1,
     counts its rows of values and rounds[i] its refinement rounds.
     """
     owners = np.arange(count)
-    tol, slack = np.broadcast_to(tol, (count,)), np.broadcast_to(slack, (count,))
-    # the halves of an interval pair: both on the full circle, one otherwise
-    halves = 2 if order == 1 else 1
-    shift = np.pi * np.arange(halves)
+    tol, order, slack = (np.broadcast_to(x, (count,)) for x in (tol, order, slack))
+    # the halves of an owner's interval pairs: both on the full circle, one
+    # otherwise
+    full = order == 1
+    halves = np.where(full, 2, 1)
     # one period, or the half circle, on a closed grid of intervals of width
-    # at most 2 pi/_COARSE
+    # at most 2 pi/_COARSE; node k of owner i is at period[i] k/segments[i]
     period = 2 * np.pi / order / halves
     segments = -(-_COARSE // (order * halves))
-    grid = period * np.arange(segments + 1) / segments
-    points = segments + (order > 1)
+    node_owner = np.repeat(owners, segments + 1)
+    k = np.arange(node_owner.size) - np.repeat(np.cumsum(segments) - segments + owners,
+                                               segments + 1)
+    theta = period[node_owner] * k / segments[node_owner]
     best, best_theta = np.full(count, -np.inf), np.zeros(count)
 
     def raise_best(owner, thetas, vals):
         # each owner's first largest value, its first-half values before its
         # second-half ones (angle order on the coarse grid), where it beats best
-        new, new_owner = vals.T.ravel(), np.tile(owner, halves)
-        new_theta = (thetas + shift[:, None]).ravel()
+        two = full[owner]
+        new = np.concatenate([vals[:, 0], vals[two, 1]])
+        new_owner = np.concatenate([owner, owner[two]])
+        new_theta = np.concatenate([thetas, thetas[two] + np.pi])
         top = np.full(count, -np.inf)
         np.maximum.at(top, new_owner, new)
         at_top = np.flatnonzero(new == top[new_owner])
@@ -496,19 +518,20 @@ def _sweep(values, count: int, tol: float | np.ndarray, vertex, order: int = 1,
         best[better] = new[first[better]]
         best_theta[better] = new_theta[first[better]]
 
-    owner, thetas = np.repeat(owners, points), np.tile(grid[:points], count)
-    vals = values(owner, thetas)[:, :halves]
-    raise_best(owner, thetas, vals)
-    vals = vals.reshape(count, points, halves)
-    if order == 1:
-        # h(pi) and h(2 pi) close the half-circle grid without an evaluation
-        vals = np.concatenate([vals, vals[:, :1, ::-1]], axis=1)
-    # interval pairs [left, right] + shift with their endpoint values
-    left, right = np.tile(grid[:-1], count), np.tile(grid[1:], count)
-    h_left = vals[:, :-1].reshape(-1, halves)
-    h_right = vals[:, 1:].reshape(-1, halves)
-    owner = np.repeat(owners, segments)
-    evaluations = np.full(count, points)
+    # a period's grid is evaluated at every node; h(pi) and h(2 pi) close the
+    # half circle's without an evaluation
+    points = segments + (order > 1)
+    evaluated = k < points[node_owner]
+    vals = np.empty((theta.size, 2))
+    vals[evaluated] = values(node_owner[evaluated], theta[evaluated])
+    raise_best(node_owner[evaluated], theta[evaluated], vals[evaluated])
+    vals[~evaluated] = vals[(k == 0) & full[node_owner], ::-1]
+    # interval pairs [left, right] + (0, pi) with their endpoint values
+    last = k == segments[node_owner]
+    left, right = theta[~last], theta[k > 0]
+    h_left, h_right = vals[~last], vals[k > 0]
+    owner = node_owner[~last]
+    evaluations = points.copy()
     rounds = np.zeros(count, dtype=int)
     bound = np.full(count, -np.inf)
 
@@ -518,10 +541,12 @@ def _sweep(values, count: int, tol: float | np.ndarray, vertex, order: int = 1,
         guard = np.minimum(1e-12 * np.maximum(1.0, np.abs(best)), tol / 2)
         s = slack[owner, None]
         # widths in the endpoints' shape: no ufunc of the rule broadcasts
-        width = np.repeat((right - left)[:, None], halves, axis=1)
+        width = np.repeat((right - left)[:, None], 2, axis=1)
         top, offset = vertex(h_left + s, h_right + s, width)
-        # the half with the larger bound, the first on a tie
-        pair, half = np.arange(owner.size), np.argmax(top, axis=1)
+        # the half with the larger bound, the first on a tie; a period has
+        # only the first
+        pair = np.arange(owner.size)
+        half = np.where(full[owner], np.argmax(top, axis=1), 0)
         return top[pair, half] + guard[owner], offset[pair, half]
 
     for _ in range(_MAX_ROUNDS):
@@ -536,7 +561,7 @@ def _sweep(values, count: int, tol: float | np.ndarray, vertex, order: int = 1,
         if owner.size == 0:
             break
         cut = left + offset
-        h_cut = values(owner, cut)[:, :halves]
+        h_cut = values(owner, cut)
         raise_best(owner, cut, h_cut)
         evaluations += split_count
         rounds += split_count > 0
@@ -551,29 +576,32 @@ def _sweep(values, count: int, tol: float | np.ndarray, vertex, order: int = 1,
 
 
 def _radii(mats: list[np.ndarray], rho: float, tol: float,
-           rotation: tuple | None = None) -> list[RadiusEstimate]:
+           rotations: list | None = None) -> list[RadiusEstimate]:
     """Certified rho-radii of square matrices, for rho in [1, 2] and tol in
-    range; rotation is a checked claim on the one matrix of a rho = 2 call.
-    Each size-and-dtype group is checked and taken to unit scale as one stack;
-    at rho = 1 it takes one stacked SVD, else it becomes kernel records
-    (inputs, slacks, build, dim, lower), lower(a, v) the value a unit v
-    attains for a; one sweep serves them all, record k owning sweep indices
-    start[k]:start[k + 1]."""
+    range; rotations holds one well-formed claim (perm, signs, m), or None,
+    per matrix, read at rho = 2. Each size-and-dtype group is checked and
+    taken to unit scale as one stack, where each claim is measured and kept
+    or refused for its own matrix; at rho = 1 the group takes one stacked
+    SVD, else it becomes kernel records (inputs, build, dim, lower), lower(a,
+    v) the value a unit v attains for a. One sweep serves them all, record k
+    owning sweep indices start[k]:start[k + 1], each owner with its own tol,
+    order and slack."""
     out = [RadiusEstimate(0.0, rho, 0.0, True, None)] * len(mats)
+    rotations = rotations or [None] * len(mats)
     groups = {}
     for i, m in enumerate(mats):
         if m.any():
             groups.setdefault((m.shape, m.dtype), []).append(i)
     alpha, beta = 1.0 - 1.0 / rho, 2.0 / rho - 1.0
-    # per matrix: unit-scale copy, exponent e and tol/2^e, e capped for subnormals
+    # per matrix: unit-scale copy, exponent e and tol/2^e, e capped for
+    # subnormals, and the sweep's order and slack
     unit, exps, tols = {}, np.zeros(len(mats), dtype=np.intc), np.zeros(len(mats))
-    order, records = 1, []
+    orders, slacks, records = np.ones(len(mats), dtype=int), np.zeros(len(mats)), []
     for group in groups.values():
         stack, inputs = np.stack([mats[i] for i in group]), np.array(group)
         n = stack.shape[-1]
         if np.abs(stack).max() > np.finfo(np.float64).max / (2 * n):
-            raise ValueError("radius bracket is not finite: matrix entries too large "
-                             "for float64")
+            raise ValueError(_NOT_FINITE)
         stack, exps[inputs] = _unit_scale(stack)
         tols[inputs] = np.ldexp(tol, -np.maximum(exps[inputs], np.finfo(np.float64).minexp))
         unit.update(zip(group, stack))
@@ -582,22 +610,26 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
             for j, v, x in zip(group, np.ldexp(s[:, 0], exps[inputs]), vh[:, 0]):
                 out[j] = RadiusEstimate(float(v), 1.0, 0.0, True, x.conj())
         elif rho == 2.0:
-            order, slack = (1, 0.0) if rotation is None else _rotation_slack(stack[0], rotation)
-            if not slack <= tols[inputs[0]] / 2:
-                order, slack = 1, 0.0
+            for j, a in zip(group, stack):
+                if rotations[j] is not None:
+                    order, slack = _rotation_slack(a, rotations[j])
+                    # a claim whose slack exceeds tol/2 sweeps the full circle
+                    if slack <= tols[j] / 2:
+                        orders[j], slacks[j] = order, slack
             skew = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2)) / 2
-            real = slack + skew <= tols[inputs] / 2
-            slacks = np.where(real, slack + skew, slack)
-            # |<Av, v>| >= h(best_theta), also for the real v of S_theta
-            records += [(inputs[mask], slacks[mask],
-                         _rotation_builder(*parts(stack[mask])), n,
+            real = slacks[inputs] + skew <= tols[inputs] / 2
+            slacks[inputs[real]] += skew[real]
+            # |<Av, v>| >= h(best_theta), also for the real v of S_theta; a
+            # group on one path builds its pair from the stack itself, not
+            # from a copy, which would raise the n = 500 peak
+            records += [(inputs[mask],
+                         _rotation_builder(*parts(stack if mask.all() else stack[mask])), n,
                          lambda a, v: abs(complex(v.conj() @ (a @ v))))
                         for mask, parts in ((~real, _hermitian_parts),
                                             (real, _real_parts)) if mask.any()]
         else:
             # g(v) >= u*(best_theta) for the top half v of an eigenvector
-            records.append((inputs, np.zeros(len(group)),
-                            _pencil_builder(stack, alpha, beta), 2 * n,
+            records.append((inputs, _pencil_builder(stack, alpha, beta), 2 * n,
                             lambda a, v: float(_sphere_objective(
                                 a, v[None], alpha, beta)[0][0])))
     start = np.cumsum([0] + [len(inputs) for inputs, *_ in records])
@@ -606,16 +638,16 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
         # one stack per kernel record: float64 S_theta apart from complex128
         # H_theta, and each size apart
         h = np.empty((thetas.size, 2))
-        for k, (_, _, build, dim, _) in enumerate(records):
+        for k, (_, build, dim, _) in enumerate(records):
             sel = (start[k] <= owner) & (owner < start[k + 1])
             h[sel] = _top_eigenvalues(build, dim, owner[sel] - start[k], thetas[sel])
         return h
 
     owned = np.array([j for inputs, *_ in records for j in inputs], dtype=np.intp)
     best, best_theta, gap, evaluations, rounds = _sweep(
-        values, start[-1], tols[owned], _vertex(alpha, beta), order,
-        np.array([s for record in records for s in record[1]]))
-    for k, (inputs, _, build, dim, lower) in enumerate(records):
+        values, start[-1], tols[owned], _vertex(alpha, beta), orders[owned],
+        slacks[owned])
+    for k, (inputs, build, dim, lower) in enumerate(records):
         own = range(start[k], start[k + 1])
         for i, j, v in zip(own, inputs, _top_eigenpairs(
                 build, dim, np.arange(len(own)), best_theta[own])[1]):
@@ -642,10 +674,13 @@ def numerical_radius(a, tol: float = 1e-9,
     ValueError. The claim is measured; when its slack is at most tol/2 only
     one period of the support function is swept and the slack is folded into
     the gap, otherwise the claim is ignored and the full circle is swept.
+    This is the engine's call on a list of one matrix with its one claim;
+    extremal.family_radii and scaling_experiment make the same call on many
+    matrices, one claim each, and get each matrix's result bit for bit.
     """
     a = as_matrix(a)
     checked = None if rotation is None else _check_rotation(rotation, a.shape[0])
-    return _radii([a], 2.0, _check_tol(tol), checked)[0]
+    return _radii([a], 2.0, _check_tol(tol), [checked])[0]
 
 
 # g on the unit sphere: the 1 < rho < 2 witness value and sphere_maximize's objective
@@ -724,7 +759,7 @@ def sphere_maximize(
         if float(step.max()) < 1e-13:
             break
     i = int(np.argmax(g))
-    return float(np.ldexp(g[i], e[0])), h[i]
+    return float(_scale_back(g[i], e[0])), h[i]
 
 
 def rho_radii(mats, rho: float, tol: float = 1e-6) -> list[RadiusEstimate]:

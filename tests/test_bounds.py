@@ -85,6 +85,26 @@ class TestXRho:
     def test_ando_li_endpoint(self):
         assert bounds.psi_rho_upper(1.5, 1.0) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("r", [9e76, 1e150, 1e300])
+    def test_large_r_stays_finite(self, r):
+        # x_rho's discriminant overflows float64 from r near 1e77 on, r^2
+        # from 1.3e154 on; the envelopes themselves stay finite
+        assert bounds.x_rho(2.0, r) == pytest.approx(bounds.x_of_r(r), rel=1e-15)
+        assert bounds.x_rho(1.0, r) == r
+        assert bounds.x_of_r(r) == pytest.approx(2.0 * r, rel=1e-15)
+        assert bounds.psi_upper(r) == pytest.approx(4.0 * r, rel=1e-15)
+        assert bounds.psi_rho_upper(1.5, r) == pytest.approx(3.0 * r, rel=1e-15)
+
+    def test_values_beyond_float64_raise(self):
+        # psi is about 4r at rho = 2, beyond float64 from r = 4.5e307 on
+        for envelope, args in ((bounds.psi_rho_upper, (2.0, 4.5e307)),
+                               (bounds.psi_upper, (4.5e307,)),
+                               (bounds.x_rho, (2.0, 1.7e308)),
+                               (bounds.x_of_r, (1.7e308,))):
+            with pytest.raises(ValueError, match="float64 range"):
+                envelope(*args)
+        assert bounds.psi_rho_upper(2.0, 4.4e307) == pytest.approx(1.76e308, rel=1e-15)
+
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError, match="rho"):
             bounds.x_rho(2.5, 1.2)

@@ -49,6 +49,29 @@ class TestGap:
         linalg.save_matrix(path, np.zeros((2, 2)))
         assert main(["gap", "--matrix", str(path)]) == 2
 
+    def test_huge_radii_keep_a_finite_bound(self, tmp_path, capsys):
+        # radii near 1e200: the envelope's intermediates overflow, its value
+        # does not, so every format reports a finite bound
+        rng = np.random.default_rng(2011)
+        gauss = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) / np.sqrt(12)
+        path = tmp_path / "big.json"
+        linalg.save_matrix(path, 1e200 * gauss)
+        for rho in ("1.5", "2"):
+            assert main(["gap", "--matrix", str(path), "--rho", rho]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert 1e200 < report["bound"] < 1e201
+            assert report["distance"] <= report["bound"]
+
+    def test_bound_beyond_float64_is_usage_error(self, tmp_path, capsys):
+        # w = 5e307 passes the input limit, but psi(w) - 1 is about 2e308
+        path = tmp_path / "edge.json"
+        linalg.save_matrix(path, np.array([[5e307]]))
+        for fmt in ("csv", "json", "text"):
+            assert main(["gap", "--matrix", str(path), "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: bound envelope exceeds the float64 range\n"
+
     def test_failed_bound_exits_1_after_the_report(self, witness_file, capsys,
                                                    monkeypatch):
         monkeypatch.setattr(cli, "stampfli_gap_bound", lambda *args: 0.0)
@@ -188,6 +211,15 @@ class TestRange:
             theta, support, re, im = (float(c) for c in line.split(","))
             assert support == pytest.approx(
                 (np.exp(1j * theta) * complex(re, im)).real, abs=1e-9)
+
+    def test_support_values_beyond_float64_are_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "over.json"
+        linalg.save_matrix(path, np.full((3, 3), 1.7e308))
+        assert main(["range", "--matrix", str(path), "--samples", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: radius bracket is not finite: matrix "
+                                "entries too large for float64\n")
 
     def test_bad_samples_is_usage_error(self, witness_file):
         assert main(["range", "--matrix", witness_file, "--samples", "4"]) == 2

@@ -313,6 +313,55 @@ class TestScaling:
                             np.log(1.0 / (8.0 * np.sqrt(ns))), 1)[0]
         assert table.slope == pytest.approx(oracle, abs=1e-6)
 
+    def test_rows_match_single_matrix_radii(self):
+        # one lockstep sweep per block of members, each radius bit for bit
+        # that of its own numerical_radius call with the family's claim
+        table = extremal.scaling_experiment(1, 18)
+        assert [row.n for row in table.rows] == list(range(12, 149, 8))
+        for row in table.rows:
+            a = extremal.build(row.n).A
+            perm, signs = signed_shift(row.n)
+            assert row.w == numerical_radius(a, 1e-6, rotation=(perm, signs, row.n)).value
+            assert row.w_inv == numerical_radius(
+                linalg.inverse(a), 1e-6, rotation=(perm, signs, -row.n)).value
+
+    def test_blocks_never_change_a_row(self, monkeypatch):
+        whole = extremal.scaling_experiment(1, 8, 1e-9)
+        # a zero budget takes one member per block
+        monkeypatch.setattr(extremal, "_BLOCK_BYTES", 0)
+        assert extremal.scaling_experiment(1, 8, 1e-9) == whole
+
+    def test_blocks_bound_the_members_held(self):
+        # up to MAX_DIM no block outgrows the budget unless it holds one member
+        ns = [8 * k + 4 for k in range(1, 63)]
+        blocks = list(extremal._blocks(ns))
+        assert [n for block in blocks for n in block] == ns
+        for block in blocks:
+            assert len(block) == 1 or 32 * sum(n * n for n in block) <= extremal._BLOCK_BYTES
+        assert [500] in blocks and len(blocks) > 30
+
+    def test_same_eigenproblems_in_fewer_calls(self, monkeypatch):
+        # kmax 8: 48 eigvalsh and 16 eigh matrices, as one numerical_radius
+        # call per radius solves, in at most 22 and 9 calls, not 34 and 16
+        counts = {}
+
+        def spy(name):
+            kernel = getattr(np.linalg, name)
+
+            def call(m, *args, **kwargs):
+                calls, mats = counts.get(name, (0, 0))
+                counts[name] = calls + 1, mats + math.prod(np.shape(m)[:-2])
+                return kernel(m, *args, **kwargs)
+            return call
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        extremal.scaling_experiment(1, 8)
+        (eigvalsh_calls, eigvalsh_mats), (eigh_calls, eigh_mats) = (
+            counts["eigvalsh"], counts["eigh"])
+        assert (eigvalsh_mats, eigh_mats) == (48, 16)
+        assert eigvalsh_calls <= 22 and eigh_calls <= 9
+
     def test_validation(self):
         with pytest.raises(ValueError, match="k_min"):
             extremal.scaling_experiment(0, 3)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import gaussian_matrix, seeded
+from conftest import gaussian_matrix, perturb, seeded
 from opradius import cli, linalg, radii
 from opradius.extremal import build, family_radii
 from opradius.radii import (numerical_radius, range_boundary, rho_radii,
@@ -215,6 +215,22 @@ class TestRhoRadius:
                 assert np.isfinite(est.tolerance)
                 assert est.value == pytest.approx(norm, rel=1e-12)
 
+    def test_results_beyond_float64_raise(self):
+        # every entry is finite, but 3 x 1.7e308 is not: boundary samples
+        # and sphere ascent raise the radii's error, with no overflow warning
+        # from scaling back; 1e308 I samples at unit scale and stays finite
+        over = np.full((3, 3), 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                support_points(over, [0.0, 1.0])
+            for rho in (1.5, 2.0):
+                with pytest.raises(ValueError, match="not finite"):
+                    sphere_maximize(over, rho, restarts=2, iters=3)
+            points = support_points(1e308 * np.eye(2), [0.0, np.pi])
+        assert [p.support_value for p in points] == [1e308, -1e308]
+        assert sphere_maximize(1e300 * np.eye(2), 2.0, restarts=2, iters=3)[0] == 1e300
+
     @pytest.mark.parametrize("rho", [1.5, 2.0])
     def test_entries_too_large_for_the_kernels_raise(self, rho):
         # (A + A*)/2 overflows, and the sweep's bracket is not finite
@@ -385,34 +401,40 @@ class TestPencilSweep:
             assert direct <= est.value + est.tolerance + 1e-12, label
 
 
-def reference_sweep(values, tol, coarse):
-    """The full-circle vertex-rule sweep of one function, one owner at a
-    time, on the interval pairs ([l, r], [l + pi, r + pi]) of the half
-    circle; values(thetas) returns the rows (h(theta), h(theta + pi)).
+def reference_sweep(values, tol, coarse, order=1):
+    """The vertex-rule sweep of one function, one owner at a time: on the
+    full circle (order 1) the interval pairs ([l, r], [l + pi, r + pi]) of
+    the half circle, else the intervals of the closed period [0, 2 pi/order]
+    read at theta only; values(thetas) returns the rows (h(theta), h(theta +
+    pi)).
 
     Returns (best, best_theta, gap, evaluations, rounds).
     """
-    half = coarse // 2
-    grid = np.pi * np.arange(half + 1) / half
-    vals = values(grid[:-1])
+    halves = 2 if order == 1 else 1
+    segments = -(-coarse // (order * halves))
+    grid = 2 * np.pi / order / halves * np.arange(segments + 1) / segments
+    points = segments + (order > 1)
+    vals = values(grid[:points])[:, :halves]
     # the coarse angles in increasing order; the first largest is best
-    circle = np.concatenate([vals[:, 0], vals[:, 1]])
+    circle = vals.T.ravel()
     k = int(np.argmax(circle))
-    best, best_theta = circle[k], np.concatenate([grid[:-1], grid[:-1] + np.pi])[k]
-    # h(pi) and h(2 pi) close the grid
-    vals = np.vstack([vals, vals[0, ::-1]])
+    best = circle[k]
+    best_theta = np.concatenate([grid[:points], grid[:points] + np.pi][:halves])[k]
+    if order == 1:
+        # h(pi) and h(2 pi) close the grid
+        vals = np.vstack([vals, vals[0, ::-1]])
     left, right, h_left, h_right = grid[:-1], grid[1:], vals[:-1], vals[1:]
-    evaluations, rounds, bound = half, 0, -np.inf
+    evaluations, rounds, bound = points, 0, -np.inf
 
     vertex = radii._vertex(0.5, 0.0)
 
     def bounds():
         guard = min(1e-12 * max(1.0, abs(best)), tol / 2)
-        (top0, off0), (top1, off1) = (
-            vertex(h_left[:, j], h_right[:, j], right - left) for j in (0, 1))
+        top, offset = map(np.array, zip(*(
+            vertex(h_left[:, j], h_right[:, j], right - left) for j in range(halves))))
         # the second half only when its bound is strictly larger
-        second = top1 > top0
-        return np.where(second, top1, top0) + guard, np.where(second, off1, off0)
+        half, pair = np.argmax(top, axis=0), np.arange(left.size)
+        return top[half, pair] + guard, offset[half, pair]
 
     for _ in range(radii._MAX_ROUNDS):
         top, offset = bounds()
@@ -423,13 +445,13 @@ def reference_sweep(values, tol, coarse):
         if left.size == 0:
             break
         cut = left + offset
-        h_cut = values(cut)
+        h_cut = values(cut)[:, :halves]
         evaluations += cut.size
         rounds += 1
-        circle = np.concatenate([h_cut[:, 0], h_cut[:, 1]])
+        circle = h_cut.T.ravel()
         j = int(np.argmax(circle))
         if circle[j] > best:
-            best, best_theta = circle[j], np.concatenate([cut, cut + np.pi])[j]
+            best, best_theta = circle[j], np.concatenate([cut, cut + np.pi][:halves])[j]
         left, right = np.concatenate([left, cut]), np.concatenate([cut, right])
         h_left = np.concatenate([h_left, h_cut])
         h_right = np.concatenate([h_cut, h_right])
@@ -582,12 +604,19 @@ class TestLockstep:
     @pytest.mark.parametrize("tol", [1e-6, 1e-10])
     def test_engine_matches_one_owner_at_a_time(self, tol):
         mats = self.stack()[:-2]
-        sw = radii._sweep(lambda owner, t: support_values(mats, t, owner),
-                          len(mats), tol, radii._vertex(0.5, 0.0))
-        for i, a in enumerate(mats):
-            want = reference_sweep(lambda t: support_values(a, t), tol,
-                                   radii._COARSE)
-            assert tuple(x[i] for x in sw) == want
+        # every owner on the full circle, then per-owner orders: full circles
+        # interleaved with periods of orders 2 to 9, whose coarse grids hold
+        # 4 to 1 intervals
+        mixed = np.array([1 if i % 3 == 0 else 2 + i % 8 for i in range(len(mats))])
+        for orders in (np.ones(len(mats), dtype=int), mixed):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sw = radii._sweep(lambda owner, t: support_values(mats, t, owner),
+                                  len(mats), tol, radii._vertex(0.5, 0.0), orders)
+            for i, a in enumerate(mats):
+                want = reference_sweep(lambda t: support_values(a, t), tol,
+                                       radii._COARSE, orders[i])
+                assert tuple(x[i] for x in sw) == want
 
     @pytest.mark.parametrize("rho", [1.0, 1.25, 1.5, 2.0])
     def test_entries_match_single_matrix_sweeps(self, rho):
@@ -607,6 +636,45 @@ class TestLockstep:
             else:
                 # the flat support function never prunes and refines longest
                 assert ests[-2].evaluations == max(est.evaluations for est in ests)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_claims_are_per_owner(self, tol, monkeypatch):
+        # one _radii call mixes periods and full circles: the n = 12 member
+        # with its order-n claim and its inverse with order -n, a perturbed
+        # member whose claim is refused, a Gaussian without a claim, the
+        # order-3 circulant with its claim and a zero matrix
+        fam = build(12)
+        perm, signs = (np.arange(12) + 1) % 12, np.r_[np.ones(11), -1.0]
+        rng = np.random.default_rng(2011)
+        row = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        circulant = (np.diag(np.exp(2j * np.pi / 3 * np.arange(3)))
+                     @ np.array([np.roll(row, j) for j in range(3)]))
+        cases = [(fam.A, (perm, signs, 12)),
+                 (linalg.inverse(fam.A), (perm, signs, -12)),
+                 (perturb(fam, 0, 1, 1e-3).A, (perm, signs, 12)),
+                 (gaussian_matrix(seeded(57, 0), 3), None),
+                 (circulant, (np.array([1, 2, 0]), np.ones(3), 3)),
+                 (np.zeros((3, 3), dtype=complex), None)]
+        counts = []
+        sweep = radii._sweep
+
+        def spy(values, count, *args, **kwargs):
+            counts.append(count)
+            return sweep(values, count, *args, **kwargs)
+
+        monkeypatch.setattr(radii, "_sweep", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = radii._radii([a for a, _ in cases], 2.0, tol,
+                               [claim for _, claim in cases])
+        assert counts == [5]
+        for (a, claim), est in zip(cases, got):
+            self.assert_same(est, numerical_radius(a, tol, rotation=claim))
+        # the refused claim sweeps the full circle, as if it were not made
+        self.assert_same(got[2], numerical_radius(cases[2][0], tol))
+        # the accepted claims sweep one period of width 2 pi/12 each, from a
+        # coarse grid of two angles, not eight
+        assert max(got[0].evaluations, got[1].evaluations) < got[2].evaluations
 
     def test_real_path_is_decided_per_matrix(self, monkeypatch):
         # complex symmetric, near-symmetric just inside and just outside the

@@ -31,8 +31,8 @@ import tempfile
 import numpy as np
 
 FORMATS = ("csv", "json", "text")
-# "{GAUSS}", "{SYMMETRIC}", "{WITNESS}", "{SINGULAR}", "{HUGE}", "{BIGINT}",
-# "{MISSING}" stand for input files and "{OUT}" for an artifact path of the
+# "{GAUSS}", "{SYMMETRIC}", "{WITNESS}", "{SINGULAR}", "{HUGE}", "{BIG}",
+# "{OVER}", "{BIGINT}", "{MISSING}" stand for input files and "{OUT}" for an artifact path of the
 # running side.
 INVOCATIONS = (
     # every subcommand in every format, gap and random-test at rho 1, 1.5 and 2
@@ -68,6 +68,10 @@ INVOCATIONS = (
        ["extremal", "scaling", "--kmin", "1", "--kmax", "8", "--format", "csv"],
        ["extremal", "verify", "--n", "500", "--format", "csv"],
        ["extremal", "scaling", "--kmin", "1", "--kmax", "18", "--format", "csv"]]
+    # a tight scaling table in json: every member's claim is measured against
+    # tol/2 = 5e-10, and more than one refinement round runs per member
+    + [["extremal", "scaling", "--kmin", "2", "--kmax", "6", "--tol", "1e-9",
+        "--format", "json"]]
     # usage errors, then two --out artifacts
     + [
         ["gap", "--matrix", "{WITNESS}", "--tol", "0.5"],
@@ -98,6 +102,16 @@ INVOCATIONS = (
         ["gap", "--matrix", "{HUGE}", "--rho", "1", "--format", "csv"],
         ["range", "--matrix", "{HUGE}", "--samples", "8", "--format", "csv"],
         ["gap", "--matrix", "{BIGINT}"],
+        # radii near 1e200 ({BIG} = 1e200 {GAUSS}), inside the input limit:
+        # the envelope's r^2 and discriminant overflow float64 while the
+        # bound itself does not
+        ["gap", "--matrix", "{BIG}", "--rho", "1.5", "--format", "csv"],
+        ["gap", "--matrix", "{BIG}", "--rho", "1.5", "--format", "json"],
+        ["gap", "--matrix", "{BIG}", "--rho", "2", "--format", "csv"],
+        ["gap", "--matrix", "{BIG}", "--rho", "2", "--format", "json"],
+        # support values beyond float64 ({OVER} = 1.7e308 in every entry),
+        # though each entry is finite
+        ["range", "--matrix", "{OVER}", "--samples", "8", "--format", "csv"],
         ["bounds", "--steps", "5", "--out", "{OUT}"],
         ["random-test", "--rho", "1.5", "--samples", "10", "--out", "{OUT}"],
     ]
@@ -116,7 +130,8 @@ def write_inputs(directory: str) -> dict[str, str]:
     gauss = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) / np.sqrt(12)
     files = {"GAUSS": gauss, "SYMMETRIC": (gauss + gauss.T) / 2,
              "WITNESS": np.array([[1.0, 1.5], [0.0, -1.0]]),
-             "SINGULAR": np.zeros((2, 2)), "HUGE": 1e308 * np.eye(2)}
+             "SINGULAR": np.zeros((2, 2)), "HUGE": 1e308 * np.eye(2),
+             "BIG": 1e200 * gauss, "OVER": np.full((3, 3), 1.7e308)}
     texts = {name: _payload(a) for name, a in files.items()}
     # a JSON integer beyond float64's range
     texts["BIGINT"] = json.dumps({"dim": 2, "re": [10**400, 0, 0, 1], "im": [0] * 4})
