@@ -18,7 +18,6 @@ defaults to DEFAULT_SEED and all reductions are ordered.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -31,17 +30,14 @@ from .bounds import _check_rho
 from .linalg import (_check_count, _inverse, atomic_write, load_matrix,
                      matrix_to_payload, singular_values)
 # numerical_radius stays bound here: perfbench's tracer self-test patches it.
-from .radii import (DEFAULT_SEED, _check_tol, numerical_radius,  # noqa: F401
-                    range_boundary, rho_radii)
+from .radii import (DEFAULT_SEED, _check_tol, _streamed,
+                    numerical_radius, range_boundary, rho_radii)  # noqa: F401
 from .unitary import (_distance_violated, _excesses, _norm_violated,
                       distance_to_unitaries, stampfli_gap_bound)
 
 __all__ = ["main", "random_test", "RandomTestSummary", "DEFAULT_SEED"]
 
 _FORMATS = ("csv", "json", "text")
-# Bytes of sampled matrices and inverses that random_test holds at once, counted
-# at dim_max; it certifies them block by block, so large --dim-max runs stream.
-_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -197,18 +193,18 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     substream keyed by (seed, index), rescales it so the matrix and its
     inverse share the same rho-radius r, and checks the norm bound and, at
     every rho as in gap, its unitary-distance consequence by the rules of
-    unitary._norm_violated and _distance_violated. Each block of samples that
-    fits _BLOCK_BYTES takes one rho_radii call on its matrices and their
-    inverses; every entry of that call is its own sweep, so the blocks never
-    change a record.
+    unitary._norm_violated and _distance_violated. Samples and inverses are
+    made one at a time and streamed through the radii's blocks, one lockstep
+    sweep each; every radius is its own sweep, so blocks never change a record.
     Each sample's one SVD serves its invertibility check, its norm and its
     unitary distance, which scale with it. samples and dim_min must be
-    integers >= 1 and dim_max one >= dim_min; rho and tol go through the same
-    checks as in rho_radii, before any sample is drawn.
+    integers >= 1 and dim_max one >= dim_min, capped at extremal.MAX_DIM; rho
+    and tol go through the same checks as in rho_radii, before any sample is
+    drawn.
     """
     samples = _check_count("samples", samples, 1)
     dim_min = _check_count("dim_min", dim_min, 1)
-    dim_max = _check_count("dim_max", dim_max, dim_min)
+    dim_max = _check_count("dim_max", dim_max, dim_min, extremal.MAX_DIM)
     rho = _check_rho(rho)
     tol = _check_tol(tol)
     gap_violations = 0
@@ -216,25 +212,22 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     worst = None
     worst_index = -1
     records = []
-    draws = _draws(samples, dim_min, dim_max, seed)
-    per_block = max(1, _BLOCK_BYTES // (2 * 16 * dim_max ** 2))
-    while block := list(itertools.islice(draws, per_block)):
-        ests = rho_radii([a for _, _, a, _ in block]
-                         + [_inverse(a, s) for _, _, a, s in block], rho, tol=tol)
-        for (i, dim, a, s), est, est_inv in zip(block, ests, ests[len(block):]):
-            w, w_inv = est.value, est_inv.value
-            t = np.sqrt(w_inv / w)
-            r = max(1.0, float(np.sqrt(w * w_inv)))
-            norm = float(t * s[0])
-            bound = bounds_mod.psi_rho_upper(rho, r)
-            ratio = norm / bound
-            gap_violations += _distance_violated(max(_excesses(t * s)), bound - 1.0)
-            if ratio > max_ratio:
-                max_ratio = ratio
-                worst = t * a
-                worst_index = i
-            records.append(SampleRecord(i, dim, r, norm, bound, float(ratio),
-                                        _norm_violated(norm, bound)))
+    jobs = (((i, dim, a, s), [a, _inverse(a, s)], [None, None])
+            for i, dim, a, s in _draws(samples, dim_min, dim_max, seed))
+    for (i, dim, a, s), (est, est_inv) in _streamed(jobs, rho, tol):
+        w, w_inv = est.value, est_inv.value
+        t = np.sqrt(w_inv / w)
+        r = max(1.0, float(np.sqrt(w * w_inv)))
+        norm = float(t * s[0])
+        bound = bounds_mod.psi_rho_upper(rho, r)
+        ratio = norm / bound
+        gap_violations += _distance_violated(max(_excesses(t * s)), bound - 1.0)
+        if ratio > max_ratio:
+            max_ratio = ratio
+            worst = t * a
+            worst_index = i
+        records.append(SampleRecord(i, dim, r, norm, bound, float(ratio),
+                                    _norm_violated(norm, bound)))
     return RandomTestSummary(
         rho=rho, samples=samples, dim_min=dim_min, dim_max=dim_max, seed=seed,
         violations=sum(rec.violated for rec in records), gap_violations=gap_violations,

@@ -34,7 +34,8 @@ import numpy as np
 
 from .linalg import _check_count, _inverse, _signed_conjugate, singular_values
 # numerical_radius stays bound here: perfbench's tracer self-test patches it.
-from .radii import RadiusEstimate, _check_tol, _radii, numerical_radius  # noqa: F401
+from .radii import (RadiusEstimate, _check_tol, _radii, _streamed,
+                    numerical_radius)  # noqa: F401
 
 __all__ = [
     "ExtremalFamily", "CertificateCheck", "CertificateReport", "ScalingRow",
@@ -44,10 +45,6 @@ __all__ = [
 ]
 
 MAX_DIM = 500
-# Bytes of members that scaling_experiment sweeps at once, counted as the
-# 32 n^2 of each member's complex A and A^-1; a block holds at least one
-# member, so the table streams through bounded memory up to MAX_DIM.
-_BLOCK_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -117,11 +114,9 @@ def _check(name: str, value: float, bound: float,
 
 
 def _validate_n(n: int) -> int:
-    n = _check_count("n", n, 12)
+    n = _check_count("n", n, 12, MAX_DIM)
     if (n - 4) % 8 != 0:
         raise ValueError(f"n must be of the form 8k + 4 with k >= 1, got {n}")
-    if n > MAX_DIM:
-        raise ValueError(f"n is capped at {MAX_DIM}, got {n}")
     return (n - 4) // 8
 
 
@@ -340,34 +335,12 @@ def verify(n: int, tol: float) -> list[CertificateReport]:
     ]
 
 
-def _member(n: int) -> tuple[int, float, float, np.ndarray, np.ndarray]:
-    """(n, eps, delta, A, A^-1) of the member for n, its D, E and B dropped."""
+def _member(n: int) -> tuple[tuple[int, float, float], list[np.ndarray], list]:
+    """The radii job ((n, eps, delta), [A, A^-1], claims) of the member for
+    n, its D, E and B dropped."""
     fam = build(n)
     eps = 1.0 / np.cos(np.pi / n) - 1.0
-    return n, float(eps), float(fam._a_sv[0]) - 1.0, fam.A, fam._a_inv
-
-
-def _blocks(ns: list[int]):
-    """Consecutive runs of ns whose members fit _BLOCK_BYTES, one member at
-    least."""
-    block, size = [], 0
-    for n in ns:
-        if block and size + 32 * n * n > _BLOCK_BYTES:
-            yield block
-            block, size = [], 0
-        block.append(n)
-        size += 32 * n * n
-    yield block
-
-
-def _block_rows(ns: list[int], tol: float) -> list[ScalingRow]:
-    """The rows of members ns from one lockstep sweep of their radii; the
-    members are freed on return, before the next block is built."""
-    members = [_member(n) for n in ns]
-    ests = _radii([a for *_, a, a_inv in members for a in (a, a_inv)], 2.0, tol,
-                  [claim for n in ns for claim in _claims(n)])
-    return [ScalingRow(n=n, eps=eps, delta=delta, w=w.value, w_inv=w_inv.value)
-            for (n, eps, delta, _, _), w, w_inv in zip(members, ests[::2], ests[1::2])]
+    return (n, float(eps), float(fam._a_sv[0]) - 1.0), [fam.A, fam._a_inv], _claims(n)
 
 
 def scaling_experiment(k_min: int, k_max: int,
@@ -376,20 +349,22 @@ def scaling_experiment(k_min: int, k_max: int,
 
     The least-squares slope of log(delta) versus log(eps) estimates the decay
     exponent of the norm excess in the radius excess (1/4 asymptotically).
-    k_min must be an integer >= 1 and k_max one >= k_min. Rows are listed in
-    ascending n.
+    k_min must be an integer >= 1 and k_max one >= k_min whose n is at most
+    MAX_DIM, checked before any member is built. Rows are listed in ascending
+    n.
 
-    Each block of members that fits _BLOCK_BYTES keeps only (n, eps, delta,
-    A, A^-1) of its members and takes one lockstep sweep for all their radii,
-    each claim on its own matrix; every radius equals family_radii's of its
-    member bit for bit, so the blocks never change a row.
+    Members are built one at a time, as jobs of (n, eps, delta), A and A^-1
+    and their claims, and streamed through the radii's blocks, one lockstep
+    sweep each; every radius equals family_radii's of its member bit for
+    bit, so the blocks never change a row.
     """
     k_min = _check_count("k_min", k_min, 1)
     k_max = _check_count("k_max", k_max, k_min)
-    ns = [8 * k + 4 for k in range(k_min, k_max + 1)]
-    _validate_n(ns[-1])
+    _validate_n(8 * k_max + 4)
     tol = _check_tol(radius_tol)
-    rows = [row for block in _blocks(ns) for row in _block_rows(block, tol)]
+    members = map(_member, range(8 * k_min + 4, 8 * k_max + 5, 8))
+    rows = [ScalingRow(n=n, eps=eps, delta=delta, w=w.value, w_inv=w_inv.value)
+            for (n, eps, delta), (w, w_inv) in _streamed(members, 2.0, tol)]
     slope = float("nan")
     if len(rows) >= 2:
         slope = float(np.polyfit(np.log([row.eps for row in rows]),

@@ -50,11 +50,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _check_count(name: str, value, minimum: int) -> int:
-    """value as an int; bools, non-integers and values below minimum raise."""
+def _check_count(name: str, value, minimum: int, cap: int | None = None) -> int:
+    """value as an int; bools, non-integers and values outside [minimum, cap] raise."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if cap is not None and value > cap:
+        raise ValueError(f"{name} is capped at {cap}, got {value!r}")
     return int(value)
 
 

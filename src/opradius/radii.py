@@ -59,16 +59,19 @@ between. The sweep numbers its owners (the swept matrices) in record order,
 so each record owns one contiguous range; it sweeps all of them in lockstep,
 then each record takes eigenvectors and witnesses at its owners' best
 angles. Every interval of the sweep carries the index of the owner it
-belongs to, one stacked eigvalsh call per kernel record evaluates the live
-angles of its owners together, and each owner keeps its own tol, slack and
-order (full circle or one period, below), and its own best value, best
-angle, stopping round and gap. An owner's result is therefore bit for bit
-that of its own sweep, while the per-round Python overhead is paid once for
-the whole call; a single matrix is the call of one. rho_radii, random_test's
-blocks, family_radii and scaling_experiment's blocks of family members are
-such calls. Every kernel is built like H_theta, as cos(theta) P + sin(theta)
-Q for a pair fixed before the sweep: (H, K) for H_theta, (Re A_s, -Im A_s)
-for S_theta and (2 alpha H, 2 alpha K) for the top-left block of K_theta.
+belongs to; stacked eigvalsh calls per kernel record, each on at most
+_BATCH_BYTES of kernels, evaluate the live angles of its owners together,
+and each owner keeps its own tol, slack and order (full circle or one
+period, below), and its own best value, best angle, stopping round and gap.
+An owner's result is therefore bit for bit that of its own sweep, while the
+per-round Python overhead is paid once for the whole call. family_radii is
+the call of a member's A and A^-1; rho_radii, random_test and
+scaling_experiment stream their matrices through _streamed, one call per
+block whose inputs reach _BLOCK_BYTES, so a list of any length, up to n =
+500, is swept in bounded memory. Every kernel is built like H_theta, as
+cos(theta) P + sin(theta) Q for a pair fixed before the sweep: (H, K) for
+H_theta, (Re A_s, -Im A_s) for S_theta and (2 alpha H, 2 alpha K) for the
+top-left block of K_theta.
 
 Every radius is homogeneous, w_rho(2^e A) = 2^e w_rho(A). An n x n stack with
 n max|a_ij| above half the float64 maximum raises ValueError before any work,
@@ -211,12 +214,13 @@ _MAX_ROUNDS = 64
 # ceil(_COARSE/order) intervals of its period. Refinement makes the final
 # accuracy independent of it, so it only sets the cost.
 _COARSE = 8
-# Largest stack of rotated Hermitian parts or pencil linearizations built at
-# once, counted as 16 dim^2 bytes per matrix. Building a stack takes about two
-# temporaries of its size, so the peak is a small multiple of this; longer
-# stacks are evaluated in chunks, which keeps n = 500 sweeps and lockstep
-# sweeps over many matrices in bounded memory.
+# Largest stack of kernels built at once, at their own itemsize: 8 bytes an
+# entry for float64 S_theta, 16 for complex ones. Building a stack takes about
+# two temporaries of its size; longer stacks are evaluated in chunks, which
+# keeps n = 500 sweeps in bounded memory.
 _BATCH_BYTES = 128 * 2**10
+# Input bytes at which _streamed sweeps the block of jobs it holds.
+_BLOCK_BYTES = 2**21
 _NOT_FINITE = "radius bracket is not finite: matrix entries too large for float64"
 
 
@@ -289,10 +293,10 @@ def _scale_back(x: np.ndarray, e) -> np.ndarray:
     return out
 
 
-def _chunks(count: int, dim: int):
-    """Slices of range(count) whose stacks of dim x dim complex matrices fit
-    _BATCH_BYTES."""
-    step = max(1, _BATCH_BYTES // (16 * dim * dim))
+def _chunks(count: int, dim: int, itemsize: int):
+    """Slices of range(count) whose stacks of dim x dim matrices of itemsize
+    bytes per entry fit _BATCH_BYTES, one matrix at least."""
+    step = max(1, _BATCH_BYTES // (itemsize * dim * dim))
     return (slice(i, i + step) for i in range(0, count, step))
 
 
@@ -302,7 +306,7 @@ def _top_eigenvalues(build, dim: int, owner: np.ndarray,
     row per matrix, built in chunks: the support values at theta and at
     theta + pi of a kernel that flips sign there."""
     out = np.empty((thetas.size, 2))
-    for s in _chunks(thetas.size, dim):
+    for s in _chunks(thetas.size, dim, build.itemsize):
         w = np.linalg.eigvalsh(build(owner[s], thetas[s]))
         out[s, 0], out[s, 1] = w[..., -1], -w[..., 0]
     return out
@@ -314,7 +318,7 @@ def _top_eigenpairs(build, dim: int, owner: np.ndarray,
     the vectors row by row as complex128."""
     lam = np.empty(thetas.size)
     vec = np.empty((thetas.size, dim), dtype=np.complex128)
-    for s in _chunks(thetas.size, dim):
+    for s in _chunks(thetas.size, dim, build.itemsize):
         w, v = np.linalg.eigh(build(owner[s], thetas[s]))
         lam[s], vec[s] = w[..., -1], v[..., -1]
     return lam, vec
@@ -336,7 +340,7 @@ def _real_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rotation_builder(p: np.ndarray, q: np.ndarray):
     """build(owner, thetas, out=None): the matrices cos(theta) P + sin(theta) Q
     for P = p[owner[i]] and Q = q[owner[i]] at thetas[i], written into out
-    when it is given."""
+    when it is given; build.itemsize is the bytes of one of their entries."""
 
     def build(owner, thetas, out=None):
         r = np.take(p, owner, axis=0, out=out)
@@ -345,13 +349,14 @@ def _rotation_builder(p: np.ndarray, q: np.ndarray):
         t *= np.sin(thetas)[:, None, None]
         r += t
         return r
+    build.itemsize = p.itemsize
     return build
 
 
 def _pencil_builder(mats: np.ndarray, alpha: float, beta: float):
     """build(owner, thetas): the 2n x 2n linearizations K_theta = [[2 alpha
     H_theta, sqrt(beta) A*], [sqrt(beta) A, 0]] of A = mats[owner[i]] at
-    thetas[i], Hermitian by construction."""
+    thetas[i], Hermitian by construction, complex128 (build.itemsize 16)."""
     n = mats.shape[-1]
     top_left = _rotation_builder(*(2 * alpha * x for x in _hermitian_parts(mats)))
     lower = np.sqrt(beta) * mats
@@ -362,6 +367,7 @@ def _pencil_builder(mats: np.ndarray, alpha: float, beta: float):
         k[:, n:, :n] = lower[owner]
         k[:, :n, n:] = k[:, n:, :n].conj().transpose(0, 2, 1)
         return k
+    build.itemsize = 16
     return build
 
 
@@ -576,7 +582,7 @@ def _sweep(values, count: int, tol: float | np.ndarray, vertex,
 
 
 def _radii(mats: list[np.ndarray], rho: float, tol: float,
-           rotations: list | None = None) -> list[RadiusEstimate]:
+           rotations: list) -> list[RadiusEstimate]:
     """Certified rho-radii of square matrices, for rho in [1, 2] and tol in
     range; rotations holds one well-formed claim (perm, signs, m), or None,
     per matrix, read at rho = 2. Each size-and-dtype group is checked and
@@ -587,7 +593,6 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
     owning sweep indices start[k]:start[k + 1], each owner with its own tol,
     order and slack."""
     out = [RadiusEstimate(0.0, rho, 0.0, True, None)] * len(mats)
-    rotations = rotations or [None] * len(mats)
     groups = {}
     for i, m in enumerate(mats):
         if m.any():
@@ -660,6 +665,31 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
     return out
 
 
+def _streamed(jobs, rho: float, tol: float):
+    """(key, estimates) of each job (key, mats, claims) of an iterable, in
+    order, one claim or None per matrix. Jobs join a block until its
+    matrices' bytes reach _BLOCK_BYTES, and the block takes one _radii call
+    before the next job is pulled: a block holds less than _BLOCK_BYTES plus
+    its last job, and every estimate is bit for bit its own sweep."""
+    block, size = [], 0
+    for job in jobs:
+        block.append(job)
+        size += sum(m.nbytes for m in job[1])
+        if size >= _BLOCK_BYTES:
+            done, block, size = _swept(block, rho, tol), [], 0
+            del job  # else it stays alive while the next job is built
+            yield from done
+    if block:
+        yield from _swept(block, rho, tol)
+
+
+def _swept(block: list, rho: float, tol: float) -> list:
+    """(key, estimates) of each job of a block, from one _radii call."""
+    ests = iter(_radii([m for _, mats, _ in block for m in mats], rho, tol,
+                       [c for *_, claims in block for c in claims]))
+    return [(key, [next(ests) for _ in mats]) for key, mats, _ in block]
+
+
 def numerical_radius(a, tol: float = 1e-9,
                      rotation: tuple | None = None) -> RadiusEstimate:
     """Numerical radius w(A) = sup |<Ah, h>| over unit vectors, certified.
@@ -674,9 +704,8 @@ def numerical_radius(a, tol: float = 1e-9,
     ValueError. The claim is measured; when its slack is at most tol/2 only
     one period of the support function is swept and the slack is folded into
     the gap, otherwise the claim is ignored and the full circle is swept.
-    This is the engine's call on a list of one matrix with its one claim;
-    extremal.family_radii and scaling_experiment make the same call on many
-    matrices, one claim each, and get each matrix's result bit for bit.
+    This is the engine's call on one matrix and its claim; family_radii and
+    scaling_experiment make it on many, each result bit for bit its own.
     """
     a = as_matrix(a)
     checked = None if rotation is None else _check_rotation(rotation, a.shape[0])
@@ -763,19 +792,19 @@ def sphere_maximize(
 
 
 def rho_radii(mats, rho: float, tol: float = 1e-6) -> list[RadiusEstimate]:
-    """Operator rho-radii of any square matrices, swept in lockstep.
+    """Operator rho-radii of any square matrices, swept in lockstep blocks.
 
-    Entry i equals rho_radius(mats[i], rho, tol) bit for bit: the matrices
-    are grouped by size and dtype, so each keeps the float64 or complex128
-    stack of its own call, and one certified sweep for the whole call
-    evaluates the live angles of all of them together, each keeping its own
-    best value, stopping round and gap. Zero matrices get value 0, gap 0 and
-    no witness.
+    Entry i equals rho_radius(mats[i], rho, tol) bit for bit: each matrix
+    keeps the float64 or complex128 stack of its own call and its own best
+    value, stopping round and gap, in one certified sweep per block whose
+    matrices reach _BLOCK_BYTES, so a long list takes bounded memory. Zero
+    matrices get value 0, gap 0 and no witness.
     """
     mats = [as_matrix(m) for m in mats]
     if not mats:
         raise ValueError("need at least one matrix")
-    return _radii(mats, _check_rho(rho), _check_tol(tol))
+    jobs = ((None, [m], [None]) for m in mats)
+    return [est for _, (est,) in _streamed(jobs, _check_rho(rho), _check_tol(tol))]
 
 
 def rho_radius(a, rho: float, tol: float = 1e-6) -> RadiusEstimate:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import opradius
-from opradius import bounds, cli, extremal, linalg
+from opradius import bounds, cli, extremal, linalg, radii
 from opradius.cli import main, random_test
 from opradius.radii import numerical_radius, rho_radius
 from opradius.unitary import distance_to_unitaries
@@ -280,18 +280,25 @@ class TestRandomTest:
     def test_blocks_do_not_change_records(self, monkeypatch):
         whole = random_test(2, 5, 16, 1.5, seed=17)
         calls = []
-        rho_radii = cli.rho_radii
+        radii_call = radii._radii
 
         def spy(mats, *args, **kwargs):
             calls.append(len(mats))
-            return rho_radii(mats, *args, **kwargs)
+            return radii_call(mats, *args, **kwargs)
 
         # room for three 5 x 5 samples and their inverses per block
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", 3 * 2 * 16 * 5 * 5)
-        monkeypatch.setattr(cli, "rho_radii", spy)
+        budget = 3 * 2 * 16 * 5 * 5
+        monkeypatch.setattr(radii, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(radii, "_radii", spy)
         blocked = random_test(2, 5, 16, 1.5, seed=17)
-        # one call per block of three samples, on its samples and their inverses
-        assert calls == [6] * 5 + [2]
+        # a block is swept once its samples and inverses reach the budget
+        want, size = [0], 0
+        for rec in whole.records:
+            want[-1] += 2
+            size += 2 * 16 * rec.dim ** 2
+            if size >= budget:
+                want, size = want + [0], 0
+        assert calls == [c for c in want if c] == [12, 10, 10]
         assert blocked.records == whole.records
         assert (blocked.max_ratio, blocked.worst_index) == (whole.max_ratio,
                                                             whole.worst_index)
@@ -322,6 +329,16 @@ class TestRandomTest:
                              ((True, True, 3), "dim_min"), ((2, True, 3), "dim_max")]:
             with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
                 random_test(*counts, 2.0)
+
+    def test_dim_max_is_capped_before_any_draw(self, monkeypatch, capsys):
+        # dim_max 100000 would ask for a 160 GB draw: refused before any
+        draws = []
+        monkeypatch.setattr(cli, "_draws", lambda *args: draws.append(args) or iter(()))
+        with pytest.raises(ValueError, match="dim_max is capped at 500, got 501"):
+            random_test(2, 501, 3, 2.0)
+        assert main(["random-test", "--samples", "3", "--dim-max", "100000"]) == 2
+        assert "dim_max is capped at 500" in capsys.readouterr().err
+        assert draws == []
 
     def test_gives_up_after_100_singular_draws(self, monkeypatch):
         draws = []

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -328,21 +329,33 @@ class TestScaling:
     def test_blocks_never_change_a_row(self, monkeypatch):
         whole = extremal.scaling_experiment(1, 8, 1e-9)
         # a zero budget takes one member per block
-        monkeypatch.setattr(extremal, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(radii, "_BLOCK_BYTES", 0)
         assert extremal.scaling_experiment(1, 8, 1e-9) == whole
 
-    def test_blocks_bound_the_members_held(self):
-        # up to MAX_DIM no block outgrows the budget unless it holds one member
+    def test_blocks_bound_the_members_held(self, monkeypatch):
+        # up to MAX_DIM a block holds less than the budget plus its last
+        # member, whose A and A^-1 take 32 n^2 bytes
+        blocks = []
+
+        def sweep(mats, rho, tol, rotations):
+            blocks.append([m.shape[0] for m in mats[::2]])
+            return [radii.RadiusEstimate(1.0, rho, 0.0, True, None)] * len(mats)
+
+        monkeypatch.setattr(radii, "_radii", sweep)
         ns = [8 * k + 4 for k in range(1, 63)]
-        blocks = list(extremal._blocks(ns))
+        jobs = ((n, [np.empty((n, n), dtype=complex)] * 2, [None, None]) for n in ns)
+        assert [n for n, _ in radii._streamed(jobs, 2.0, 1e-6)] == ns
         assert [n for block in blocks for n in block] == ns
         for block in blocks:
-            assert len(block) == 1 or 32 * sum(n * n for n in block) <= extremal._BLOCK_BYTES
+            assert 32 * sum(n * n for n in block[:-1]) < radii._BLOCK_BYTES
+        for block in blocks[:-1]:
+            assert 32 * sum(n * n for n in block) >= radii._BLOCK_BYTES
         assert [500] in blocks and len(blocks) > 30
 
     def test_same_eigenproblems_in_fewer_calls(self, monkeypatch):
         # kmax 8: 48 eigvalsh and 16 eigh matrices, as one numerical_radius
-        # call per radius solves, in at most 22 and 9 calls, not 34 and 16
+        # call per radius solves, in 17 and 8 calls, not 34 and 16: chunks
+        # count float64 S_theta at 8 bytes an entry
         counts = {}
 
         def spy(name):
@@ -360,7 +373,7 @@ class TestScaling:
         (eigvalsh_calls, eigvalsh_mats), (eigh_calls, eigh_mats) = (
             counts["eigvalsh"], counts["eigh"])
         assert (eigvalsh_mats, eigh_mats) == (48, 16)
-        assert eigvalsh_calls <= 22 and eigh_calls <= 9
+        assert (eigvalsh_calls, eigh_calls) == (17, 8)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="k_min"):
@@ -375,6 +388,17 @@ class TestScaling:
                          ((True, 1), "k_min"), ((1, True), "k_max")]:
             with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
                 extremal.scaling_experiment(*ks)
+
+    def test_cap_is_checked_before_the_list_of_n(self):
+        # k_max = 10^6 once took 68 MB for its list of n before the cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n is capped at 500, got 8000004"):
+                extremal.scaling_experiment(1, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestVerdictRules:

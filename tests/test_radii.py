@@ -748,6 +748,60 @@ class TestLockstep:
         # every matrix but the zero one
         assert counts == [22]
 
+    @pytest.mark.parametrize("rho", [1.0, 1.5, 2.0])
+    def test_blocks_never_change_an_entry(self, rho, monkeypatch):
+        mats = self.mixed()
+        whole = rho_radii(mats, rho)
+        # a zero budget sweeps every matrix in a block of its own
+        monkeypatch.setattr(radii, "_BLOCK_BYTES", 0)
+        for got, want in zip(rho_radii(mats, rho), whole, strict=True):
+            self.assert_same(got, want)
+
+    def test_blocks_hold_the_budget_plus_their_last_job(self, monkeypatch):
+        mats = self.mixed()
+        budget = 5 * 16 * 3 * 3
+        blocks = []
+        radii_call = radii._radii
+
+        def spy(block, *args):
+            blocks.append([m.nbytes for m in block])
+            return radii_call(block, *args)
+
+        monkeypatch.setattr(radii, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(radii, "_radii", spy)
+        rho_radii(mats, 2.0)
+        assert [n for block in blocks for n in block] == [m.nbytes for m in mats]
+        assert len(blocks) > 3
+        for block in blocks:
+            assert sum(block[:-1]) < budget
+        for block in blocks[:-1]:
+            assert sum(block) >= budget
+
+    def test_streamed_pulls_no_job_beyond_its_block(self, monkeypatch):
+        mats = self.mixed()
+        pulled, swept = [], []
+        radii_call = radii._radii
+
+        def jobs():
+            for i, a in enumerate(mats):
+                pulled.append(i)
+                yield i, [a], [None]
+
+        def spy(block, *args):
+            # every job pulled so far is in this block or an earlier one
+            swept.extend(range(len(swept), len(swept) + len(block)))
+            assert pulled == swept
+            return radii_call(block, *args)
+
+        monkeypatch.setattr(radii, "_BLOCK_BYTES", 5 * 16 * 3 * 3)
+        monkeypatch.setattr(radii, "_radii", spy)
+        keys = []
+        for key, _ in radii._streamed(jobs(), 2.0, 1e-6):
+            # a block's results come before its next job is pulled
+            assert pulled == swept
+            keys.append(key)
+        assert keys == pulled == swept == list(range(len(mats)))
+
     @pytest.mark.parametrize("rho", [1.0, 1.5])
     def test_only_rho_one_takes_an_svd(self, rho, monkeypatch):
         # rho = 1 reads the top singular pair from one stacked SVD per size
@@ -1126,10 +1180,11 @@ class TestUnitScale:
         # back exactly, down to a subnormal gap at k = -1000
         mats = [gaussian_matrix(seeded(60, i), 1 + i % 6) for i in range(30)]
         tol = 2.0 ** -27
-        want = radii._radii(mats, rho, tol)
+        claims = [None] * len(mats)
+        want = radii._radii(mats, rho, tol, claims)
         differ = []
         for k in (-1000, -40, 3, 900):
-            got = radii._radii([2.0 ** k * a for a in mats], rho, 2.0 ** k * tol)
+            got = radii._radii([2.0 ** k * a for a in mats], rho, 2.0 ** k * tol, claims)
             for i, (g, w) in enumerate(zip(got, want)):
                 same = (g.value == np.ldexp(w.value, k)
                         and g.tolerance == np.ldexp(w.tolerance, k)

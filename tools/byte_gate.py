@@ -44,10 +44,11 @@ INVOCATIONS = (
        for fmt in FORMATS]
     + [["random-test", "--rho", rho, "--samples", "20", "--format", fmt]
        for rho in ("1", "1.5", "2") for fmt in FORMATS]
-    # samples up to 40 x 40, which random-test certifies in several blocks
-    # (at rho 1 on the stacked-SVD path)
-    + [["random-test", "--rho", rho, "--samples", "40", "--dim-min", "30",
-        "--dim-max", "40", "--format", "csv"] for rho in ("1", "1.5", "2")]
+    # samples up to 40 x 40 (at rho 1 on the stacked-SVD path): 40 fit one
+    # 2 MiB block of the radii's streaming, 120 take three
+    + [["random-test", "--rho", rho, "--samples", samples, "--dim-min", "30",
+        "--dim-max", "40", "--format", "csv"]
+       for samples in ("40", "120") for rho in ("1", "1.5", "2")]
     # the rho-pencil near rho = 1 and below its middle
     + [["gap", "--matrix", "{GAUSS}", "--rho", "1.000001", "--format", "csv"],
        ["random-test", "--rho", "1.25", "--samples", "20", "--format", "csv"]]
@@ -68,6 +69,8 @@ INVOCATIONS = (
        ["extremal", "scaling", "--kmin", "1", "--kmax", "8", "--format", "csv"],
        ["extremal", "verify", "--n", "500", "--format", "csv"],
        ["extremal", "scaling", "--kmin", "1", "--kmax", "18", "--format", "csv"]]
+    # members up to n = 500 = MAX_DIM, each past the block budget alone
+    + [["extremal", "scaling", "--kmin", "60", "--kmax", "62", "--format", "csv"]]
     # a tight scaling table in json: every member's claim is measured against
     # tol/2 = 5e-10, and more than one refinement round runs per member
     + [["extremal", "scaling", "--kmin", "2", "--kmax", "6", "--tol", "1e-9",
