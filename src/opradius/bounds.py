@@ -9,10 +9,10 @@ self-inverse, has numerical radius r, and attains norm X(r), so X is also the
 certified lower envelope at rho = 2.
 
 Square roots of r^2 - 1 are evaluated as sqrt((r - 1)(r + 1)) to avoid
-cancellation; the quartic-rate experiments probe r - 1 down to 1e-9. Where
-r^2 or x_rho's discriminant would overflow, the same quantities are taken
-divided through by r (or as sqrt(r - 1) sqrt(r + 1)), so every envelope is
-finite wherever its value is; a value beyond float64 raises ValueError.
+cancellation; the quartic-rate experiments probe r - 1 down to 1e-9. One
+overflow rule serves every square root of a product: sqrt(x y) is taken as
+sqrt(x) sqrt(y) where x y overflows float64, so every envelope is finite
+wherever its value is; a value beyond float64 raises ValueError.
 """
 
 from __future__ import annotations
@@ -58,10 +58,14 @@ def _check_rho(rho: float) -> float:
     return min(max(float(rho), 1.0), 2.0)
 
 
+def _sqrt_product(x: float, y: float) -> float:
+    """sqrt(x y) for x, y >= 0, as sqrt(x) sqrt(y) where x y overflows float64."""
+    product = x * y
+    return math.sqrt(product) if product < math.inf else math.sqrt(x) * math.sqrt(y)
+
+
 def _sqrt_sq_minus_one(x: float) -> float:
-    square = max(x - 1.0, 0.0) * (x + 1.0)
-    # beyond sqrt(float64 max) the product overflows, not its square root
-    return math.sqrt(square) if square < math.inf else math.sqrt(x - 1.0) * math.sqrt(x + 1.0)
+    return _sqrt_product(max(x - 1.0, 0.0), x + 1.0)
 
 
 def _in_range(value: float) -> float:
@@ -72,35 +76,29 @@ def _in_range(value: float) -> float:
 
 
 def x_of_r(r: float) -> float:
-    """X(r) = r + sqrt(r^2 - 1); X(1) = 1."""
-    r = _check_r(r)
-    return _in_range(r + _sqrt_sq_minus_one(r))
+    """X(r) = r + sqrt(r^2 - 1); X(1) = 1. This is x_rho(2, r)."""
+    return x_rho(2.0, r)
 
 
 def psi_upper(r: float) -> float:
     """Upper envelope X(r) + sqrt(X(r)^2 - 1); equals 1 at r = 1."""
-    x = x_of_r(r)
-    return _in_range(x + _sqrt_sq_minus_one(x))
+    return psi_rho_upper(2.0, r)
 
 
 def x_rho(rho: float, r: float) -> float:
-    """X_rho(r) = (2 + rho r^2 - rho + sqrt((2 + rho r^2 - rho)^2 - 4 r^2)) / (2r).
+    """X_rho(r) = (q + sqrt(q^2 - 4 r^2)) / (2r) with q = 2 + rho r^2 - rho.
 
-    x_rho(2, r) = x_of_r(r), x_rho(1, r) = r, and x_rho(rho, 1) = 1.
+    Evaluated as a + sqrt((r - 1) c (a + 1)), with h = rho/2, a = r h +
+    (1 - h)/r = q/(2r) and c = h + (h - 1)/r = (rho r + rho - 2)/(2r). As h,
+    1 - h and h - 1 are exact, a = 1 at r = 1, and at rho = 2 a = r and c = 1:
+    x_rho(2, r) = r + sqrt((r - 1)(r + 1)) = x_of_r(r) bit for bit.
     """
-    rho = _check_rho(rho)
+    h = _check_rho(rho) / 2.0
     r = _check_r(r)
-    q = 2.0 + rho * r * r - rho
-    # discriminant factored so that the (r - 1) root is taken exactly
-    disc = max(r - 1.0, 0.0) * (rho * r + rho - 2.0) * (q + 2.0 * r)
-    if disc < math.inf:
-        # X_rho(r) >= X_rho(1) = 1; the clamp absorbs one-ulp rounding in q
-        return max((q + math.sqrt(max(disc, 0.0))) / (2.0 * r), 1.0)
-    # r above about 1e77: the same quantity divided through by r, with q/r^2
-    # and disc/r^4 of order 1, keeps every intermediate finite
-    q_r = rho + (2.0 - rho) / r / r
-    disc_r = (1.0 - 1.0 / r) * (rho + (rho - 2.0) / r) * (q_r + 2.0 / r)
-    return _in_range(r * ((q_r + math.sqrt(disc_r)) / 2.0))
+    a = r * h + (1.0 - h) / r
+    c = h + (h - 1.0) / r
+    # X_rho(r) >= X_rho(1) = 1; the clamp absorbs rounding in a
+    return _in_range(max(a + _sqrt_product(r - 1.0, c * (a + 1.0)), 1.0))
 
 
 def psi_rho_upper(rho: float, r: float) -> float:
@@ -127,13 +125,13 @@ def crossover_radius() -> float:
 def lower_witness(r: float) -> tuple[np.ndarray, float]:
     """The 2x2 witness attaining norm X(r) at numerical radius r.
 
-    Returns ([[1, 2y], [0, -1]], r + sqrt(r^2 - 1)) with y = sqrt(r^2 - 1).
+    Returns ([[1, 2y], [0, -1]], x_of_r(r) = r + y) with y = sqrt(r^2 - 1).
     The matrix is exactly self-inverse.
     """
     r = _check_r(r)
     y = _sqrt_sq_minus_one(r)
     witness = np.array([[1.0, 2.0 * y], [0.0, -1.0]], dtype=np.complex128)
-    return witness, r + y
+    return witness, x_of_r(r)
 
 
 @dataclass(frozen=True)
@@ -194,9 +192,10 @@ def bound_curve(rho: float, r_min: float = 1.0, r_max: float = 2.0,
                 steps: int = 101) -> BoundCurve:
     """Tabulate X_rho, the psi envelopes, and the quartic asymptote on a grid.
 
-    psi_lower is the certified lower envelope: the 2x2 witness value X(r) at
-    rho = 2, and the scaled-unitary value r otherwise. Both ends of the grid
-    must be finite and >= 1, and steps an integer >= 1.
+    psi_lower is the certified lower envelope: at rho = 2 the 2x2 witness
+    value X(r), which is the row's own X, and the scaled-unitary value r
+    otherwise. Both ends of the grid must be finite and >= 1, and steps an
+    integer >= 1.
     """
     rho = _check_rho(rho)
     r_min = _check_r(r_min)
@@ -205,7 +204,7 @@ def bound_curve(rho: float, r_min: float = 1.0, r_max: float = 2.0,
     r_max = _check_r(r_max)
     rs = np.linspace(r_min, r_max, _check_count("steps", steps, 1))
     return BoundCurve(rho, [
-        BoundRow(r=r, x_value=x_rho(rho, r), psi_upper=psi_rho_upper(rho, r),
-                 psi_lower=x_of_r(r) if rho == 2.0 else r,
+        BoundRow(r=r, x_value=(x := x_rho(rho, r)), psi_upper=psi_rho_upper(rho, r),
+                 psi_lower=x if rho == 2.0 else r,
                  asymptotic=_asymptotic_unchecked(r - 1.0, rho))
         for r in map(float, rs)])

@@ -372,9 +372,13 @@ def _pencil_builder(mats: np.ndarray, alpha: float, beta: float):
 
 
 def support_points(a, thetas) -> list[SupportPoint]:
-    """Boundary samples of the numerical range at the given support angles."""
+    """Boundary samples of the numerical range at the given support angles,
+    which must be finite."""
     (a,), e = _unit_scale(as_matrix(a)[None])
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    bad = thetas[~np.isfinite(thetas)]
+    if bad.size:
+        raise ValueError(f"support angles must be finite, got {bad[0]}")
     lam, vec = _top_eigenpairs(_rotation_builder(*_hermitian_parts(a[None])),
                                a.shape[0], np.zeros(thetas.size, dtype=np.intp),
                                thetas)
@@ -752,6 +756,7 @@ def sphere_maximize(
     fixed (a, rho, restarts, iters, seed); ties across restarts resolve to the
     lowest index.
     """
+    rho = _check_rho(rho)
     (a,), e = _unit_scale(as_matrix(a)[None])
     restarts = _check_count("restarts", restarts, 1)
     iters = _check_count("iters", iters, 0)

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -61,7 +62,7 @@ class TestXRho:
     @settings(max_examples=100, deadline=None)
     @given(r=r_values)
     def test_reduces_to_x_at_two(self, r):
-        assert bounds.x_rho(2.0, r) == pytest.approx(bounds.x_of_r(r), rel=1e-13)
+        assert bounds.x_rho(2.0, r) == bounds.x_of_r(r)
 
     @settings(max_examples=100, deadline=None)
     @given(r=r_values)
@@ -87,13 +88,53 @@ class TestXRho:
 
     @pytest.mark.parametrize("r", [9e76, 1e150, 1e300])
     def test_large_r_stays_finite(self, r):
-        # x_rho's discriminant overflows float64 from r near 1e77 on, r^2
-        # from 1.3e154 on; the envelopes themselves stay finite
-        assert bounds.x_rho(2.0, r) == pytest.approx(bounds.x_of_r(r), rel=1e-15)
+        # the product under x_rho's square root overflows float64 from r
+        # near 1.3e154 on, as r^2 does; the envelopes themselves stay finite
+        assert bounds.x_rho(2.0, r) == bounds.x_of_r(r)
         assert bounds.x_rho(1.0, r) == r
         assert bounds.x_of_r(r) == pytest.approx(2.0 * r, rel=1e-15)
         assert bounds.psi_upper(r) == pytest.approx(4.0 * r, rel=1e-15)
         assert bounds.psi_rho_upper(1.5, r) == pytest.approx(3.0 * r, rel=1e-15)
+
+    def test_rho_two_is_the_inline_formula_bit_for_bit(self):
+        # X(r) = r + sqrt((r - 1)(r + 1)), the square root split where the
+        # product overflows; x_of_r, lower_witness and psi_upper are x_rho
+        # and psi_rho_upper at rho = 2, so each is the inline formula too
+        def sqrt_sq_minus_one(x):
+            square = (x - 1.0) * (x + 1.0)
+            if math.isfinite(square):
+                return math.sqrt(square)
+            return math.sqrt(x - 1.0) * math.sqrt(x + 1.0)
+
+        grid = np.concatenate([1.0 + np.geomspace(1e-15, 3.0, 400),
+                               np.geomspace(4.0, 1e300, 400), [1.0, 1.3e154, 1.4e154]])
+        for r in map(float, grid):
+            x = r + sqrt_sq_minus_one(r)
+            assert bounds.x_rho(2.0, r) == x
+            assert bounds.x_of_r(r) == x
+            assert bounds.lower_witness(r)[1] == x
+            assert bounds.psi_upper(r) == bounds.psi_rho_upper(2.0, r) == (
+                x + sqrt_sq_minus_one(x))
+
+    def test_within_two_ulp_of_a_50_digit_reference(self):
+        # X_rho from its closed form in 50-digit decimal, the discriminant
+        # q^2 - 4 r^2 factored as (r - 1)(rho r + rho - 2)(q + 2r), on seeded
+        # (rho, r) with r - 1 from 1e-13 to 3 and r up to 1e300
+        rng = seeded(63, 0)
+        rhos = np.concatenate([rng.uniform(1.0, 2.0, 3000), [1.0, 1.0 + 1e-9, 1.5, 2.0]])
+        rs = np.concatenate([1.0 + 10.0 ** rng.uniform(-13.0, math.log10(3.0), 1500),
+                             10.0 ** rng.uniform(0.0, 300.0, 1500), [1.0, 1.25, 2.0, 1e300]])
+        worst = 0.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for rho, r in zip(map(float, rhos), map(float, rs)):
+                d_rho, d_r = decimal.Decimal(rho), decimal.Decimal(r)
+                q = 2 + d_rho * d_r * d_r - d_rho
+                disc = (d_r - 1) * (d_rho * d_r + d_rho - 2) * (q + 2 * d_r)
+                want = (q + disc.sqrt()) / (2 * d_r)
+                error = abs(decimal.Decimal(bounds.x_rho(rho, r)) - want)
+                worst = max(worst, float(error) / math.ulp(float(want)))
+        assert worst <= 2.0
 
     def test_values_beyond_float64_raise(self):
         # psi is about 4r at rho = 2, beyond float64 from r = 4.5e307 on

@@ -182,6 +182,13 @@ class TestBounds:
         first = [float(c) for c in lines[1].split(",")]
         assert first == [1.0, 1.0, 1.0, 1.0, 1.0]
 
+    def test_psi_lower_is_the_x_column_at_rho_two(self, capsys):
+        # at rho = 2 the lower envelope is X(r), the row's own X
+        assert main(["bounds", "--format", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 101
+        assert [row[3] for row in rows] == [row[1] for row in rows]
+
     def test_json_schema(self, capsys):
         assert main(["bounds", "--steps", "3", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

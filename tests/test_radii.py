@@ -1145,6 +1145,14 @@ class TestRangeBoundary:
         hausdorff = max(d.min(axis=1).max(), d.min(axis=0).max())
         assert hausdorff <= 1e-5
 
+    @pytest.mark.parametrize("thetas", [np.nan, np.inf, [0.0, np.inf]])
+    def test_rejects_non_finite_angles(self, thetas):
+        # these warned, then blamed the matrix entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="support angles must be finite"):
+                support_points(np.eye(2), thetas)
+
     def test_rejects_few_samples(self):
         with pytest.raises(ValueError, match="samples"):
             range_boundary(np.eye(2), 4)
@@ -1165,6 +1173,15 @@ class TestSphereMaximize:
                 sphere_maximize(np.eye(2), 2.0, restarts=restarts)
         with pytest.raises(ValueError, match="iters must be an integer >= 0"):
             sphere_maximize(np.eye(2), 2.0, iters=1.5)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 3.0, np.nan])
+    def test_rejects_bad_rho(self, rho):
+        # rho 0.5 returned 3.0 for a matrix of norm 2.414, rho 3 and NaN
+        # warned, then blamed the matrix entries, and rho 0 divided by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rho must lie in"):
+                sphere_maximize([[1.0, 2.0], [0.0, 1.0]], rho)
 
 
 class TestUnitScale:

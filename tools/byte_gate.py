@@ -40,6 +40,11 @@ INVOCATIONS = (
      for rho in ("1", "1.5", "2") for fmt in FORMATS]
     + [["bounds", "--rho", "1.5", "--r-min", "1", "--r-max", "1.3", "--steps", "7",
         "--format", fmt] for fmt in FORMATS]
+    # the default rho 2 table, whose psi_lower is its X column, and a
+    # rho 1.5 table where r^2 and the product under X_rho's root overflow
+    + [["bounds", "--format", "csv"],
+       ["bounds", "--rho", "1.5", "--r-min", "1e100", "--r-max", "1e300", "--steps", "3",
+        "--format", "csv"]]
     + [["range", "--matrix", "{GAUSS}", "--samples", "32", "--format", fmt]
        for fmt in FORMATS]
     + [["random-test", "--rho", rho, "--samples", "20", "--format", fmt]
