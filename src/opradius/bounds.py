@@ -89,22 +89,34 @@ def x_rho(rho: float, r: float) -> float:
     """X_rho(r) = (q + sqrt(q^2 - 4 r^2)) / (2r) with q = 2 + rho r^2 - rho.
 
     Evaluated as a + sqrt((r - 1) c (a + 1)), with h = rho/2, a = r h +
-    (1 - h)/r = q/(2r) and c = h + (h - 1)/r = (rho r + rho - 2)/(2r). As h,
-    1 - h and h - 1 are exact, a = 1 at r = 1, and at rho = 2 a = r and c = 1:
-    x_rho(2, r) = r + sqrt((r - 1)(r + 1)) = x_of_r(r) bit for bit.
+    (1 - h)/r = q/(2r) and c = (rho - 1) + (1 - h)(r - 1)/r = (rho r + rho -
+    2)/(2r). As h, 1 - h, rho - 1 and r - 1 are exact, c is a sum of two
+    nonnegative terms that cancels nowhere, a = 1 at r = 1, and at rho = 2
+    a = r and c = 1: x_rho(2, r) = r + sqrt((r - 1)(r + 1)) = x_of_r(r) bit
+    for bit.
     """
-    h = _check_rho(rho) / 2.0
-    r = _check_r(r)
+    return _x_rho(rho, r)[0]
+
+
+def _x_rho(rho: float, r: float) -> tuple[float, float]:
+    """(X_rho(r), X_rho(r) - 1) by x_rho's evaluation, the second as (a - 1)
+    + root = (r - 1) c + root, a sum of nonnegative terms: X less 1 would
+    cancel where X is near 1."""
+    rho, r = _check_rho(rho), _check_r(r)
+    h = rho / 2.0
     a = r * h + (1.0 - h) / r
-    c = h + (h - 1.0) / r
+    c = (rho - 1.0) + (1.0 - h) * (r - 1.0) / r
+    root = _sqrt_product(r - 1.0, c * (a + 1.0))
     # X_rho(r) >= X_rho(1) = 1; the clamp absorbs rounding in a
-    return _in_range(max(a + _sqrt_product(r - 1.0, c * (a + 1.0)), 1.0))
+    return _in_range(max(a + root, 1.0)), (r - 1.0) * c + root
 
 
 def psi_rho_upper(rho: float, r: float) -> float:
-    """Upper envelope X_rho(r) + sqrt(X_rho(r)^2 - 1); always >= 1."""
-    x = x_rho(rho, r)
-    return _in_range(x + _sqrt_sq_minus_one(x))
+    """Upper envelope X + sqrt((X - 1)(X + 1)) with X = X_rho(r); always >=
+    1. X - 1 is x_rho's exact-difference form, not X less 1, whose
+    cancellation the square root would amplify near r = 1."""
+    x, x_minus_one = _x_rho(rho, r)
+    return _in_range(x + _sqrt_product(x_minus_one, x + 1.0))
 
 
 def _asymptotic_unchecked(eps: float, rho: float) -> float:

@@ -20,9 +20,13 @@ this module machine-checks:
     norm excess ||A|| - 1 = 1/(8 sqrt(n)) decays like the 1/4 power of the
     radius excess; scaling_experiment fits that exponent.
 
-A's SVD and inverse, the cot band and its norm are computed once per family:
-verify runs 1 complex SVD, 4 real SVDs and 1 inv, and a scaling row 1 complex
-SVD and 1 inv.
+B is a real symmetric circulant, so one real DFT of E's first row gives the
+eigenvalues lambda of E and mu = 1 + lambda/(2 n^{3/2}) of B (Davis,
+Circulant Matrices, 1979), and from them A^-1 = conj(D) B^-1 conj(D), the norm
+||A|| = ||B|| = max mu and certificate_32's F = E^2 B^-1 with its norm, each
+a circulant or a maximum of its spectrum. A's SVD, kept for A_vs_B_norm_gap
+and criterion 01, and the cot band's norm are computed once per family:
+verify runs 1 complex SVD and 3 real SVDs, and a scaling row none.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _check_count, _inverse, _signed_conjugate, singular_values
+from .linalg import _check_count, _signed_conjugate, singular_values
 # numerical_radius stays bound here: perfbench's tracer self-test patches it.
 from .radii import (RadiusEstimate, _check_tol, _radii, _streamed,
                     numerical_radius)  # noqa: F401
@@ -63,8 +67,21 @@ class ExtremalFamily:
         return singular_values(self.A)
 
     @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda, mu): the eigenvalues of the circulant E, the real DFT of
+        its first row, and of B = I + E/(2 n^{3/2}), in rfft order."""
+        lam = np.fft.rfft(self.E[0]).real
+        return lam, 1.0 + lam / (2.0 * self.n ** 1.5)
+
+    @cached_property
     def _a_inv(self) -> np.ndarray:
-        return _inverse(self.A, self._a_sv)
+        """A^-1 = conj(D) B^-1 conj(D), B^-1 the circulant with eigenvalues 1/mu."""
+        mu = self._spectrum[1]
+        if not mu.min() > 0:
+            raise np.linalg.LinAlgError(
+                f"B must be positive definite, its least eigenvalue is {mu.min():.3e}")
+        d = np.diag(self.D).conj()
+        return (d[:, None] * _circulant(np.fft.irfft(1.0 / mu, self.n))) * d[None, :]
 
     @cached_property
     def _cot(self) -> tuple[float, np.ndarray, np.ndarray]:
@@ -136,6 +153,13 @@ def build(n: int) -> ExtremalFamily:
     b = np.eye(n) + band / (2.0 * n ** 1.5)
     a = (d[:, None] * b) * d[None, :]
     return ExtremalFamily(n=n, k=k, D=np.diag(d), E=band, B=b, A=a)
+
+
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """The read-only circulant C_ij = c[(j - i) mod n], row i the window
+    c[n - i:2n - i] of c repeated twice: a strided view, no index array."""
+    n = c.size
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([c, c]), n)[n:0:-1]
 
 
 def _signed_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -237,17 +261,21 @@ def certificate_32(fam: ExtremalFamily) -> CertificateReport:
 
     Expanding (I + E/(2 n^{3/2}))^-1 splits the quadratic form into four
     pieces M1..M4 built from the band E and the tail F = E^2 (I + E/(2n^{3/2}))^-1;
-    their norms obey 3/4, 1/(8 sqrt n), 1/14, 1/56 and sum below 1.
+    their norms obey 3/4, 1/(8 sqrt n), 1/14, 1/56 and sum below 1. F is the
+    circulant with the eigenvalues lambda^2/mu >= 0, so its norm is their
+    maximum.
     """
     n = fam.n
     scale, weights, m = fam._cot
     e = fam.E.astype(float)
     m1 = -m
     m2 = e * scale
-    f = np.linalg.solve(fam.B, e @ e)
+    lam, mu = fam._spectrum
+    f_spectrum = lam * lam / mu
+    f = _circulant(np.fft.irfft(f_spectrum, n))
     m3 = weights * f / (4.0 * n ** 3)
     m4 = -f / (4.0 * n ** 3)
-    f_norm = float(singular_values(f)[0])
+    f_norm = float(f_spectrum.max())
     checks = (
         _check("M1_opnorm", fam._m_norm, 3.0 / 4.0),
         _bracket_check("M2_opnorm_err", m2, _norm_excess(n)),
@@ -337,10 +365,12 @@ def verify(n: int, tol: float) -> list[CertificateReport]:
 
 def _member(n: int) -> tuple[tuple[int, float, float], list[np.ndarray], list]:
     """The radii job ((n, eps, delta), [A, A^-1], claims) of the member for
-    n, its D, E and B dropped."""
+    n, its D, E and B dropped; delta = ||B|| - 1 = max mu - 1, as D is
+    unitary."""
     fam = build(n)
     eps = 1.0 / np.cos(np.pi / n) - 1.0
-    return (n, float(eps), float(fam._a_sv[0]) - 1.0), [fam.A, fam._a_inv], _claims(n)
+    delta = float(fam._spectrum[1].max()) - 1.0
+    return (n, float(eps), delta), [fam.A, fam._a_inv], _claims(n)
 
 
 def scaling_experiment(k_min: int, k_max: int,

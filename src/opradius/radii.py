@@ -57,8 +57,9 @@ per matrix (S_theta or H_theta below at rho = 2, K_theta in between) with
 the value lower(a, v) a unit vector v attains: |<Av, v>| at rho = 2, g(v) in
 between. The sweep numbers its owners (the swept matrices) in record order,
 so each record owns one contiguous range; it sweeps all of them in lockstep,
-then each record takes eigenvectors and witnesses at its owners' best
-angles. Every interval of the sweep carries the index of the owner it
+then each record takes a witness at each owner's best angle from one shifted
+solve (_witnesses), not an eigh: the sweep already knows the top eigenvalue
+there. Every interval of the sweep carries the index of the owner it
 belongs to; stacked eigvalsh calls per kernel record, each on at most
 _BATCH_BYTES of kernels, evaluate the live angles of its owners together,
 and each owner keeps its own tol, slack and order (full circle or one
@@ -157,8 +158,16 @@ is at least its value at t = W, which is W m(c) by 1 - 2 alpha = beta.
 
 For rho < 2, m increases from m(-1) = beta > 0 to m(1) = 1, and near rho =
 1 it is almost flat, as u* is; the sweep bounds its intervals with the rule
-above. The value is max(best, g(x/||x||)) for the top eigenvector half x at
-the best angle, so it is attained up to rounding.
+above. The witness x is the top half of the approximate top eigenvector at
+the best angle, and its value g(x/||x||), taken as ratios on x itself, is
+attained up to rounding.
+
+Every witness value v replaces best only where it exceeds the solve's shift
+sigma = best + 2^-44 max(1, |best|): a v within the shift is rounding of the
+same top eigenvalue, and taking it could lift the value above the radius (as
+for c I, whose every vector is an eigenvector). Any unit vector attains its
+value, so the witness never enters the gap; the bracket [best, best + gap] is
+the sweep's alone.
 
 One eigensolve gives two support values, at theta and at its antipode theta
 + pi (Johnson 1978), because every kernel above flips sign there:
@@ -322,6 +331,45 @@ def _top_eigenpairs(build, dim: int, owner: np.ndarray,
         w, v = np.linalg.eigh(build(owner[s], thetas[s]))
         lam[s], vec[s] = w[..., -1], v[..., -1]
     return lam, vec
+
+
+def _witnesses(build, dim: int, owner: np.ndarray, thetas: np.ndarray,
+               sigma: np.ndarray) -> np.ndarray:
+    """Approximate top eigenvectors of build(owner, thetas), one row each as
+    complex128, by one step of inverse iteration (Ipsen, SIAM Review 39,
+    1997): the solve of (sigma I - K) x = b for the fixed b_i = cos(i), each
+    sigma just above its matrix's top eigenvalue, which the sweep has
+    computed. The rows are not normalized. A chunk whose solve raises or is
+    not finite takes eigh's eigenvectors instead."""
+    out = np.empty((thetas.size, dim), dtype=np.complex128)
+    b = np.cos(np.arange(1.0, dim + 1))
+    for s in _chunks(thetas.size, dim, build.itemsize):
+        shifted = build(owner[s], thetas[s])
+        shifted *= -1
+        shifted.reshape(len(shifted), -1)[:, ::dim + 1] += sigma[s, None]
+        try:
+            x = np.linalg.solve(shifted, b)
+        except np.linalg.LinAlgError:
+            x = None
+        if x is None or not np.isfinite(x).all():
+            x = np.linalg.eigh(build(owner[s], thetas[s]))[1][..., -1]
+        out[s] = x
+    return out
+
+
+def _ratios(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """(|<Ax, x>|, ||Ax||^2) / ||x||^2 for a vector x of any length: ratios
+    on x itself, since normalizing x first rounds and can lift the attained
+    value above the radius (0.5 I would read 0.50000000000000011)."""
+    ax = a @ x
+    xx = float((x.conj() @ x).real)
+    return abs(complex(x.conj() @ ax)) / xx, float((ax.conj() @ ax).real) / xx
+
+
+def _pencil_value(a: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> float:
+    """g(x/||x||) of the rho-pencil, from _ratios of x itself."""
+    t, s2 = _ratios(a, x)
+    return alpha * t + float(np.sqrt((alpha * t) ** 2 + beta * s2))
 
 
 def _hermitian_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -593,9 +641,9 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
     taken to unit scale as one stack, where each claim is measured and kept
     or refused for its own matrix; at rho = 1 the group takes one stacked
     SVD, else it becomes kernel records (inputs, build, dim, lower), lower(a,
-    v) the value a unit v attains for a. One sweep serves them all, record k
-    owning sweep indices start[k]:start[k + 1], each owner with its own tol,
-    order and slack."""
+    x) the value x/||x|| attains for a, as ratios on x. One sweep serves
+    them all, record k owning sweep indices start[k]:start[k + 1], each
+    owner with its own tol, order and slack."""
     out = [RadiusEstimate(0.0, rho, 0.0, True, None)] * len(mats)
     groups = {}
     for i, m in enumerate(mats):
@@ -628,19 +676,19 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
             skew = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2)) / 2
             real = slacks[inputs] + skew <= tols[inputs] / 2
             slacks[inputs[real]] += skew[real]
-            # |<Av, v>| >= h(best_theta), also for the real v of S_theta; a
-            # group on one path builds its pair from the stack itself, not
-            # from a copy, which would raise the n = 500 peak
+            # |<Ax, x>|/||x||^2 >= h(best_theta) for a top eigenvector x,
+            # also for the real x of S_theta; a group on one path builds its
+            # pair from the stack itself, not from a copy, which would raise
+            # the n = 500 peak
             records += [(inputs[mask],
                          _rotation_builder(*parts(stack if mask.all() else stack[mask])), n,
-                         lambda a, v: abs(complex(v.conj() @ (a @ v))))
+                         lambda a, x: _ratios(a, x)[0])
                         for mask, parts in ((~real, _hermitian_parts),
                                             (real, _real_parts)) if mask.any()]
         else:
-            # g(v) >= u*(best_theta) for the top half v of an eigenvector
+            # g(x/||x||) >= u*(best_theta) for the top half x of an eigenvector
             records.append((inputs, _pencil_builder(stack, alpha, beta), 2 * n,
-                            lambda a, v: float(_sphere_objective(
-                                a, v[None], alpha, beta)[0][0])))
+                            lambda a, x: _pencil_value(a, x, alpha, beta)))
     start = np.cumsum([0] + [len(inputs) for inputs, *_ in records])
 
     def values(owner, thetas):
@@ -657,15 +705,20 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
         values, start[-1], tols[owned], _vertex(alpha, beta), orders[owned],
         slacks[owned])
     for k, (inputs, build, dim, lower) in enumerate(records):
-        own = range(start[k], start[k + 1])
-        for i, j, v in zip(own, inputs, _top_eigenpairs(
-                build, dim, np.arange(len(own)), best_theta[own])[1]):
+        own = np.arange(start[k], start[k + 1])
+        sigma = best[own] + 2.0 ** -44 * np.maximum(1.0, np.abs(best[own]))
+        for i, j, shift, v in zip(own, inputs, sigma, _witnesses(
+                build, dim, own - start[k], best_theta[own], sigma)):
             x = v[:len(unit[j])]
-            witness = x / np.linalg.norm(x)
-            # at least best, and never above w_rho(A); both scale back by 2^e
-            value, gap_j = np.ldexp([max(best[i], lower(unit[j], witness)), gap[i]], exps[j])
-            out[j] = RadiusEstimate(float(value), rho, float(gap_j), True, witness,
-                                    int(evaluations[i]), int(rounds[i]))
+            # the witness value replaces best only above the shift: below it,
+            # it is rounding of the same top eigenvalue and may exceed w_rho(A)
+            attained = lower(unit[j], x)
+            value = attained if attained > shift else best[i]
+            # both scale back by 2^e
+            value, gap_j = np.ldexp([value, gap[i]], exps[j])
+            out[j] = RadiusEstimate(float(value), rho, float(gap_j), True,
+                                    x / np.linalg.norm(x), int(evaluations[i]),
+                                    int(rounds[i]))
     return out
 
 
@@ -716,7 +769,7 @@ def numerical_radius(a, tol: float = 1e-9,
     return _radii([a], 2.0, _check_tol(tol), [checked])[0]
 
 
-# g on the unit sphere: the 1 < rho < 2 witness value and sphere_maximize's objective
+# g on the unit sphere, sphere_maximize's objective
 def _sphere_objective(a: np.ndarray, h: np.ndarray, alpha: float, beta: float):
     ah = h @ a.T
     q = np.sum(h.conj() * ah, axis=1)

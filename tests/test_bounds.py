@@ -32,8 +32,17 @@ class TestXandPsi:
         root = bounds.crossover_radius()
         assert root == pytest.approx(1.0290855, abs=1e-6)
         assert bounds.psi_upper(root) == pytest.approx(2.0 * root, abs=1e-11)
-        # the closed form sqrt(2 + sqrt 5)/2 meets 2r to one ulp
-        assert abs(bounds.psi_upper(root) - 2.0 * root) <= np.spacing(2.0 * root)
+        # psi_upper at the float root is within one ulp of its 50-digit value,
+        # which meets 2r to 2 ulp: the float root is half an ulp from the
+        # crossover, and psi - 2r has slope about 12 there
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d_r = decimal.Decimal(root)
+            x = d_r + (d_r * d_r - 1).sqrt()
+            want = x + (x * x - 1).sqrt()
+            ulp = np.spacing(2.0 * root)
+            assert abs(decimal.Decimal(bounds.psi_upper(root)) - want) <= ulp
+            assert abs(want - 2 * d_r) <= 2 * ulp
         # at the published constant psi_upper is 2r to about 1e-5
         assert bounds.psi_upper(1.0290855) == pytest.approx(2 * 1.0290855, abs=1e-5)
 
@@ -97,24 +106,26 @@ class TestXRho:
         assert bounds.psi_rho_upper(1.5, r) == pytest.approx(3.0 * r, rel=1e-15)
 
     def test_rho_two_is_the_inline_formula_bit_for_bit(self):
-        # X(r) = r + sqrt((r - 1)(r + 1)), the square root split where the
-        # product overflows; x_of_r, lower_witness and psi_upper are x_rho
-        # and psi_rho_upper at rho = 2, so each is the inline formula too
-        def sqrt_sq_minus_one(x):
-            square = (x - 1.0) * (x + 1.0)
+        # X(r) = r + y, y = sqrt((r - 1)(r + 1)), and psi = X + sqrt((X - 1)
+        # (X + 1)) with X - 1 = (r - 1) + y, each square root split where
+        # its product overflows; x_of_r, lower_witness and psi_upper are
+        # x_rho and psi_rho_upper at rho = 2, so each is the inline formula too
+        def sqrt_product(u, v):
+            square = u * v
             if math.isfinite(square):
                 return math.sqrt(square)
-            return math.sqrt(x - 1.0) * math.sqrt(x + 1.0)
+            return math.sqrt(u) * math.sqrt(v)
 
         grid = np.concatenate([1.0 + np.geomspace(1e-15, 3.0, 400),
                                np.geomspace(4.0, 1e300, 400), [1.0, 1.3e154, 1.4e154]])
         for r in map(float, grid):
-            x = r + sqrt_sq_minus_one(r)
+            y = sqrt_product(r - 1.0, r + 1.0)
+            x = r + y
             assert bounds.x_rho(2.0, r) == x
             assert bounds.x_of_r(r) == x
             assert bounds.lower_witness(r)[1] == x
             assert bounds.psi_upper(r) == bounds.psi_rho_upper(2.0, r) == (
-                x + sqrt_sq_minus_one(x))
+                x + sqrt_product((r - 1.0) + y, x + 1.0))
 
     def test_within_two_ulp_of_a_50_digit_reference(self):
         # X_rho from its closed form in 50-digit decimal, the discriminant
@@ -135,6 +146,33 @@ class TestXRho:
                 error = abs(decimal.Decimal(bounds.x_rho(rho, r)) - want)
                 worst = max(worst, float(error) / math.ulp(float(want)))
         assert worst <= 2.0
+
+    def test_psi_within_four_ulp_of_a_50_digit_reference(self):
+        # psi_rho = X + sqrt((X - 1)(X + 1)) from X_rho's closed form in
+        # 50-digit decimal, on 40 x 82 seeded (rho, r) with rho = 1 + 1e-9
+        # and r - 1 down to 1e-13; X - 1 taken by cancellation was 27,500 ulp
+        # off here
+        rng = seeded(32, 0)
+        rhos = np.concatenate([rng.uniform(1.0, 2.0, 36), [1.0, 1.0 + 1e-9, 1.5, 2.0]])
+        rs = np.concatenate([1.0 + 10.0 ** rng.uniform(-13.0, math.log10(3.0), 40),
+                             10.0 ** rng.uniform(0.0, 300.0, 38), [1.0, 1.25, 2.0, 1e300]])
+        worst, checked = 0.0, 0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for rho in map(float, rhos):
+                for r in map(float, rs):
+                    d_rho, d_r = decimal.Decimal(rho), decimal.Decimal(r)
+                    q = 2 + d_rho * d_r * d_r - d_rho
+                    disc = (d_r - 1) * (d_rho * d_r + d_rho - 2) * (q + 2 * d_r)
+                    x = (q + disc.sqrt()) / (2 * d_r)
+                    want = x + ((x - 1) * (x + 1)).sqrt()
+                    if want > decimal.Decimal(np.finfo(float).max):
+                        continue  # beyond float64: test_values_beyond_float64_raise
+                    error = abs(decimal.Decimal(bounds.psi_rho_upper(rho, r)) - want)
+                    worst = max(worst, float(error) / math.ulp(float(want)))
+                    checked += 1
+        assert checked > 3200
+        assert worst <= 4.0
 
     def test_values_beyond_float64_raise(self):
         # psi is about 4r at rho = 2, beyond float64 from r = 4.5e307 on

@@ -17,6 +17,23 @@ from opradius.radii import numerical_radius, rho_radius
 from opradius.unitary import distance_to_unitaries
 
 
+def csv_by_blas_threads(argv):
+    """The csv stdout of the CLI run argv with one BLAS thread and with two,
+    each in a fresh process."""
+    src = os.path.dirname(os.path.dirname(opradius.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opradius.cli", *argv, "--format", "csv"],
+            capture_output=True, env=env, timeout=300, check=True)
+        outs.append(proc.stdout)
+    return outs
+
+
 @pytest.fixture()
 def witness_file(tmp_path):
     w, _ = bounds.lower_witness(1.25)
@@ -373,20 +390,9 @@ class TestRandomTest:
     def test_bytes_do_not_depend_on_blas_threads(self):
         # README's reproducibility contract: at rho 1.5 the csv is the same
         # with one BLAS thread and with two, run in fresh processes
-        src = os.path.dirname(os.path.dirname(opradius.__file__))
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run(
-                [sys.executable, "-m", "opradius.cli", "random-test", "--rho", "1.5",
-                 "--samples", "200", "--format", "csv"],
-                capture_output=True, env=env, timeout=300, check=True)
-            outs.append(proc.stdout)
-        assert len(outs[0].splitlines()) == 201
-        assert outs[0] == outs[1]
+        one, two = csv_by_blas_threads(["random-test", "--rho", "1.5", "--samples", "200"])
+        assert len(one.splitlines()) == 201
+        assert one == two
 
     def test_rho_within_rounding_of_two_is_clamped(self):
         # like rho_radii, random_test accepts rho within 1e-12 of [1, 2] and
@@ -507,6 +513,14 @@ class TestExtremalScaling:
         assert main(["bounds", "--format", "json"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+
+    def test_table_to_n68_does_not_depend_on_blas_threads(self):
+        # README's reproducibility contract: the benchmark's table, n = 12
+        # to 68, whose A^-1 and ||A|| come from the DFT, prints the same csv
+        # with one BLAS thread and with two
+        one, two = csv_by_blas_threads(["extremal", "scaling", "--kmin", "1", "--kmax", "8"])
+        assert len(one.splitlines()) == 10
+        assert one == two
 
     def test_brackets_do_not_depend_on_blas_threads(self):
         # the scaling bytes may differ between one BLAS thread and two, but

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import tracemalloc
@@ -275,9 +276,10 @@ class TestDerivedNorms:
             assert not checks["A_vs_B_norm_gap"].passed, pairs
 
     def test_factorization_counts(self, monkeypatch):
-        # verify takes A's SVD and inverse and the cot band's norm once:
-        # 1 complex SVD, 4 real SVDs and 1 inv; a scaling row takes 1 complex
-        # SVD and 1 inv
+        # verify takes A's SVD and the cot band's norm once: 1 complex SVD and
+        # 3 real SVDs; A^-1, ||A|| and F come from the DFT of E's first row,
+        # so neither verify nor a scaling row takes an inv, nor a scaling row
+        # an SVD
         counts = {"complex": 0, "real": 0, "inv": 0}
         svd, inv = np.linalg.svd, np.linalg.inv
 
@@ -292,10 +294,90 @@ class TestDerivedNorms:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         extremal.verify(100, 1e-8)
-        assert counts == {"complex": 1, "real": 4, "inv": 1}
+        assert counts == {"complex": 1, "real": 3, "inv": 0}
         counts.update(complex=0, real=0, inv=0)
         extremal.scaling_experiment(1, 3)
-        assert counts == {"complex": 3, "real": 0, "inv": 3}
+        assert counts == {"complex": 0, "real": 0, "inv": 0}
+
+
+class TestCirculantSpectrum:
+    """A^-1, ||A|| and F come from one real DFT of E's first row; the dense
+    inv, solve and SVDs they replace are the oracle."""
+
+    @pytest.mark.parametrize("n", [12, 100, 500])
+    def test_inverse_matches_dense_inv(self, n):
+        fam = extremal.build(n)
+        dense = np.linalg.inv(fam.A)
+        assert np.abs(fam._a_inv - dense).max() <= 1e-15
+        eye = np.eye(n)
+        residual = np.abs(eye - fam.A @ fam._a_inv).max()
+        assert residual <= 2 * np.abs(eye - fam.A @ dense).max()
+
+    @pytest.mark.parametrize("n", [12, 100, 500])
+    def test_f_and_its_norm_match_dense(self, n, monkeypatch):
+        fam = extremal.build(n)
+        e = fam.E.astype(float)
+        dense = np.linalg.solve(fam.B, e @ e)
+        dense_norm = float(np.linalg.svd(dense, compute_uv=False)[0])
+        seen = []
+        circulant = extremal._circulant
+
+        def spy(c):
+            seen.append(circulant(c))
+            return seen[-1]
+        monkeypatch.setattr(extremal, "_circulant", spy)
+        checks = {c.name: c for c in extremal.certificate_32(fam).checks}
+        (f,) = seen
+        assert np.abs(f - dense).max() <= 1e-13
+        # ||F|| = (n/4)^2/(1 + (n/4)/(2 n^{3/2})) at E's row-sum eigenvector:
+        # the DFT's norm is within one ulp of it in 50 digits, the dense
+        # SVD's within two (1.33 ulp at n = 500), so they meet within two
+        norm = checks["F_opnorm"].value
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            top = decimal.Decimal(n) / 4
+            exact = top * top / (1 + top / (2 * decimal.Decimal(n) ** decimal.Decimal(1.5)))
+        assert abs(decimal.Decimal(norm) - exact) <= decimal.Decimal(np.spacing(norm))
+        assert abs(norm - dense_norm) <= 2 * np.spacing(dense_norm)
+        assert checks["M4_opnorm"].value == checks["F_opnorm"].value / (4.0 * n ** 3)
+
+    @pytest.mark.parametrize("n", [12, 100, 500])
+    def test_norm_is_the_largest_eigenvalue_of_b(self, n):
+        # ||A|| = ||B|| = max mu, within rounding of A's SVD and of the
+        # closed form 1 + 1/(8 sqrt n)
+        fam = extremal.build(n)
+        norm = float(fam._spectrum[1].max())
+        assert norm == pytest.approx(fam._a_sv[0], abs=4 * np.finfo(float).eps)
+        assert norm == pytest.approx(1 + 1 / (8 * math.sqrt(n)), abs=4 * np.finfo(float).eps)
+        (_, _, delta), _, _ = extremal._member(n)
+        assert delta == norm - 1.0
+
+    def test_circulant_is_a_view_of_its_row(self):
+        c = np.arange(5.0)
+        want = np.array([[c[(j - i) % 5] for j in range(5)] for i in range(5)])
+        got = extremal._circulant(c)
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable and got.base is not None
+
+    def test_indefinite_b_is_refused(self, fam12):
+        e = fam12.E * -(2.0 * 12 ** 1.5)  # mu = 1 - lambda at the top row sum
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            replace(fam12, E=e)._a_inv
+
+    @pytest.mark.parametrize("n", [12, 100, 500])
+    def test_both_claims_keep_their_orders(self, n, monkeypatch):
+        # the DFT inverse carries A's rotation exactly enough that both
+        # claims, order n on A and -n on A^-1, are accepted: each sweeps one
+        # period of length 2 pi/n
+        orders = []
+        sweep = radii._sweep
+
+        def spy(values, count, tol, vertex, order=1, slack=0.0):
+            orders.append(np.broadcast_to(order, (count,)).tolist())
+            return sweep(values, count, tol, vertex, order, slack)
+        monkeypatch.setattr(radii, "_sweep", spy)
+        extremal.family_radii(extremal.build(n), 1e-8)
+        assert orders == [[n, n]]
 
 
 class TestScaling:
@@ -316,15 +398,17 @@ class TestScaling:
 
     def test_rows_match_single_matrix_radii(self):
         # one lockstep sweep per block of members, each radius bit for bit
-        # that of its own numerical_radius call with the family's claim
+        # that of its own numerical_radius call with the family's claim, on
+        # the same matrices: A and the family's DFT inverse
         table = extremal.scaling_experiment(1, 18)
         assert [row.n for row in table.rows] == list(range(12, 149, 8))
         for row in table.rows:
-            a = extremal.build(row.n).A
+            fam = extremal.build(row.n)
             perm, signs = signed_shift(row.n)
-            assert row.w == numerical_radius(a, 1e-6, rotation=(perm, signs, row.n)).value
+            assert row.w == numerical_radius(
+                fam.A, 1e-6, rotation=(perm, signs, row.n)).value
             assert row.w_inv == numerical_radius(
-                linalg.inverse(a), 1e-6, rotation=(perm, signs, -row.n)).value
+                fam._a_inv, 1e-6, rotation=(perm, signs, -row.n)).value
 
     def test_blocks_never_change_a_row(self, monkeypatch):
         whole = extremal.scaling_experiment(1, 8, 1e-9)
@@ -353,9 +437,9 @@ class TestScaling:
         assert [500] in blocks and len(blocks) > 30
 
     def test_same_eigenproblems_in_fewer_calls(self, monkeypatch):
-        # kmax 8: 48 eigvalsh and 16 eigh matrices, as one numerical_radius
-        # call per radius solves, in 17 and 8 calls, not 34 and 16: chunks
-        # count float64 S_theta at 8 bytes an entry
+        # kmax 8: 48 eigvalsh matrices and 16 witness solves, as one
+        # numerical_radius call per radius takes, in 17 and 8 calls, not 34
+        # and 16: chunks count float64 S_theta at 8 bytes an entry; no eigh
         counts = {}
 
         def spy(name):
@@ -367,13 +451,14 @@ class TestScaling:
                 return kernel(m, *args, **kwargs)
             return call
 
-        for name in ("eigvalsh", "eigh"):
+        for name in ("eigvalsh", "solve", "eigh"):
             monkeypatch.setattr(np.linalg, name, spy(name))
         extremal.scaling_experiment(1, 8)
-        (eigvalsh_calls, eigvalsh_mats), (eigh_calls, eigh_mats) = (
-            counts["eigvalsh"], counts["eigh"])
-        assert (eigvalsh_mats, eigh_mats) == (48, 16)
-        assert (eigvalsh_calls, eigh_calls) == (17, 8)
+        (eigvalsh_calls, eigvalsh_mats), (solve_calls, solve_mats) = (
+            counts["eigvalsh"], counts["solve"])
+        assert (eigvalsh_mats, solve_mats) == (48, 16)
+        assert (eigvalsh_calls, solve_calls) == (17, 8)
+        assert "eigh" not in counts
 
     def test_validation(self):
         with pytest.raises(ValueError, match="k_min"):
@@ -548,7 +633,7 @@ class TestFamilyRadii:
 
     def test_slack_matches_dense_products(self, fam12, monkeypatch):
         # the index-arithmetic slack of family_radii's claims on A (order n)
-        # and A^-1 (order -n), measured at unit scale, equals the
+        # and the family's A^-1 (order -n), measured at unit scale, equals the
         # dense-product one bit for bit
         slacks = []
         rotation_slack = radii._rotation_slack
@@ -564,7 +649,7 @@ class TestFamilyRadii:
             extremal.family_radii(fam, 1e-8)
             assert [m for _, m, _ in slacks] == [fam.n, -fam.n]
             np.testing.assert_array_equal(
-                slacks[1][0], radii._unit_scale(linalg.inverse(fam.A)[None])[0][0])
+                slacks[1][0], radii._unit_scale(fam._a_inv[None])[0][0])
             for a, m, slack in slacks:
                 assert slack.hex() == dense_rotation_slack(a, m).hex()
 

@@ -1249,3 +1249,80 @@ class TestUnitScale:
             value, h = sphere_maximize(1e-310 * self.BASE, 1.5)
         assert want * (1 - 1e-6) <= value <= want * (1 + 1e-9)
         assert np.linalg.norm(h) == pytest.approx(1.0)
+
+
+class TestWitnessSolve:
+    """Each radius takes its witness from one shifted solve at the best
+    angle, not an eigh; the witness can only raise the sweep's best."""
+
+    @staticmethod
+    def swept_best(monkeypatch):
+        bests = []
+        sweep = radii._sweep
+
+        def spy(*args, **kwargs):
+            result = sweep(*args, **kwargs)
+            bests.append(result[0].copy())
+            return result
+        monkeypatch.setattr(radii, "_sweep", spy)
+        return bests
+
+    @pytest.mark.parametrize("rho", [2.0, 1.5, 1.25])
+    def test_value_is_at_least_best(self, rho, monkeypatch):
+        # max|a_ij| in [1/2, 1) keeps unit scale the identity, so the value
+        # compares with the sweep's best directly
+        bests = self.swept_best(monkeypatch)
+        rng = seeded(32, 1)
+        mats = [gaussian_matrix(rng, dim) for dim in range(2, 9) for _ in range(6)]
+        mats += [complex_symmetric(rng, dim) for dim in range(2, 9)]
+        mats += [build(12).A, build(12)._a_inv]
+        for a in mats:
+            a = 0.75 * a / np.abs(a).max()
+            est = rho_radius(a, rho, 1e-8)
+            assert est.value >= bests[-1][0]
+            assert est.value <= bests[-1][0] + est.tolerance
+            assert np.linalg.norm(est.witness) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("c", [0.5, -2.0, 3.0, 0.1, 1.0 / 3.0, 1.1, -7.77,
+                                   1e5 / 3.0, 1e-3, 2.0 + 1.0j, 0.3j, -0.6 - 0.8j])
+    def test_scalar_matrix_gives_exactly_its_modulus(self, c):
+        # every vector is an eigenvector of c I: its witness value is |c| up
+        # to rounding, which must not lift the value above |c|
+        for dim in range(1, 9):
+            assert numerical_radius(c * np.eye(dim), tol=1e-8).value == abs(c), dim
+            assert rho_radius(c * np.eye(dim), 1.0).value == abs(c), dim
+
+    def test_diagonal_matrix_gives_its_largest_modulus(self):
+        rng = seeded(32, 2)
+        for dim in range(2, 21):
+            d = rng.uniform(-3.0, 3.0, dim)
+            assert numerical_radius(np.diag(d), tol=1e-8).value == np.abs(d).max()
+
+    @pytest.mark.parametrize("failure", ["raises", "not finite"])
+    def test_failed_solve_takes_eigh(self, failure, monkeypatch):
+        a = gaussian_matrix(seeded(32, 3), 5)
+        want = {rho: rho_radius(a, rho, 1e-8) for rho in (2.0, 1.5)}
+        eigh, attempts, calls = np.linalg.eigh, [], []
+
+        def broken(m, b):
+            attempts.append(np.shape(m))
+            if failure == "raises":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(np.shape(m)[:-1], np.nan)
+
+        def counted(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", broken)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for rho, est in want.items():
+            attempts.clear()
+            calls.clear()
+            got = rho_radius(a, rho, 1e-8)
+            assert len(attempts) == len(calls) == 1
+            # the same sweep; only the witness may differ, by rounding
+            assert (got.evaluations, got.rounds, got.tolerance) == (
+                est.evaluations, est.rounds, est.tolerance)
+            assert got.value == pytest.approx(est.value, rel=1e-14)
+            assert np.linalg.norm(got.witness) == pytest.approx(1.0, abs=1e-15)

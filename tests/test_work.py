@@ -1,52 +1,60 @@
 """Exact work counts of the north-star runs.
 
 Each run goes through `cli.main` with numpy's dense kernels wrapped, counting
-the matrices each kernel solves (a stack of k matrices counts k) and the
-calls it takes. Wall times on a shared machine resolve about 10% at best;
-these counts are exact. A change that adds work to a run fails here; one that
-removes work lowers the pin.
+per (kernel, size, dtype) the matrices solved (a stack of k matrices counts
+k) and the calls taken, and per run the size^3 total, complex weighted 4. The
+pins are tests/data/work_counts.json, which `python tools/work_counts.py`
+writes from the same counter. Wall times on a shared machine resolve about
+10% at best; these counts are exact. A change that adds work to a run fails
+here; one that removes work regenerates the file, which lowers the pins.
 """
 
-import numpy as np
+import importlib.util
+import json
+import os
+
 import pytest
 
-from opradius import cli
+TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "work_counts.py")
+_spec = importlib.util.spec_from_file_location("work_counts", TOOL)
+work_counts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(work_counts)
 
-KERNELS = ("svd", "inv", "solve", "eigvalsh", "eigh")
-
-# (matrices, calls) per kernel; a kernel a run never calls has no entry.
-# random-test draws 200 samples of dims 2-8 at the default seed.
-VERIFY = {"svd": (5, 5), "inv": (1, 1), "solve": (1, 1), "eigvalsh": (9, 9),
-          "eigh": (2, 2)}
-PINS = {
-    "extremal scaling --kmin 1 --kmax 18": {
-        "svd": (18, 18), "inv": (18, 18), "eigvalsh": (108, 71), "eigh": (36, 26)},
-    "extremal verify --n 148": VERIFY,
-    "extremal verify --n 252": VERIFY,
-    "extremal verify --n 500": VERIFY,
-    "random-test --rho 1 --samples 200": {"svd": (600, 207), "inv": (200, 200)},
-    "random-test --rho 1.5 --samples 200": {
-        "svd": (200, 200), "inv": (200, 200), "eigvalsh": (8033, 170), "eigh": (400, 9)},
-    "random-test --rho 2 --samples 200": {
-        "svd": (200, 200), "inv": (200, 200), "eigvalsh": (7694, 96), "eigh": (400, 7)},
-}
+with open(os.path.join(os.path.dirname(__file__), "data", "work_counts.json"),
+          encoding="utf-8") as _fh:
+    PINS = json.load(_fh)
 
 
-def counted(kernel, name, counts):
-    def wrapper(a, *args, **kwargs):
-        matrices, calls = counts.get(name, (0, 0))
-        counts[name] = (matrices + int(np.prod(np.shape(a)[:-2])), calls + 1)
-        return kernel(a, *args, **kwargs)
-    return wrapper
+def test_pins_cover_every_run():
+    assert list(PINS) == list(work_counts.RUNS)
 
 
 @pytest.mark.parametrize("run", list(PINS))
-def test_work_is_at_most_its_pin(run, monkeypatch, capsys):
-    counts = {}
-    for name in KERNELS:
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), name, counts))
-    assert cli.main(run.split()) == 0
+def test_work_is_at_most_its_pin(run, capsys):
+    got, pin = work_counts.count(run), PINS[run]
     capsys.readouterr()
-    over = {name: (got, PINS[run].get(name, (0, 0))) for name, got in counts.items()
-            if any(g > p for g, p in zip(got, PINS[run].get(name, (0, 0))))}
-    assert over == {}, f"(matrices, calls) against pin: {over}"
+    pinned = {tuple(row[:3]): row[3:] for row in pin["rows"]}
+    over = {key: (value, pinned.get(key, [0, 0]))
+            for key, value in ((tuple(row[:3]), row[3:]) for row in got["rows"])
+            if any(g > p for g, p in zip(value, pinned.get(key, [0, 0])))}
+    assert over == {}, f"[matrices, calls] against pin: {over}"
+    assert got["weighted_n3"] <= pin["weighted_n3"]
+
+
+def test_family_runs_take_no_inv_or_eigh():
+    # the DFT gives A^-1, ||A|| and F, and one shifted solve each witness:
+    # a scaling row takes no svd, inv or eigh, verify only its 4 norm SVDs
+    scaling = PINS["extremal scaling --kmin 1 --kmax 18"]["kernels"]
+    assert set(scaling) == {"eigvalsh", "solve"}
+    for n in (148, 252, 500):
+        assert PINS[f"extremal verify --n {n}"]["kernels"] == {
+            "eigvalsh": [9, 9], "solve": [2, 2], "svd": [4, 4]}
+
+
+def test_regenerating_gives_identical_bytes():
+    records = {run: work_counts.record(
+        {(k, n, dtype): [m, c] for k, n, dtype, m, c in rec["rows"]})
+        for run, rec in PINS.items()}
+    with open(os.path.join(os.path.dirname(__file__), "data", "work_counts.json"),
+              encoding="utf-8") as fh:
+        assert work_counts.render(records) == fh.read()
