@@ -83,8 +83,7 @@ def _cmd_gap(ns) -> _Result:
     # one SVD without vectors: the distance reads only the singular values,
     # and the inverse refuses a singular A from them
     s = singular_values(a)
-    norm_excess, inverse_excess = _excesses(s)
-    distance = max(norm_excess, inverse_excess)
+    distance, norm_excess, inverse_excess = _excesses(s)
     w, w_inv = (est.value for est in rho_radii([a, _inverse(a, s)], rho, tol=ns.tol))
     # the bound reads only the larger radius, which is >= 1 for an invertible
     # matrix; the smaller may lie below 1, as w(0.5 I) = 0.5 does
@@ -224,7 +223,7 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
         norm = float(t * s[0])
         bound = bounds_mod.psi_rho_upper(rho, r)
         ratio = norm / bound
-        gap_violations += _distance_violated(max(_excesses(t * s)), bound - 1.0)
+        gap_violations += _distance_violated(_excesses(t * s)[0], bound - 1.0)
         if ratio > max_ratio:
             max_ratio = ratio
             worst = t * a

@@ -342,13 +342,15 @@ def _witnesses(build, dim: int, owner: np.ndarray, thetas: np.ndarray,
     computed. The rows are not normalized. A chunk whose solve raises or is
     not finite takes eigh's eigenvectors instead."""
     out = np.empty((thetas.size, dim), dtype=np.complex128)
-    b = np.cos(np.arange(1.0, dim + 1))
+    b = np.cos(np.arange(1.0, dim + 1))[:, None]
     for s in _chunks(thetas.size, dim, build.itemsize):
         shifted = build(owner[s], thetas[s])
         shifted *= -1
         shifted.reshape(len(shifted), -1)[:, ::dim + 1] += sigma[s, None]
         try:
-            x = np.linalg.solve(shifted, b)
+            # b as one column per matrix: a 1-D b broadcasts over a stack
+            # only from numpy 2.0 on
+            x = np.linalg.solve(shifted, np.broadcast_to(b, shifted.shape[:-1] + (1,)))[..., 0]
         except np.linalg.LinAlgError:
             x = None
         if x is None or not np.isfinite(x).all():
@@ -366,10 +368,10 @@ def _ratios(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return abs(complex(x.conj() @ ax)) / xx, float((ax.conj() @ ax).real) / xx
 
 
-def _pencil_value(a: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> float:
-    """g(x/||x||) of the rho-pencil, from _ratios of x itself."""
-    t, s2 = _ratios(a, x)
-    return alpha * t + float(np.sqrt((alpha * t) ** 2 + beta * s2))
+def _pencil_g(t, s2, alpha: float, beta: float):
+    """g = alpha t + sqrt((alpha t)^2 + beta s^2), the rho-pencil objective,
+    at t = |<Ah, h>| and s2 = ||Ah||^2 of a unit h, elementwise."""
+    return alpha * t + np.sqrt((alpha * t) ** 2 + beta * s2)
 
 
 def _hermitian_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -688,7 +690,7 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
         else:
             # g(x/||x||) >= u*(best_theta) for the top half x of an eigenvector
             records.append((inputs, _pencil_builder(stack, alpha, beta), 2 * n,
-                            lambda a, x: _pencil_value(a, x, alpha, beta)))
+                            lambda a, x: _pencil_g(*_ratios(a, x), alpha, beta)))
     start = np.cumsum([0] + [len(inputs) for inputs, *_ in records])
 
     def values(owner, thetas):
@@ -774,7 +776,7 @@ def _sphere_objective(a: np.ndarray, h: np.ndarray, alpha: float, beta: float):
     ah = h @ a.T
     q = np.sum(h.conj() * ah, axis=1)
     t, s = np.abs(q), np.linalg.norm(ah, axis=1)
-    return alpha * t + np.sqrt((alpha * t) ** 2 + beta * s * s), q, t, s, ah
+    return _pencil_g(t, s * s, alpha, beta), q, t, s, ah
 
 
 def _sphere_gradient(a, h, q, t, s, ah, alpha, beta):

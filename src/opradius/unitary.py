@@ -33,18 +33,19 @@ class UnitaryGap:
     inverse_excess: float
 
 
-def _excesses(s: np.ndarray) -> tuple[float, float]:
-    """(||A|| - 1, 1 - 1/||A^-1||) from the descending singular values of A;
-    the distance to the unitaries is the larger of the two."""
-    return float(s[0] - 1.0), float(1.0 - s[-1])
+def _excesses(s: np.ndarray) -> tuple[float, float, float]:
+    """(distance, ||A|| - 1, 1 - 1/||A^-1||) from the descending singular
+    values of A: the distance to the unitaries is the larger excess."""
+    norm_excess, inverse_excess = float(s[0] - 1.0), float(1.0 - s[-1])
+    return max(norm_excess, inverse_excess), norm_excess, inverse_excess
 
 
 def distance_to_unitaries(a) -> UnitaryGap:
     """Operator-norm distance from an invertible matrix to the unitaries."""
     nearest, s = _polar_svd(a)
-    norm_excess, inverse_excess = _excesses(s)
+    distance, norm_excess, inverse_excess = _excesses(s)
     return UnitaryGap(
-        distance=max(norm_excess, inverse_excess),
+        distance=distance,
         nearest=nearest,
         norm_excess=norm_excess,
         inverse_excess=inverse_excess,

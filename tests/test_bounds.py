@@ -32,9 +32,11 @@ class TestXandPsi:
         root = bounds.crossover_radius()
         assert root == pytest.approx(1.0290855, abs=1e-6)
         assert bounds.psi_upper(root) == pytest.approx(2.0 * root, abs=1e-11)
-        # psi_upper at the float root is within one ulp of its 50-digit value,
-        # which meets 2r to 2 ulp: the float root is half an ulp from the
-        # crossover, and psi - 2r has slope about 12 there
+        # psi_upper at the float root meets 2r to 2 ulp, and lies within one
+        # ulp of its 50-digit value, which meets 2r to 2 ulp: the float root
+        # is half an ulp from the crossover, and psi - 2r has slope about 12
+        # there
+        assert abs(bounds.psi_upper(root) - 2.0 * root) <= 2 * np.spacing(2.0 * root)
         with decimal.localcontext() as ctx:
             ctx.prec = 50
             d_r = decimal.Decimal(root)

@@ -1298,6 +1298,23 @@ class TestWitnessSolve:
             d = rng.uniform(-3.0, 3.0, dim)
             assert numerical_radius(np.diag(d), tol=1e-8).value == np.abs(d).max()
 
+    def test_solve_takes_one_column_per_matrix(self, monkeypatch):
+        # numpy before 2.0 reads a b of the stack's ndim as columns and
+        # refuses a 1-D b against a stack; b of shape (k, dim, 1) means the
+        # same system in every numpy the package supports
+        a = gaussian_matrix(seeded(32, 4), 5)
+        solve, shapes = np.linalg.solve, []
+
+        def spy(m, b):
+            shapes.append((np.shape(m), np.shape(b)))
+            return solve(m, b)
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        for rho in (2.0, 1.5):
+            rho_radius(a, rho, 1e-8)
+        assert len(shapes) == 2
+        for m, b in shapes:
+            assert len(m) == 3 and b == m[:-1] + (1,)
+
     @pytest.mark.parametrize("failure", ["raises", "not finite"])
     def test_failed_solve_takes_eigh(self, failure, monkeypatch):
         a = gaussian_matrix(seeded(32, 3), 5)
@@ -1308,7 +1325,7 @@ class TestWitnessSolve:
             attempts.append(np.shape(m))
             if failure == "raises":
                 raise np.linalg.LinAlgError("Singular matrix")
-            return np.full(np.shape(m)[:-1], np.nan)
+            return np.full(np.shape(b), np.nan)
 
         def counted(m, *args, **kwargs):
             calls.append(np.shape(m))
