@@ -52,10 +52,10 @@ flat case; a disk still is, at about 2 pi/sqrt(8 tol/((rho - 1) w)) angles.
 Every radius takes one pipeline, and a call of it makes one sweep for all of
 its input: zero matrices get value 0, rho = 1 reads the top singular pair
 from one SVD per size and dtype, and any other rho groups the matrices by
-size and dtype into kernel records (inputs, build, dim, lower), one kernel
-per matrix (S_theta or H_theta below at rho = 2, K_theta in between) with
-the value lower(a, v) a unit vector v attains: |<Av, v>| at rho = 2, g(v) in
-between. The sweep numbers its owners (the swept matrices) in record order,
+size and dtype into kernel records (inputs, build, dim), one kernel per
+matrix (S_theta or H_theta below at rho = 2, K_theta in between); a unit
+vector v attains the value g(v) below at every rho, which at rho = 2 is
+|<Av, v>|. The sweep numbers its owners (the swept matrices) in record order,
 so each record owns one contiguous range; it sweeps all of them in lockstep,
 then each record takes a witness at each owner's best angle from one shifted
 solve (_witnesses), not an eigh: the sweep already knows the top eigenvalue
@@ -90,15 +90,17 @@ and the rotation is checked, not trusted: with r = ||U* A U - e^{2 pi i/m}
 A||_F, unitary invariance gives |h(theta + 2 pi/m) - h(theta)| <= r, and a
 copy of theta* lies within |m|//2 shifts of the period, so on the period
 
-    h(theta) >= w cos(theta - phi) - slack,   slack = (|m| // 2) r,
+    h(theta) >= w cos(theta - phi) - (|m| // 2) r
 
-for some phi in [0, 2 pi/|m|]. The interval rule then takes h + slack in
-place of h at both endpoints, so the slack enters the gap. Claims are made
-per matrix at rho = 2, None for no claim, and each is measured on its own
-unit-scale matrix: a claim whose slack exceeds that matrix's tol/2 is
-refused and its matrix swept on the full circle, so a false claim costs
-time, never correctness. Owners of one period and of the full circle share
-a sweep; a period owner reads only lambda_max.
+for some phi in [0, 2 pi/|m|]. The period closes, like the half circle, on
+its first node: h(0) stands in for h(2 pi/|m|), one shift more, so the slack
+is (|m| // 2 + 1) r (0 at |m| = 1, a claim of nothing, swept on the full
+circle). The interval rule takes h + slack in place of h at both endpoints,
+so the slack enters the gap. Claims are made per matrix at rho = 2, None for
+no claim, and each is measured on its own unit-scale matrix: a claim whose
+slack exceeds that matrix's tol/2 is refused and its matrix swept on the
+full circle, so a false claim costs time, never correctness. Owners of one
+period and of the full circle share a sweep, on one grid rule (_sweep).
 
 A complex symmetric A (A^T = A, as the extremal family and its inverse are)
 has real symmetric H_theta, the entrywise real part (Garcia & Putinar,
@@ -185,8 +187,8 @@ values of both halves. A pair's bound is the larger of its two interval
 bounds, it is split at the split angle of that half, and one eigensolve there
 gives the new values of both halves. The 8 coarse angles take 4 eigensolves,
 and a flat support function, which never prunes, half those of the full
-circle. A rotation sweep's period is shorter than pi, so it reads only
-lambda_max.
+circle. A rotation sweep folds each row to (lambda_max, lambda_max), and
+every grid closes on its first node: order m starts from ceil(8/m).
 """
 
 from __future__ import annotations
@@ -218,10 +220,10 @@ TOL_MIN = 1e-12
 TOL_MAX = 1e-2
 _MAX_ROUNDS = 64
 # Coarse grid of every sweep: the fewest intervals of width at most
-# 2 pi/_COARSE, which must be below pi/2, that cover the swept range. The half
-# circle takes _COARSE/2 intervals, one eigensolve each, and a rotation sweep
-# ceil(_COARSE/order) intervals of its period. Refinement makes the final
-# accuracy independent of it, so it only sets the cost.
+# 2 pi/_COARSE, which must be below pi/2, that cover the swept range, one
+# eigensolve each: _COARSE/2 on the half circle, ceil(_COARSE/order) on a
+# period. Refinement makes the final accuracy independent of it, so it only
+# sets the cost.
 _COARSE = 8
 # Largest stack of kernels built at once, at their own itemsize: 8 bytes an
 # entry for float64 S_theta, 16 for complex ones. Building a stack takes about
@@ -502,16 +504,17 @@ def _check_rotation(rotation, n: int) -> tuple[np.ndarray, np.ndarray, int]:
         raise ValueError(f"rotation perm must be a permutation of range({n})")
     if signs.shape != (n,) or not np.all((signs == 1) | (signs == -1)):
         raise ValueError(f"rotation signs must be {n} entries, each +1 or -1")
-    if not isinstance(m, (int, np.integer)) or m == 0:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m == 0:
         raise ValueError(f"rotation order must be a nonzero integer, got {m!r}")
     return perm, signs, int(m)
 
 
 def _rotation_slack(a: np.ndarray, rotation) -> tuple[int, float]:
-    """(|m|, (|m| // 2) ||U* A U - e^{2 pi i/m} A||_F) of a checked claim."""
+    """(|m|, (|m| // 2 + 1) ||U* A U - e^{2 pi i/m} A||_F) of a checked claim,
+    slack 0 at |m| = 1, a claim of nothing that sweeps the full circle."""
     perm, signs, m = rotation
     resid = _signed_conjugate(a, perm, signs) - np.exp(2j * np.pi / m) * a
-    return abs(m), (abs(m) // 2) * float(np.linalg.norm(resid))
+    return abs(m), (abs(m) // 2 + (abs(m) > 1)) * float(np.linalg.norm(resid))
 
 
 def _sweep(values, count: int, tol: float | np.ndarray, vertex,
@@ -527,20 +530,22 @@ def _sweep(values, count: int, tol: float | np.ndarray, vertex,
     _vertex(alpha, beta), one rule for every rho in (1, 2]: max(c, 0) at rho
     = 2 for H_theta and S_theta, the pencil's m in between for K_theta.
 
-    An owner of order 1 sweeps the full circle: the half circle [0, pi] in
-    interval pairs ([l, r], [l + pi, r + pi]), each row of values giving one
-    value to each half. An owner of order > 1 sweeps only the closed period
-    [0, 2 pi/order], phi must lie in it, and only the first value of each of
-    its rows is read: its second half never enters best, a bound or a split.
+    Every owner sweeps the closed period [0, 2 pi/p], p = max(order, 2), on
+    ceil(_COARSE/p) intervals in pairs ([l, r], [l + pi, r + pi]), each row
+    of values giving one value to each half; order 1 is the full circle.
+    Order > 1 is one period, where phi must lie, with rows folded to
+    (f(theta), f(theta)): the copy ties, so it never changes best, a bound or
+    a split. The last node takes node 0's row reversed, unevaluated: on a
+    period f(0) stands in for f(2 pi/p), and the slack must cover that.
 
     Every interval pair carries its own endpoints and the index of its
     owner, and each half is bounded by vertex: no phi in it allows a
     maximum above that bound. A pair is split, at the split offset of its
-    half with the larger bound, while that bound plus a rounding guard
-    exceeds best + tol; once it stops, bound plus guard goes into its owner's
-    running maximum, which closes the owner's gap. The pairs of each owner
-    keep their order, and each owner keeps its own best value, best angle
-    and stopping round, so its result is bit for bit that of a sweep of its
+    half with the larger bound (the first on a tie) while that bound plus a
+    rounding guard exceeds best + tol; once it stops, bound plus guard goes
+    into its owner's running maximum, which closes the owner's gap. Each
+    owner keeps its pairs' order and its own best value, best angle and
+    stopping round, so its result is bit for bit that of a sweep of its
     function alone. Returns the per-owner arrays (best, best_theta, gap,
     evaluations, rounds): the true maximum of function i lies in [best[i],
     best[i] + gap[i]], best_theta[i] is the angle of best[i], evaluations[i]
@@ -548,27 +553,27 @@ def _sweep(values, count: int, tol: float | np.ndarray, vertex,
     """
     owners = np.arange(count)
     tol, order, slack = (np.broadcast_to(x, (count,)) for x in (tol, order, slack))
-    # the halves of an owner's interval pairs: both on the full circle, one
-    # otherwise
-    full = order == 1
-    halves = np.where(full, 2, 1)
-    # one period, or the half circle, on a closed grid of intervals of width
-    # at most 2 pi/_COARSE; node k of owner i is at period[i] k/segments[i]
-    period = 2 * np.pi / order / halves
-    segments = -(-_COARSE // (order * halves))
+    # node k of owner i is at period[i] k/segments[i]
+    p = np.maximum(order, 2)
+    period, segments = 2 * np.pi / p, -(-_COARSE // p)
     node_owner = np.repeat(owners, segments + 1)
     k = np.arange(node_owner.size) - np.repeat(np.cumsum(segments) - segments + owners,
                                                segments + 1)
     theta = period[node_owner] * k / segments[node_owner]
     best, best_theta = np.full(count, -np.inf), np.zeros(count)
 
+    def folded(owner, thetas):
+        # the one place that tells a period from the full circle
+        vals = values(owner, thetas)
+        fold = order[owner] > 1
+        vals[fold, 1] = vals[fold, 0]
+        return vals
+
     def raise_best(owner, thetas, vals):
         # each owner's first largest value, its first-half values before its
         # second-half ones (angle order on the coarse grid), where it beats best
-        two = full[owner]
-        new = np.concatenate([vals[:, 0], vals[two, 1]])
-        new_owner = np.concatenate([owner, owner[two]])
-        new_theta = np.concatenate([thetas, thetas[two] + np.pi])
+        new, new_owner = vals.T.ravel(), np.tile(owner, 2)
+        new_theta = np.concatenate([thetas, thetas + np.pi])
         top = np.full(count, -np.inf)
         np.maximum.at(top, new_owner, new)
         at_top = np.flatnonzero(new == top[new_owner])
@@ -578,20 +583,17 @@ def _sweep(values, count: int, tol: float | np.ndarray, vertex,
         best[better] = new[first[better]]
         best_theta[better] = new_theta[first[better]]
 
-    # a period's grid is evaluated at every node; h(pi) and h(2 pi) close the
-    # half circle's without an evaluation
-    points = segments + (order > 1)
-    evaluated = k < points[node_owner]
-    vals = np.empty((theta.size, 2))
-    vals[evaluated] = values(node_owner[evaluated], theta[evaluated])
-    raise_best(node_owner[evaluated], theta[evaluated], vals[evaluated])
-    vals[~evaluated] = vals[(k == 0) & full[node_owner], ::-1]
-    # interval pairs [left, right] + (0, pi) with their endpoint values
     last = k == segments[node_owner]
+    vals = np.empty((theta.size, 2))
+    vals[~last] = folded(node_owner[~last], theta[~last])
+    raise_best(node_owner[~last], theta[~last], vals[~last])
+    # the closing node, never evaluated
+    vals[last] = vals[k == 0, ::-1]
+    # interval pairs [left, right] + (0, pi) with their endpoint values
     left, right = theta[~last], theta[k > 0]
     h_left, h_right = vals[~last], vals[k > 0]
     owner = node_owner[~last]
-    evaluations = points.copy()
+    evaluations = segments.copy()
     rounds = np.zeros(count, dtype=int)
     bound = np.full(count, -np.inf)
 
@@ -603,10 +605,7 @@ def _sweep(values, count: int, tol: float | np.ndarray, vertex,
         # widths in the endpoints' shape: no ufunc of the rule broadcasts
         width = np.repeat((right - left)[:, None], 2, axis=1)
         top, offset = vertex(h_left + s, h_right + s, width)
-        # the half with the larger bound, the first on a tie; a period has
-        # only the first
-        pair = np.arange(owner.size)
-        half = np.where(full[owner], np.argmax(top, axis=1), 0)
+        pair, half = np.arange(owner.size), np.argmax(top, axis=1)
         return top[pair, half] + guard[owner], offset[pair, half]
 
     for _ in range(_MAX_ROUNDS):
@@ -621,7 +620,7 @@ def _sweep(values, count: int, tol: float | np.ndarray, vertex,
         if owner.size == 0:
             break
         cut = left + offset
-        h_cut = values(owner, cut)
+        h_cut = folded(owner, cut)
         raise_best(owner, cut, h_cut)
         evaluations += split_count
         rounds += split_count > 0
@@ -642,10 +641,10 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
     per matrix, read at rho = 2. Each size-and-dtype group is checked and
     taken to unit scale as one stack, where each claim is measured and kept
     or refused for its own matrix; at rho = 1 the group takes one stacked
-    SVD, else it becomes kernel records (inputs, build, dim, lower), lower(a,
-    x) the value x/||x|| attains for a, as ratios on x. One sweep serves
-    them all, record k owning sweep indices start[k]:start[k + 1], each
-    owner with its own tol, order and slack."""
+    SVD, else it becomes kernel records (inputs, build, dim). One sweep
+    serves them all, record k owning sweep indices start[k]:start[k + 1],
+    each owner with its own tol, order and slack, and each witness x takes
+    the value g(x/||x||), as ratios on x."""
     out = [RadiusEstimate(0.0, rho, 0.0, True, None)] * len(mats)
     groups = {}
     for i, m in enumerate(mats):
@@ -678,26 +677,21 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
             skew = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2)) / 2
             real = slacks[inputs] + skew <= tols[inputs] / 2
             slacks[inputs[real]] += skew[real]
-            # |<Ax, x>|/||x||^2 >= h(best_theta) for a top eigenvector x,
-            # also for the real x of S_theta; a group on one path builds its
-            # pair from the stack itself, not from a copy, which would raise
-            # the n = 500 peak
+            # a group on one path builds its pair from the stack itself, not
+            # from a copy, which would raise the n = 500 peak
             records += [(inputs[mask],
-                         _rotation_builder(*parts(stack if mask.all() else stack[mask])), n,
-                         lambda a, x: _ratios(a, x)[0])
+                         _rotation_builder(*parts(stack if mask.all() else stack[mask])), n)
                         for mask, parts in ((~real, _hermitian_parts),
                                             (real, _real_parts)) if mask.any()]
         else:
-            # g(x/||x||) >= u*(best_theta) for the top half x of an eigenvector
-            records.append((inputs, _pencil_builder(stack, alpha, beta), 2 * n,
-                            lambda a, x: _pencil_g(*_ratios(a, x), alpha, beta)))
+            records.append((inputs, _pencil_builder(stack, alpha, beta), 2 * n))
     start = np.cumsum([0] + [len(inputs) for inputs, *_ in records])
 
     def values(owner, thetas):
         # one stack per kernel record: float64 S_theta apart from complex128
         # H_theta, and each size apart
         h = np.empty((thetas.size, 2))
-        for k, (_, build, dim, _) in enumerate(records):
+        for k, (_, build, dim) in enumerate(records):
             sel = (start[k] <= owner) & (owner < start[k + 1])
             h[sel] = _top_eigenvalues(build, dim, owner[sel] - start[k], thetas[sel])
         return h
@@ -706,15 +700,16 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
     best, best_theta, gap, evaluations, rounds = _sweep(
         values, start[-1], tols[owned], _vertex(alpha, beta), orders[owned],
         slacks[owned])
-    for k, (inputs, build, dim, lower) in enumerate(records):
+    for k, (inputs, build, dim) in enumerate(records):
         own = np.arange(start[k], start[k + 1])
         sigma = best[own] + 2.0 ** -44 * np.maximum(1.0, np.abs(best[own]))
         for i, j, shift, v in zip(own, inputs, sigma, _witnesses(
                 build, dim, own - start[k], best_theta[own], sigma)):
             x = v[:len(unit[j])]
-            # the witness value replaces best only above the shift: below it,
-            # it is rounding of the same top eigenvalue and may exceed w_rho(A)
-            attained = lower(unit[j], x)
+            # g(x/||x||), at rho = 2 exactly |<Ax, x>|/||x||^2, replaces best
+            # only above the shift: below it, it is rounding of the same top
+            # eigenvalue and may exceed w_rho(A)
+            attained = _pencil_g(*_ratios(unit[j], x), alpha, beta)
             value = attained if attained > shift else best[i]
             # both scale back by 2^e
             value, gap_j = np.ldexp([value, gap[i]], exps[j])

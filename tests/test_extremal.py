@@ -39,10 +39,10 @@ def dense_symmetry_residual(fam):
 
 
 def dense_rotation_slack(a, m):
-    """The rotation claim's slack (|m| // 2) ||U* A U - e^{2 pi i/m} A||_F
-    from dense products with U = P Delta."""
+    """The slack (|m| // 2 + 1) ||U* A U - e^{2 pi i/m} A||_F of a rotation
+    claim of order |m| > 1, from dense products with U = P Delta."""
     pd = dense_pd(a.shape[0])
-    return (abs(m) // 2) * float(np.linalg.norm(
+    return (abs(m) // 2 + 1) * float(np.linalg.norm(
         pd.T @ a @ pd - np.exp(2j * np.pi / m) * a))
 
 
@@ -437,8 +437,8 @@ class TestScaling:
         assert [500] in blocks and len(blocks) > 30
 
     def test_same_eigenproblems_in_fewer_calls(self, monkeypatch):
-        # kmax 8: 48 eigvalsh matrices and 16 witness solves, as one
-        # numerical_radius call per radius takes, in 17 and 8 calls, not 34
+        # kmax 8: 32 eigvalsh matrices and 16 witness solves, as one
+        # numerical_radius call per radius takes, in 16 and 8 calls, not 32
         # and 16: chunks count float64 S_theta at 8 bytes an entry; no eigh
         counts = {}
 
@@ -456,8 +456,8 @@ class TestScaling:
         extremal.scaling_experiment(1, 8)
         (eigvalsh_calls, eigvalsh_mats), (solve_calls, solve_mats) = (
             counts["eigvalsh"], counts["solve"])
-        assert (eigvalsh_mats, solve_mats) == (48, 16)
-        assert (eigvalsh_calls, solve_calls) == (17, 8)
+        assert (eigvalsh_mats, solve_mats) == (32, 16)
+        assert (eigvalsh_calls, solve_calls) == (16, 8)
         assert "eigh" not in counts
 
     def test_validation(self):
@@ -573,14 +573,15 @@ class TestFamilyRadii:
                 assert abs(period.value - full.value) <= period.tolerance + full.tolerance
 
     def test_one_interval_per_period(self):
-        # a period of width 2 pi/n <= pi/6 is one coarse interval: its two
-        # ends and one vertex split certify every member at tol 1e-6
+        # a period of width 2 pi/n <= pi/6 is one coarse interval: its first
+        # end, which also closes it, and one vertex split certify every
+        # member at tol 1e-6
         tol = 1e-6
         for k in range(1, 19):
             fam = extremal.build(8 * k + 4)
             for period, matrix in zip(extremal.family_radii(fam, tol),
                                       (fam.A, linalg.inverse(fam.A))):
-                assert period.evaluations == 3
+                assert period.evaluations == 2
                 assert period.tolerance <= tol
                 full = numerical_radius(matrix, tol=1e-9)
                 assert full.value <= period.value + period.tolerance
@@ -588,7 +589,8 @@ class TestFamilyRadii:
 
     def test_order_three_claim_starts_from_three_intervals(self, monkeypatch):
         # diag(1, w, w^2) C, C circulant, is rotated by w = e^{2 pi i/3} under
-        # the cyclic shift; the period 2 pi/3 starts from 3 intervals, 4 angles
+        # the cyclic shift; the period 2 pi/3 starts from 3 intervals, 3
+        # angles, the first closing the last interval
         rng = np.random.default_rng(2011)
         row = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         omega = np.exp(2j * np.pi / 3)
@@ -607,12 +609,40 @@ class TestFamilyRadii:
         monkeypatch.setattr(radii, "_top_eigenvalues", spy)
         tol = 1e-9
         est = numerical_radius(a, tol, rotation=rotation)
-        assert sizes[0] == 4
+        assert sizes[0] == 3
         assert est.tolerance <= tol
         assert est.value - 1e-12 <= full.value <= est.value + est.tolerance + 1e-12
 
+    def test_closing_node_keeps_the_period_sound(self):
+        # a period's last node takes h(0) for h(2 pi/n), covered by one more
+        # r of slack. Complex symmetric perturbations of A (order n) and A^-1
+        # (order -n) that add about tol/12 of slack keep their claims, and
+        # each period bracket overlaps the full circle's at tol 1e-12; the
+        # full circles share one lockstep call, each bit for bit its own.
+        tol, mats, claims = 1e-12, [], []
+        for n in (12, 20, 100):
+            fam = extremal.build(n)
+            for seed in (0, 1):
+                rng = np.random.default_rng(seed)
+                for a, m in ((fam.A, n), (linalg.inverse(fam.A), -n)):
+                    rotation = (*signed_shift(n), m)
+                    d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    d = d + d.T
+                    # the slack is linear in d and taken at unit scale, as tol
+                    mats.append(a + d * (tol / 12 / radii._rotation_slack(d, rotation)[1]))
+                    claims.append(rotation)
+        for a, rotation in zip(mats, claims):
+            (unit,), e = radii._unit_scale(a[None])
+            slack = np.ldexp(radii._rotation_slack(unit, rotation)[1], e[0])
+            assert tol / 24 <= slack <= tol / 2
+        ests = radii._radii(mats + mats, 2.0, tol, claims + [None] * len(mats))
+        for period, full in zip(ests[:len(mats)], ests[len(mats):]):
+            assert period.evaluations < full.evaluations
+            assert period.value <= full.value + full.tolerance
+            assert full.value <= period.value + period.tolerance
+
     def test_gap_includes_residual_slack(self, fam12, shift12):
-        # a claim off by ~7e-4 gives slack 6 * 7e-4 <= tol/2, so it is used;
+        # a claim off by ~7e-4 gives slack 7 * 7e-4 <= tol/2, so it is used;
         # at tol 1e-2 one split of the period's single interval certifies
         bad = perturb(fam12, 0, 1, 5e-4)
         slack = dense_rotation_slack(bad.A, 12)
@@ -659,6 +689,10 @@ class TestFamilyRadii:
             numerical_radius(fam12.A, rotation=(perm[:3], signs[:3], 12))
         with pytest.raises(ValueError, match="nonzero integer"):
             numerical_radius(fam12.A, rotation=(perm, signs, 0))
+        # a bool is no order, though True == 1, as for every count
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="nonzero integer"):
+                numerical_radius(np.eye(3), rotation=(np.arange(3), np.ones(3), flag))
         # the dense form (U, m) is named as the wrong form, not unpacked
         u = np.eye(12)[perm] * signs
         with pytest.raises(ValueError, match=r"\(perm, signs, m\), got 2"):

@@ -406,25 +406,23 @@ def reference_sweep(values, tol, coarse, order=1):
     full circle (order 1) the interval pairs ([l, r], [l + pi, r + pi]) of
     the half circle, else the intervals of the closed period [0, 2 pi/order]
     read at theta only; values(thetas) returns the rows (h(theta), h(theta +
-    pi)).
+    pi)). The grid's last node is not evaluated: h(pi) and h(2 pi) close the
+    half circle, h(0) the period.
 
     Returns (best, best_theta, gap, evaluations, rounds).
     """
     halves = 2 if order == 1 else 1
     segments = -(-coarse // (order * halves))
-    grid = 2 * np.pi / order / halves * np.arange(segments + 1) / segments
-    points = segments + (order > 1)
-    vals = values(grid[:points])[:, :halves]
+    grid = 2 * np.pi / (order * halves) * np.arange(segments + 1) / segments
+    vals = values(grid[:-1])[:, :halves]
     # the coarse angles in increasing order; the first largest is best
     circle = vals.T.ravel()
     k = int(np.argmax(circle))
     best = circle[k]
-    best_theta = np.concatenate([grid[:points], grid[:points] + np.pi][:halves])[k]
-    if order == 1:
-        # h(pi) and h(2 pi) close the grid
-        vals = np.vstack([vals, vals[0, ::-1]])
+    best_theta = np.concatenate([grid[:-1], grid[:-1] + np.pi][:halves])[k]
+    vals = np.vstack([vals, vals[0, ::-1]])
     left, right, h_left, h_right = grid[:-1], grid[1:], vals[:-1], vals[1:]
-    evaluations, rounds, bound = points, 0, -np.inf
+    evaluations, rounds, bound = segments, 0, -np.inf
 
     vertex = radii._vertex(0.5, 0.0)
 

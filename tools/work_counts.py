@@ -4,13 +4,14 @@
 
 Each run of RUNS goes through `opradius.cli.main` in this process with the
 dense kernels of KERNELS wrapped. Per (kernel, size, dtype) it records the
-matrices solved (a stack of k matrices counts k) and the calls taken, and per
-run the total of size^3 over all matrices, a complex matrix weighted 4: the
-cost ratio of complex to real LAPACK arithmetic. OUT defaults to
-tests/data/work_counts.json, which tests/test_work.py reads as its pins. The
-counts are exact and do not depend on timing, so regenerating the file gives
-the same bytes; a change that adds work shows as a larger count, one that
-removes work as a smaller one.
+matrices solved (a stack of k matrices counts k) and the calls taken; an SVD
+with vectors is recorded as the kernel "svd_uv", apart from the values-only
+"svd". Per run it records the flops of all matrices by the per-kernel weights
+of FLOPS, a complex matrix weighted 4: the cost ratio of complex to real
+LAPACK arithmetic. OUT defaults to tests/data/work_counts.json, which
+tests/test_work.py reads as its pins. The counts are exact and do not depend
+on timing, so regenerating the file gives the same bytes; a change that adds
+work shows as a larger count, one that removes work as a smaller one.
 
 Run it with `src` on PYTHONPATH, from any directory.
 """
@@ -22,10 +23,21 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 KERNELS = ("svd", "inv", "solve", "eigvalsh", "eigh")
+# real flops of one n x n matrix, (c3, c2) for c3 n^3 + c2 n^2 (Golub & Van
+# Loan, Matrix Computations, 4th ed.): every solve here has one right-hand side
+FLOPS = {
+    "eigvalsh": (Fraction(4, 3), 0),
+    "eigh": (9, 0),
+    "inv": (2, 0),
+    "solve": (Fraction(2, 3), 2),
+    "svd": (Fraction(8, 3), 0),
+    "svd_uv": (21, 0),
+}
 # random-test draws 200 samples of dims 2-8 at the default seed
 RUNS = (
     "extremal scaling --kmin 1 --kmax 18",
@@ -50,7 +62,9 @@ def counting():
     def counted(name, kernel):
         def wrapper(a, *args, **kwargs):
             shape = np.shape(a)
-            key = (name, int(shape[-1]), np.asarray(a).dtype.name)
+            # svd(a, full_matrices, compute_uv, ...)
+            uv = name == "svd" and kwargs.get("compute_uv", args[1:2] != (False,))
+            key = (name + "_uv" if uv else name, int(shape[-1]), np.asarray(a).dtype.name)
             entry = counts.setdefault(key, [0, 0])
             entry[0] += int(np.prod(shape[:-2]))
             entry[1] += 1
@@ -69,16 +83,19 @@ def counting():
 def record(counts: dict) -> dict:
     """The JSON record of one run's counts: its rows [kernel, size, dtype,
     matrices, calls] in sorted order, its per-kernel [matrices, calls] and
-    its weighted size^3 total."""
+    its total flops by FLOPS, rounded to an integer."""
     rows = [[*key, *value] for key, value in sorted(counts.items())]
     kernels = {}
     for name, _, _, matrices, calls in rows:
         total = kernels.setdefault(name, [0, 0])
         total[0] += matrices
         total[1] += calls
-    weighted = sum(matrices * size ** 3 * (4 if dtype.startswith("complex") else 1)
-                   for _, size, dtype, matrices, _ in rows)
-    return {"rows": rows, "kernels": kernels, "weighted_n3": weighted}
+    flops = 0
+    for name, size, dtype, matrices, _ in rows:
+        c3, c2 = FLOPS[name]
+        flops += (matrices * (c3 * size ** 3 + c2 * size ** 2)
+                  * (4 if dtype.startswith("complex") else 1))
+    return {"rows": rows, "kernels": kernels, "flops": round(flops)}
 
 
 def count(run: str) -> dict:
@@ -99,7 +116,7 @@ def render(records: dict) -> str:
         rows = ",\n".join(f"   {json.dumps(row)}" for row in rec["rows"])
         runs.append(f' {json.dumps(run)}: {{\n  "rows": [\n{rows}\n  ],\n'
                     f'  "kernels": {json.dumps(rec["kernels"], sort_keys=True)},\n'
-                    f'  "weighted_n3": {rec["weighted_n3"]}\n }}')
+                    f'  "flops": {rec["flops"]}\n }}')
     return "{\n" + ",\n".join(runs) + "\n}\n"
 
 
