@@ -19,16 +19,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import extremal
+from . import extremal, radii
 from .bounds import _check_rho
-from .linalg import (_check_count, _inverse, atomic_write, load_matrix,
-                     matrix_to_payload, singular_values)
+from .linalg import (_check_count, _check_invertible, _inverse, atomic_write,
+                     load_matrix, matrix_to_payload, singular_values)
 # numerical_radius stays bound here: perfbench's tracer self-test patches it.
 from .radii import (DEFAULT_SEED, _check_tol, _streamed,
                     numerical_radius, range_boundary, rho_radii)  # noqa: F401
@@ -168,23 +169,65 @@ class RandomTestSummary:
     records: tuple[SampleRecord, ...]
 
 
+def _gaussian(parts: np.ndarray) -> np.ndarray:
+    """Complex Gaussian dim x dim matrices of entries of mean 0 and variance
+    1/dim from standard normal parts of shape (..., 2, dim, dim), the real
+    parts first: elementwise, so a stack gives each matrix its own bits."""
+    re, im = parts[..., 0, :, :], parts[..., 1, :, :]
+    return (re + 1j * im) / np.sqrt(2.0 * parts.shape[-1])
+
+
 def _draws(samples: int, dim_min: int, dim_max: int, seed: int):
-    """(index, dim, matrix, singular values) of every sample, each on its own
-    substream: complex Gaussian entries of mean 0 and variance 1/dim, the
-    rare near-singular draw redrawn so the inverse radius stays meaningful."""
+    """(index, dim, matrix, singular values, inverse) of every sample, in
+    index order, each on its own substream keyed by (seed, index): its dim,
+    then one (2, dim, dim) normal draw per matrix (_gaussian). A near-singular
+    draw is redrawn on the same substream, at most 100 draws a sample, so the
+    inverse radius stays meaningful; every accepted sample then passes
+    _check_invertible.
+
+    Samples are made in blocks whose matrices and inverses reach
+    radii._BLOCK_BYTES, the budget by which _streamed sweeps them. Per size,
+    a block's first draws take one stacked SVD without vectors and its
+    accepted matrices one stacked inverse; a redraw takes its own SVD. A
+    stacked kernel solves each matrix as a call on that matrix alone does,
+    so no value depends on the blocks.
+    """
+    block, size = [], 0
     for i in range(samples):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         dim = int(rng.integers(dim_min, dim_max + 1))
-        for _ in range(100):
-            a = (rng.standard_normal((dim, dim))
-                 + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0 * dim)
-            s = singular_values(a)
-            if s[-1] > 1e-8 * s[0]:
-                break
-        else:
-            raise RuntimeError("could not draw a well-conditioned sample")
-        yield i, dim, a, s
+        block.append((i, dim, rng))
+        # the sample and its inverse, as _streamed counts them
+        size += 2 * 16 * dim * dim
+        if size >= radii._BLOCK_BYTES or i == samples - 1:
+            yield from _drawn(block)
+            block, size = [], 0
+
+
+def _drawn(block: list) -> list:
+    """_draws' tuples of a block of (index, dim, generator), one stack per size."""
+    sizes = {}
+    for k, (_, dim, _) in enumerate(block):
+        sizes.setdefault(dim, []).append(k)
+    out = [None] * len(block)
+    for dim, ks in sizes.items():
+        rngs = [block[k][2] for k in ks]
+        mats = _gaussian(np.stack([rng.standard_normal((2, dim, dim)) for rng in rngs]))
+        svs = np.linalg.svd(mats, compute_uv=False)
+        for j in np.flatnonzero(~(svs[:, -1] > 1e-8 * svs[:, 0])):
+            for _ in range(99):
+                mats[j] = _gaussian(rngs[j].standard_normal((2, dim, dim)))
+                svs[j] = singular_values(mats[j])
+                if svs[j, -1] > 1e-8 * svs[j, 0]:
+                    break
+            else:
+                raise RuntimeError("could not draw a well-conditioned sample")
+        for sv in svs:
+            _check_invertible(sv)
+        for k, a, sv, a_inv in zip(ks, mats, svs, np.linalg.inv(mats)):
+            out[k] = block[k][0], dim, a, sv, a_inv
+    return out
 
 
 def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
@@ -196,13 +239,14 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     inverse share the same rho-radius r, and checks the norm bound and, at
     every rho as in gap, its unitary-distance consequence by the rules of
     unitary._norm_violated and _distance_violated. Samples and inverses are
-    made one at a time and streamed through the radii's blocks, one lockstep
-    sweep each; every radius is its own sweep, so blocks never change a record.
-    Each sample's one SVD serves its invertibility check, its norm and its
-    unitary distance, which scale with it. samples and dim_min must be
-    integers >= 1 and dim_max one >= dim_min, capped at extremal.MAX_DIM; rho
-    and tol go through the same checks as in rho_radii, before any sample is
-    drawn.
+    made in blocks, one stacked SVD and one stacked inverse per size (_draws),
+    and streamed through the radii's blocks, one lockstep sweep each; every
+    stacked kernel solves each matrix as its own call would and every radius
+    is its own sweep, so blocks never change a record. Each sample's one SVD
+    serves its invertibility check, its norm and its unitary distance, which
+    scale with it. samples and dim_min must be integers >= 1 and dim_max one
+    >= dim_min, capped at extremal.MAX_DIM; rho and tol go through the same
+    checks as in rho_radii, before any sample is drawn.
     """
     samples = _check_count("samples", samples, 1)
     dim_min = _check_count("dim_min", dim_min, 1)
@@ -214,13 +258,13 @@ def random_test(dim_min: int, dim_max: int, samples: int, rho: float,
     worst = None
     worst_index = -1
     records = []
-    jobs = (((i, dim, a, s), [a, _inverse(a, s)], [None, None])
-            for i, dim, a, s in _draws(samples, dim_min, dim_max, seed))
+    jobs = (((i, dim, a, s), [a, a_inv], [None, None])
+            for i, dim, a, s, a_inv in _draws(samples, dim_min, dim_max, seed))
     for (i, dim, a, s), (est, est_inv) in _streamed(jobs, rho, tol):
         w, w_inv = est.value, est_inv.value
-        t = np.sqrt(w_inv / w)
-        r = max(1.0, float(np.sqrt(w * w_inv)))
-        norm = float(t * s[0])
+        t = math.sqrt(w_inv / w)
+        r = max(1.0, math.sqrt(w * w_inv))
+        norm = t * float(s[0])
         bound = bounds_mod.psi_rho_upper(rho, r)
         ratio = norm / bound
         gap_violations += _distance_violated(_excesses(t * s)[0], bound - 1.0)

@@ -52,7 +52,7 @@ flat case; a disk still is, at about 2 pi/sqrt(8 tol/((rho - 1) w)) angles.
 Every radius takes one pipeline, and a call of it makes one sweep for all of
 its input: zero matrices get value 0, rho = 1 reads the top singular pair
 from one SVD per size and dtype, and any other rho groups the matrices by
-size and dtype into kernel records (inputs, build, dim), one kernel per
+size and dtype into kernel records (inputs, build, dim, stack), one kernel per
 matrix (S_theta or H_theta below at rho = 2, K_theta in between); a unit
 vector v attains the value g(v) below at every rho, which at rho = 2 is
 |<Av, v>|. The sweep numbers its owners (the swept matrices) in record order,
@@ -161,8 +161,10 @@ is at least its value at t = W, which is W m(c) by 1 - 2 alpha = beta.
 For rho < 2, m increases from m(-1) = beta > 0 to m(1) = 1, and near rho =
 1 it is almost flat, as u* is; the sweep bounds its intervals with the rule
 above. The witness x is the top half of the approximate top eigenvector at
-the best angle, and its value g(x/||x||), taken as ratios on x itself, is
-attained up to rounding.
+the best angle, and its value g(x/||x||), taken from ratios on x itself, is
+attained up to rounding. Each kernel record takes the ratios of all its
+witnesses from stacked products with the unit-scale stack of its matrices,
+which it holds (_witness_ratios), each bit for bit those of its own vector.
 
 Every witness value v replaces best only where it exceeds the solve's shift
 sigma = best + 2^-44 max(1, |best|): a v within the shift is rounding of the
@@ -361,13 +363,25 @@ def _witnesses(build, dim: int, owner: np.ndarray, thetas: np.ndarray,
     return out
 
 
-def _ratios(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """(|<Ax, x>|, ||Ax||^2) / ||x||^2 for a vector x of any length: ratios
-    on x itself, since normalizing x first rounds and can lift the attained
-    value above the radius (0.5 I would read 0.50000000000000011)."""
-    ax = a @ x
-    xx = float((x.conj() @ x).real)
-    return abs(complex(x.conj() @ ax)) / xx, float((ax.conj() @ ax).real) / xx
+def _witness_ratios(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|<Ax, x>|, ||Ax||^2) / ||x||^2 for each matrix A of the stack a and
+    the row x of the same index in x: ratios on x itself, since normalizing
+    x first rounds and can lift the attained value above the radius (0.5 I
+    would read 0.50000000000000011). Every product is a stacked matmul with
+    one column or one row per matrix, and the modulus is hypot, so each
+    entry is bit for bit that of the vector's own a @ x, x.conj() @ x and
+    abs(complex). The stack is taken in chunks of _BATCH_BYTES, which bound
+    the complex copy a real stack is cast to."""
+    t, s2 = np.empty(len(x)), np.empty(len(x))
+    for s in _chunks(len(x), x.shape[-1], 16):
+        col = x[s, :, None]
+        ax = a[s] @ col
+        row = col.conj().transpose(0, 2, 1)
+        xx = (row @ col).real[:, 0, 0]
+        q = (row @ ax)[:, 0, 0]
+        t[s] = np.hypot(q.real, q.imag) / xx
+        s2[s] = (ax.conj().transpose(0, 2, 1) @ ax).real[:, 0, 0] / xx
+    return t, s2
 
 
 def _pencil_g(t, s2, alpha: float, beta: float):
@@ -395,12 +409,11 @@ def _rotation_builder(p: np.ndarray, q: np.ndarray):
     when it is given; build.itemsize is the bytes of one of their entries."""
 
     def build(owner, thetas, out=None):
-        r = np.take(p, owner, axis=0, out=out)
+        r = p[owner]
         r *= np.cos(thetas)[:, None, None]
         t = q[owner]
         t *= np.sin(thetas)[:, None, None]
-        r += t
-        return r
+        return np.add(r, t, out=r if out is None else out)
     build.itemsize = p.itemsize
     return build
 
@@ -414,10 +427,11 @@ def _pencil_builder(mats: np.ndarray, alpha: float, beta: float):
     lower = np.sqrt(beta) * mats
 
     def build(owner, thetas):
-        k = np.zeros((thetas.size, 2 * n, 2 * n), dtype=np.complex128)
+        k = np.empty((thetas.size, 2 * n, 2 * n), dtype=np.complex128)
         top_left(owner, thetas, out=k[:, :n, :n])
         k[:, n:, :n] = lower[owner]
-        k[:, :n, n:] = k[:, n:, :n].conj().transpose(0, 2, 1)
+        np.conjugate(k[:, n:, :n].transpose(0, 2, 1), out=k[:, :n, n:])
+        k[:, n:, n:] = 0
         return k
     build.itemsize = 16
     return build
@@ -466,9 +480,12 @@ def _vertex(alpha: float, beta: float):
         c = alpha * c
         return c + np.sqrt(c * c + beta)
 
-    def slope(x):
-        # -d/dx log m(cos x)
-        return alpha * np.sin(x) / np.sqrt((alpha * np.cos(x)) ** 2 + beta)
+    def m_slope(x):
+        # m(cos x) and -d/dx log m(cos x) = alpha sin x / sqrt((alpha cos x)^2
+        # + beta), which share their square root
+        c = alpha * np.cos(x)
+        root = np.sqrt(c * c + beta)
+        return c + root, alpha * np.sin(x) / root
 
     def vertex(p, q, d):
         live = (p > 0) & (q > 0)
@@ -482,8 +499,9 @@ def _vertex(alpha: float, beta: float):
             pc, qc, xc = p[cross], q[cross], x[cross]
             dc = d[cross]
             for _ in range(3):
-                step = np.log(pc * m(np.cos(dc - xc)) / (qc * m(np.cos(xc))))
-                xc = np.clip(xc - step / (slope(xc) + slope(dc - xc)), 0, dc)
+                (m_x, slope_x), (m_y, slope_y) = m_slope(xc), m_slope(dc - xc)
+                step = np.log(pc * m_y / (qc * m_x))
+                xc = np.clip(xc - step / (slope_x + slope_y), 0, dc)
             x[cross] = xc
         top = np.maximum(p / m(np.cos(x)), q / m(np.cos(d - x)))
         top = np.where(low, q / md, np.where(high, p / md, top))
@@ -641,19 +659,20 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
     per matrix, read at rho = 2. Each size-and-dtype group is checked and
     taken to unit scale as one stack, where each claim is measured and kept
     or refused for its own matrix; at rho = 1 the group takes one stacked
-    SVD, else it becomes kernel records (inputs, build, dim). One sweep
-    serves them all, record k owning sweep indices start[k]:start[k + 1],
-    each owner with its own tol, order and slack, and each witness x takes
-    the value g(x/||x||), as ratios on x."""
+    SVD, else it becomes kernel records (inputs, build, dim, stack), stack
+    the unit-scale matrices of inputs. One sweep serves them all, record k
+    owning sweep indices start[k]:start[k + 1], each owner with its own tol,
+    order and slack. Each record then takes the value g(x/||x||) of every
+    witness x from _witness_ratios on its stack."""
     out = [RadiusEstimate(0.0, rho, 0.0, True, None)] * len(mats)
     groups = {}
     for i, m in enumerate(mats):
         if m.any():
             groups.setdefault((m.shape, m.dtype), []).append(i)
     alpha, beta = 1.0 - 1.0 / rho, 2.0 / rho - 1.0
-    # per matrix: unit-scale copy, exponent e and tol/2^e, e capped for
-    # subnormals, and the sweep's order and slack
-    unit, exps, tols = {}, np.zeros(len(mats), dtype=np.intc), np.zeros(len(mats))
+    # per matrix: exponent e and tol/2^e, e capped for subnormals, and the
+    # sweep's order and slack
+    exps, tols = np.zeros(len(mats), dtype=np.intc), np.zeros(len(mats))
     orders, slacks, records = np.ones(len(mats), dtype=int), np.zeros(len(mats)), []
     for group in groups.values():
         stack, inputs = np.stack([mats[i] for i in group]), np.array(group)
@@ -662,11 +681,11 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
             raise ValueError(_NOT_FINITE)
         stack, exps[inputs] = _unit_scale(stack)
         tols[inputs] = np.ldexp(tol, -np.maximum(exps[inputs], np.finfo(np.float64).minexp))
-        unit.update(zip(group, stack))
         if rho == 1.0:
             s, vh = np.linalg.svd(stack)[1:]
-            for j, v, x in zip(group, np.ldexp(s[:, 0], exps[inputs]), vh[:, 0]):
-                out[j] = RadiusEstimate(float(v), 1.0, 0.0, True, x.conj())
+            for j, v, x in zip(group, np.ldexp(s[:, 0], exps[inputs]).tolist(),
+                               vh[:, 0].conj()):
+                out[j] = RadiusEstimate(v, 1.0, 0.0, True, x)
         elif rho == 2.0:
             for j, a in zip(group, stack):
                 if rotations[j] is not None:
@@ -677,45 +696,58 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
             skew = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2)) / 2
             real = slacks[inputs] + skew <= tols[inputs] / 2
             slacks[inputs[real]] += skew[real]
-            # a group on one path builds its pair from the stack itself, not
-            # from a copy, which would raise the n = 500 peak
-            records += [(inputs[mask],
-                         _rotation_builder(*parts(stack if mask.all() else stack[mask])), n)
-                        for mask, parts in ((~real, _hermitian_parts),
-                                            (real, _real_parts)) if mask.any()]
+            # a group on one path keeps the stack itself, not a copy, which
+            # would raise the n = 500 peak
+            for mask, parts in ((~real, _hermitian_parts), (real, _real_parts)):
+                if mask.any():
+                    own = stack if mask.all() else stack[mask]
+                    records.append((inputs[mask], _rotation_builder(*parts(own)), n, own))
         else:
-            records.append((inputs, _pencil_builder(stack, alpha, beta), 2 * n))
+            records.append((inputs, _pencil_builder(stack, alpha, beta), 2 * n, stack))
     start = np.cumsum([0] + [len(inputs) for inputs, *_ in records])
 
     def values(owner, thetas):
         # one stack per kernel record: float64 S_theta apart from complex128
         # H_theta, and each size apart
         h = np.empty((thetas.size, 2))
-        for k, (_, build, dim) in enumerate(records):
-            sel = (start[k] <= owner) & (owner < start[k + 1])
-            h[sel] = _top_eigenvalues(build, dim, owner[sel] - start[k], thetas[sel])
+        # record k owns start[k]:start[k + 1], so sorted owners split by record
+        order = np.argsort(owner, kind="stable")
+        ends = np.searchsorted(owner[order], start)
+        for k, (_, build, dim, _) in enumerate(records):
+            sel = order[ends[k]:ends[k + 1]]
+            if sel.size:
+                h[sel] = _top_eigenvalues(build, dim, owner[sel] - start[k], thetas[sel])
         return h
 
     owned = np.array([j for inputs, *_ in records for j in inputs], dtype=np.intp)
     best, best_theta, gap, evaluations, rounds = _sweep(
         values, start[-1], tols[owned], _vertex(alpha, beta), orders[owned],
         slacks[owned])
-    for k, (inputs, build, dim) in enumerate(records):
-        own = np.arange(start[k], start[k + 1])
-        sigma = best[own] + 2.0 ** -44 * np.maximum(1.0, np.abs(best[own]))
-        for i, j, shift, v in zip(own, inputs, sigma, _witnesses(
-                build, dim, own - start[k], best_theta[own], sigma)):
-            x = v[:len(unit[j])]
-            # g(x/||x||), at rho = 2 exactly |<Ax, x>|/||x||^2, replaces best
-            # only above the shift: below it, it is rounding of the same top
-            # eigenvalue and may exceed w_rho(A)
-            attained = _pencil_g(*_ratios(unit[j], x), alpha, beta)
-            value = attained if attained > shift else best[i]
-            # both scale back by 2^e
-            value, gap_j = np.ldexp([value, gap[i]], exps[j])
-            out[j] = RadiusEstimate(float(value), rho, float(gap_j), True,
-                                    x / np.linalg.norm(x), int(evaluations[i]),
-                                    int(rounds[i]))
+    sigma = best + 2.0 ** -44 * np.maximum(1.0, np.abs(best))
+    for k, (inputs, build, dim, stack) in enumerate(records):
+        own = slice(start[k], start[k + 1])
+        # the top halves of the pencil's eigenvectors, all of H_theta's
+        x = _witnesses(build, dim, np.arange(len(inputs)), best_theta[own],
+                       sigma[own])[:, :stack.shape[-1]]
+        t, s2 = _witness_ratios(stack, x)
+        # g(x/||x||), at rho = 2 exactly |<Ax, x>|/||x||^2, replaces best
+        # only above the shift: below it, it is rounding of the same top
+        # eigenvalue and may exceed w_rho(A). g takes each pair as Python
+        # floats: a float squares through libm's pow and an array exactly,
+        # the two differ in the last bit for about 1 input in 1,200, and
+        # the radii are those of the float form
+        attained = np.array([_pencil_g(*ts, alpha, beta)
+                             for ts in zip(t.tolist(), s2.tolist())])
+        value = np.where(attained > sigma[own], attained, best[own])
+        # both scale back by 2^e
+        value, gaps = np.ldexp(value, exps[inputs]), np.ldexp(gap[own], exps[inputs])
+        # ||x|| as np.linalg.norm takes it: sqrt(Re x . Re x + Im x . Im x)
+        re, im = x.real[:, None], x.imag[:, None]
+        norms = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))
+        for j, v, gap_j, w, e, r in zip(
+                inputs.tolist(), value.tolist(), gaps.tolist(), x / norms[:, 0],
+                evaluations[own].tolist(), rounds[own].tolist()):
+            out[j] = RadiusEstimate(v, rho, gap_j, True, w, e, r)
     return out
 
 

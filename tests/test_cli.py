@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import opradius
+from conftest import gaussian_matrix, seeded
 from opradius import bounds, cli, extremal, linalg, radii
 from opradius.cli import main, random_test
 from opradius.radii import numerical_radius, rho_radius
@@ -285,14 +286,16 @@ class TestRandomTest:
         assert {rec.dim for rec in summary.records} == {2, 3, 4, 5}
         draws = list(cli._draws(16, 2, 5, 13))
         assert len(draws) == len(summary.records)
-        for rec, (i, dim, a, s) in zip(summary.records, draws):
+        for rec, (i, dim, a, s, a_inv) in zip(summary.records, draws):
             # each draw on its own substream, keyed by (seed, index)
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=13, spawn_key=(i,)))
             assert rec.index == i and dim == int(rng.integers(2, 6))
+            # the stacked SVD and inverse give each sample its own calls' bits
             np.testing.assert_array_equal(s, linalg.singular_values(a))
+            np.testing.assert_array_equal(a_inv, linalg.inverse(a))
             w = rho_radius(a, rho, tol=1e-8).value
-            w_inv = rho_radius(linalg.inverse(a), rho, tol=1e-8).value
+            w_inv = rho_radius(a_inv, rho, tol=1e-8).value
             assert rec.dim == dim
             assert rec.r == max(1.0, float(np.sqrt(w * w_inv)))
             # ||tA|| = t ||A||, from the draw's own SVD
@@ -365,16 +368,66 @@ class TestRandomTest:
         assert draws == []
 
     def test_gives_up_after_100_singular_draws(self, monkeypatch):
+        # every SVD, stacked or not, reads singular: one draw per matrix
         draws = []
 
-        def singular(a):
-            draws.append(a)
-            return np.array([1.0, 0.0])
+        def singular(a, *args, **kwargs):
+            draws.append(int(np.prod(np.shape(a)[:-2])))
+            return np.broadcast_to([1.0, 0.0], np.shape(a)[:-1]).copy()
 
-        monkeypatch.setattr(cli, "singular_values", singular)
+        monkeypatch.setattr(np.linalg, "svd", singular)
         with pytest.raises(RuntimeError, match="well-conditioned"):
             random_test(2, 2, 1, 2.0)
-        assert len(draws) == 100
+        assert sum(draws) == 100
+
+    def test_one_normal_draw_per_sample(self):
+        # one (2, dim, dim) draw gives the values, and leaves the generator
+        # where, two (dim, dim) draws, real part first, leave it
+        for dim in range(1, 9):
+            one, two = seeded(5, dim), seeded(5, dim)
+            a = cli._gaussian(one.standard_normal((2, dim, dim)))
+            np.testing.assert_array_equal(a, gaussian_matrix(two, dim))
+            assert one.bit_generator.state == two.bit_generator.state
+
+    def test_redraw_keeps_its_block(self, monkeypatch):
+        # sample 5's first draw is refused mid-block: it becomes its
+        # substream's second draw, and every other sample keeps its order,
+        # values, SVD and inverse
+        plain = list(cli._draws(12, 2, 5, 19))
+        rng = seeded(19, 5)
+        dim = int(rng.integers(2, 6))
+        first, second = gaussian_matrix(rng, dim), gaussian_matrix(rng, dim)
+        dims = [d for _, d, *_ in plain]
+        assert dims.count(dim) > 1
+        svd, calls = np.linalg.svd, []
+
+        def refuse_first(a, *args, **kwargs):
+            s = svd(a, *args, **kwargs)
+            hit = np.zeros(np.shape(a)[:-2], dtype=bool)
+            if np.shape(a)[-1] == dim:
+                hit = (a == first).all(axis=(-2, -1))
+            calls.append((np.ndim(a), int(np.sum(hit))))
+            s[..., -1] = np.where(hit, 0.0, s[..., -1])
+            return s
+
+        monkeypatch.setattr(np.linalg, "svd", refuse_first)
+        redrawn = list(cli._draws(12, 2, 5, 19))
+        monkeypatch.undo()
+        # one stacked SVD per size, the refused draw's among them, and right
+        # after it the redraw's own
+        sizes = len(set(dims))
+        assert sorted(calls) == [(2, 0)] + [(3, 0)] * (sizes - 1) + [(3, 1)]
+        assert calls[calls.index((3, 1)) + 1] == (2, 0)
+        assert [d[0] for d in redrawn] == list(range(12))
+        i, d, a, s, a_inv = redrawn[5]
+        assert d == dim
+        np.testing.assert_array_equal(a, second)
+        np.testing.assert_array_equal(s, linalg.singular_values(second))
+        np.testing.assert_array_equal(a_inv, linalg.inverse(second))
+        for got, want in zip(redrawn[:5] + redrawn[6:], plain[:5] + plain[6:]):
+            assert got[:2] == want[:2]
+            for x, y in zip(got[2:], want[2:]):
+                np.testing.assert_array_equal(x, y)
 
     @pytest.mark.parametrize("rho, message", [
         ("2.5", "error: rho must lie in [1, 2], got 2.5; "

@@ -1249,9 +1249,34 @@ class TestUnitScale:
         assert np.linalg.norm(h) == pytest.approx(1.0)
 
 
+def scalar_ratios(a, x):
+    """(|<Ax, x>|, ||Ax||^2) / ||x||^2 of one matrix and one vector, from
+    per-vector products and Python's complex modulus: the reference of the
+    stacked radii._witness_ratios."""
+    ax = a @ x
+    xx = float((x.conj() @ x).real)
+    return abs(complex(x.conj() @ ax)) / xx, float((ax.conj() @ ax).real) / xx
+
+
 class TestWitnessSolve:
     """Each radius takes its witness from one shifted solve at the best
     angle, not an eigh; the witness can only raise the sweep's best."""
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_stacked_ratios_match_one_vector_at_a_time(self, dtype):
+        # whole rows x, as at rho = 2, and the top halves x[:, :n] of
+        # 2n-rows, as the pencil's: every entry bit for bit its reference
+        rng = seeded(32, 5)
+        for n in [*range(1, 17), 100, 500]:
+            k = 3 if n == 500 else 8
+            a = rng.standard_normal((k, n, n))
+            if dtype is np.complex128:
+                a = a + 1j * rng.standard_normal((k, n, n))
+            v = rng.standard_normal((k, 2 * n)) + 1j * rng.standard_normal((k, 2 * n))
+            for x in (v[:, ::2].copy(), v[:, :n]):
+                got = radii._witness_ratios(a, x)
+                want = np.array([scalar_ratios(a[i], x[i]) for i in range(k)]).T
+                assert np.array_equal(got, want), n
 
     @staticmethod
     def swept_best(monkeypatch):
@@ -1280,6 +1305,21 @@ class TestWitnessSolve:
             assert est.value >= bests[-1][0]
             assert est.value <= bests[-1][0] + est.tolerance
             assert np.linalg.norm(est.witness) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("rho", [2.0, 1.5])
+    def test_witness_is_its_vector_over_its_norm(self, rho, monkeypatch):
+        # each reported witness is x / np.linalg.norm(x) of its own solve's
+        # top half, bit for bit, though a record normalizes all its rows at once
+        solved, witnesses = [], radii._witnesses
+        monkeypatch.setattr(radii, "_witnesses",
+                            lambda *args: solved.append(witnesses(*args)) or solved[-1])
+        rng = seeded(34, 0)
+        # one record per size, in the order of mats
+        mats = [gaussian_matrix(rng, dim) for dim in (1, 2, 3, 5, 8, 13) for _ in range(3)]
+        ests = radii.rho_radii(mats, rho, tol=1e-8)
+        for a, est, v in zip(mats, ests, (v for x in solved for v in x), strict=True):
+            x = v[:len(a)]
+            assert np.array_equal(est.witness, x / np.linalg.norm(x))
 
     @pytest.mark.parametrize("c", [0.5, -2.0, 3.0, 0.1, 1.0 / 3.0, 1.1, -7.77,
                                    1e5 / 3.0, 1e-3, 2.0 + 1.0j, 0.3j, -0.6 - 0.8j])

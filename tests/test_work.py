@@ -52,6 +52,15 @@ def test_family_runs_take_no_inv_or_eigh():
             "eigvalsh": [7, 7], "solve": [2, 2], "svd": [4, 4]}
 
 
+def test_random_runs_take_one_svd_and_inv_call_per_size():
+    # the draws take their SVDs and inverses in one stacked call per size,
+    # dims 2-8, and the radii at rho 1 their SVDs with vectors apart
+    for rho in ("1", "1.5", "2"):
+        rows = PINS[f"random-test --rho {rho} --samples 200"]["rows"]
+        calls = {(k, n): c for k, n, _, _, c in rows if k in ("svd", "inv")}
+        assert calls == {(k, n): 1 for k in ("svd", "inv") for n in range(2, 9)}
+
+
 def test_regenerating_gives_identical_bytes():
     records = {run: work_counts.record(
         {(k, n, dtype): [m, c] for k, n, dtype, m, c in rec["rows"]})
