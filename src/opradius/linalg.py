@@ -1,6 +1,6 @@
 """Dense matrix kernels: singular values, the unitary polar factor, inversion,
-conjugation by a signed permutation, the JSON matrix file format, and atomic
-file writes.
+conjugation by a signed permutation, the JSON matrix file format, atomic
+file writes, and the BLAS thread cap the CLI puts on small matrices.
 
 Operators are square numpy arrays: complex input becomes complex128 and real
 input stays float64, so the real band and certificate matrices of the
@@ -13,6 +13,9 @@ so concurrent calls on shared read-only matrices are safe.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import os
 
@@ -30,6 +33,13 @@ __all__ = [
 
 # sigma_min/sigma_max below which a matrix is treated as singular.
 CONDITION_FLOOR = 1e-12
+
+# The matrix size from which a second OpenBLAS thread pays. On 2 cores with
+# scipy-openblas 0.3.31 `extremal verify` took 160 ms on one thread against
+# 163 ms on two at n = 348, broke even at n = 396 (215 against 214 ms) and
+# lost at n = 452 (303 against 277 ms); gap at rho 2 broke even at n = 400
+# (fresh processes, medians; CHANGES.md has the table).
+SERIAL_BELOW = 400
 
 
 def as_matrix(a) -> np.ndarray:
@@ -101,6 +111,60 @@ def _polar_svd(a) -> tuple[np.ndarray, np.ndarray]:
     w, s, vh = np.linalg.svd(as_matrix(a))
     _check_invertible(s)
     return w @ vh, s
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS this process has mapped
+    (numpy's), or None where there is none or it has no such functions.
+
+    Only a library already in /proc/self/maps is opened: a second copy would
+    start its own thread pool and cap nothing.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:  # no /proc: not Linux
+        return None
+    # the pathname is the sixth field of a mapping that has one
+    paths = sorted({f[5].rstrip("\n") for f in fields
+                    if len(f) == 6 and "openblas" in os.path.basename(f[5])})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _serial_blas(n: int):
+    """Run the block on one OpenBLAS thread when its largest matrix has
+    dimension n < SERIAL_BELOW, and restore the count found on exit.
+
+    The thread count is process-wide state, so only the CLI, which owns its
+    process, enters this. On one thread the results no longer depend on
+    OPENBLAS_NUM_THREADS. Without an OpenBLAS that exposes its thread count
+    (MKL, Accelerate, another platform) this does nothing.
+    """
+    blas = _openblas_threads() if n < SERIAL_BELOW else None
+    found = blas[0]() if blas is not None else 1
+    if found == 1:
+        yield
+        return
+    blas[1](1)
+    try:
+        yield
+    finally:
+        blas[1](found)
 
 
 def _signed_conjugate(a: np.ndarray, perm, signs) -> np.ndarray:

@@ -24,3 +24,19 @@ def perturb(fam, i: int, j: int, amount: float):
     a = fam.A.copy()
     a[i, j] += amount
     return replace(fam, A=a)
+
+
+class FakeBlas:
+    """A BLAS thread count with the getter and setter linalg._openblas_threads
+    returns, recording every set call."""
+
+    def __init__(self, threads: int) -> None:
+        self.threads = threads
+        self.sets: list[int] = []
+
+    def get(self) -> int:
+        return self.threads
+
+    def set(self, threads: int) -> None:
+        self.sets.append(threads)
+        self.threads = threads

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import opradius
-from conftest import gaussian_matrix, seeded
+from conftest import FakeBlas, gaussian_matrix, seeded
 from opradius import bounds, cli, extremal, linalg, radii
 from opradius.cli import main, random_test
 from opradius.radii import numerical_radius, rho_radius
@@ -478,6 +478,14 @@ class TestExtremalVerify:
         assert main(["extremal", "verify", "--n", "500"]) == 0
         assert capsys.readouterr().out.endswith("all passed\n")
 
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # the benchmark's member, below linalg.SERIAL_BELOW: one BLAS thread
+        # whatever OPENBLAS_NUM_THREADS says, so the csv is the same with 1
+        # and 2, A_vs_B_norm_gap included
+        one, two = csv_by_blas_threads(["extremal", "verify", "--n", "100"])
+        assert one.decode().startswith("report,check,value,bound,pass,slack\n")
+        assert one == two
+
     def test_congruence_violation_exit_2(self, capsys):
         assert main(["extremal", "verify", "--n", "13"]) == 2
         assert "8k" in capsys.readouterr().err
@@ -576,28 +584,15 @@ class TestExtremalScaling:
         assert one == two
 
     def test_brackets_do_not_depend_on_blas_threads(self):
-        # the scaling bytes may differ between one BLAS thread and two, but
-        # each radius lies within its certified tolerance (the default --tol
-        # 1e-6) of the true value, so the two runs' brackets overlap
-        src = os.path.dirname(os.path.dirname(opradius.__file__))
-        runs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run(
-                [sys.executable, "-m", "opradius.cli", "extremal", "scaling",
-                 "--kmin", "1", "--kmax", "18", "--format", "json"],
-                capture_output=True, env=env, timeout=300, check=True)
-            runs.append(json.loads(proc.stdout)["rows"])
-        one, two = runs
-        assert [r["n"] for r in one] == [r["n"] for r in two] == list(range(12, 149, 8))
-        for r1, r2 in zip(one, two):
-            assert abs(r1["w"] - r2["w"]) <= 1e-6
-            assert abs(r1["w_inv"] - r2["w_inv"]) <= 1e-6
-            for row in (r1, r2):
-                assert abs(row["delta"] - 1 / (8 * math.sqrt(row["n"]))) <= 1e-11
+        # the paper's table to n = 148: its members are below
+        # linalg.SERIAL_BELOW, so the CLI runs it on one BLAS thread and the
+        # csv is the same with OPENBLAS_NUM_THREADS 1 and 2
+        one, two = csv_by_blas_threads(["extremal", "scaling", "--kmin", "1", "--kmax", "18"])
+        rows = [line.split(",") for line in one.decode().splitlines()[1:-1]]
+        assert [int(r[0]) for r in rows] == list(range(12, 149, 8))
+        for n, _, delta, *_ in rows:
+            assert abs(float(delta) - 1 / (8 * math.sqrt(int(n)))) <= 1e-11
+        assert one == two
 
 
 class TestCommonFlags:
@@ -704,3 +699,79 @@ def test_every_subcommand_in_every_format(name, fmt, witness_file, tmp_path,
         assert set(json.loads(stdout)) == keys
     else:
         assert re.fullmatch(first_text_line, stdout.split("\n")[0])
+
+
+class TestBlasThreads:
+    """main() runs each subcommand under linalg._serial_blas, here on a fake
+    BLAS thread count."""
+
+    @pytest.fixture()
+    def blas(self, monkeypatch):
+        fake = FakeBlas(2)
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: (fake.get, fake.set))
+        return fake
+
+    @pytest.mark.parametrize("argv, code", [
+        (["extremal", "verify", "--n", "12"], 0),
+        (["extremal", "verify", "--n", "12"], 1),
+        (["extremal", "verify", "--n", "13"], 2),
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_count_is_restored(self, argv, code, blas, monkeypatch, capsys):
+        if code == 1:
+            def failing(ns):
+                assert blas.threads == 1
+                return cli._Result("x", [], {}, "", failures=("fake",))
+            monkeypatch.setattr(cli, "_cmd_extremal_verify", failing)
+        assert main(argv) == code
+        assert blas.sets == [1, 2]
+
+    def test_count_is_restored_after_an_exception(self, blas, monkeypatch):
+        def handler(ns):
+            assert blas.threads == 1
+            raise RuntimeError("inside the command")
+        monkeypatch.setattr(cli, "_cmd_extremal_verify", handler)
+        with pytest.raises(RuntimeError, match="inside the command"):
+            main(["extremal", "verify", "--n", "12"])
+        assert blas.sets == [1, 2]
+
+    def test_no_library_leaves_output_unchanged(self, blas, monkeypatch, capsys):
+        argv = ["extremal", "verify", "--n", "12", "--format", "csv"]
+        assert main(argv) == 0
+        capped = capsys.readouterr()
+        lookups = []
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: lookups.append(1))
+        assert main(argv) == 0
+        assert capsys.readouterr() == capped
+        assert lookups == [1]
+        assert blas.sets == [1, 2]  # the first run's; the second set nothing
+
+    def test_large_command_makes_no_set_call(self, blas, monkeypatch, capsys):
+        monkeypatch.setattr(linalg, "SERIAL_BELOW", 20)
+        assert main(["extremal", "verify", "--n", "20"]) == 0
+        assert main(["extremal", "scaling", "--kmin", "1", "--kmax", "2"]) == 0
+        assert blas.sets == []
+        assert main(["extremal", "verify", "--n", "12"]) == 0
+        assert blas.sets == [1, 2]
+
+    @pytest.mark.parametrize("argv, n", [
+        (["extremal", "verify", "--n", "12"], 12),
+        (["extremal", "scaling", "--kmin", "1", "--kmax", "2"], 20),
+        (["random-test", "--samples", "2", "--dim-max", "5"], 5),
+        (["gap", "--matrix", "MATRIX", "--rho", "2"], 2),
+        (["gap", "--matrix", "MATRIX", "--rho", "1.5"], 4),
+        (["range", "--matrix", "MATRIX", "--samples", "8"], 4),
+        (["bounds", "--steps", "3"], None),
+    ], ids=["verify", "scaling", "random-test", "gap-2", "gap-1.5", "range", "bounds"])
+    def test_size_of_each_subcommand(self, argv, n, witness_file, monkeypatch, capsys):
+        # the largest matrix dimension each subcommand's kernels see (2n
+        # for the rho-pencil and for range's eigh with vectors); bounds has
+        # no matrices and leaves the count alone
+        sizes = []
+        serial_blas = cli._serial_blas
+
+        def recorded(size):
+            sizes.append(size)
+            return serial_blas(size)
+        monkeypatch.setattr(cli, "_serial_blas", recorded)
+        assert main([witness_file if a == "MATRIX" else a for a in argv]) == 0
+        assert sizes == ([] if n is None else [n])

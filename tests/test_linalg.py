@@ -1,9 +1,10 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
-from conftest import gaussian_matrix, haar_unitary, seeded
+from conftest import FakeBlas, gaussian_matrix, haar_unitary, seeded
 from opradius import linalg
 from opradius.extremal import build
 from opradius.unitary import distance_to_unitaries
@@ -218,3 +219,49 @@ class TestMatrixIO:
             linalg.atomic_write(path, "a\ud800b")
         assert path.read_text(encoding="utf-8") == "old"
         assert not list(tmp_path.glob("tmp*.tmp"))
+
+
+class TestSerialBlas:
+    @pytest.mark.parametrize("n, threads", [(linalg.SERIAL_BELOW, 2), (12, 1)],
+                             ids=["at-SERIAL_BELOW", "already-one-thread"])
+    def test_no_set_call(self, n, threads, monkeypatch):
+        # from SERIAL_BELOW on the pool is left alone, and one thread needs
+        # no cap
+        blas = FakeBlas(threads)
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: (blas.get, blas.set))
+        with linalg._serial_blas(n):
+            pass
+        assert blas.sets == []
+
+    @pytest.mark.parametrize("maps", [
+        None,
+        "7f00-7f01 r--p 00000000 fe:00 1 /usr/lib/libm.so.6\n"
+        "7f02-7f03 rw-p 00000000 00:00 0 \n"
+        "7f04-7f05 r--p 00000000 fe:00 2 /opt/openblas/lib/libmkl_rt.so\n",
+    ], ids=["no-proc", "no-openblas-mapped"])
+    def test_lookup_finds_nothing(self, maps, monkeypatch):
+        # only an OpenBLAS by file name among the mapped files is opened,
+        # never one found elsewhere
+        def fake_open(path, *args, **kwargs):
+            assert path == "/proc/self/maps"
+            if maps is None:
+                raise FileNotFoundError(path)
+            return io.StringIO(maps)
+
+        opened = []
+        monkeypatch.setattr(linalg, "open", fake_open, raising=False)
+        monkeypatch.setattr(linalg.ctypes, "CDLL", opened.append)
+        assert linalg._openblas_threads.__wrapped__() is None
+        assert opened == []
+
+    def test_lookup_reads_numpys_openblas(self):
+        # numpy's wheels link scipy-openblas; other builds find nothing
+        blas = linalg._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy links no OpenBLAS that exposes its thread count")
+        get = blas[0]
+        found = get()
+        assert found >= 1
+        with linalg._serial_blas(12):
+            assert get() == 1
+        assert get() == found

@@ -14,8 +14,10 @@ One line per invocation says whether stdout (followed by the `--out` file,
 if any), the stderr text and the exit code match; differing stderr is printed
 for both sides. A differing stdout is followed by how far it moved: the
 largest relative change among its numbers when the text between them
-matches, else `layout differs`. The exit status is 1 if anything differs,
-else 0.
+matches, else `layout differs`. The summary line names the
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS both sides ran under, since the
+bytes of runs from linalg.SERIAL_BELOW on depend on the BLAS thread count.
+The exit status is 1 if anything differs, else 0.
 """
 
 from __future__ import annotations
@@ -221,7 +223,10 @@ def main(argv=None) -> int:
             if not same[1]:
                 print(f"    parent stderr: {p_err.rstrip()}")
                 print(f"    change stderr: {c_err.rstrip()}")
-    print(f"{len(INVOCATIONS) - mismatches}/{len(INVOCATIONS)} invocations identical")
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
+                       for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    print(f"{len(INVOCATIONS) - mismatches}/{len(INVOCATIONS)} invocations identical"
+          f" ({threads})")
     return 1 if mismatches else 0
 
 
