@@ -11,17 +11,15 @@ Subcommands
 Exit codes: 0 all embedded checks pass, 1 a numerical check failed (named on
 stderr), 2 usage or input errors. Artifacts are written atomically (temp file
 in the target directory, then rename). Default runs are bit-reproducible for
-the same numpy, BLAS build and CPU kernel, and for the same BLAS thread count
-where main() does not cap it: the seed defaults to DEFAULT_SEED and all
-reductions are ordered. On OpenBLAS, main() runs a subcommand whose matrices
-are smaller than linalg.SERIAL_BELOW on one BLAS thread, so below that size
-the thread count is no condition.
+the same numpy, BLAS build and CPU kernel, and on BLAS builds other than
+OpenBLAS for the same BLAS thread count: the seed defaults to DEFAULT_SEED and
+all reductions are ordered. main() runs every subcommand on one OpenBLAS
+thread, so on OpenBLAS the thread count is no condition.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -84,7 +82,7 @@ def _records(header: str, rows) -> list[dict]:
 
 
 def _cmd_gap(ns) -> _Result:
-    a = ns.a
+    a = load_matrix(ns.matrix)
     rho = _check_rho(float(ns.rho))
     # one SVD without vectors: the distance reads only the singular values,
     # and the inverse refuses a singular A from them
@@ -132,7 +130,8 @@ def _cmd_bounds(ns) -> _Result:
 
 
 def _cmd_range(ns) -> _Result:
-    points = range_boundary(ns.a, samples=ns.samples)
+    a = load_matrix(ns.matrix)
+    points = range_boundary(a, samples=ns.samples)
     header = "theta,support_value,re,im"
     rows = [(p.theta, p.support_value, p.boundary_point.real, p.boundary_point.imag)
             for p in points]
@@ -426,29 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _largest_dim(ns) -> int | None:
-    """The largest matrix dimension the subcommand's dense kernels see, the
-    size by which main() caps the BLAS threads; None for bounds, which has
-    no matrices.
-
-    gap at 1 < rho < 2 solves the rho-pencil's 2n x 2n eigenproblems. range
-    counts 2n too: its n x n eigh with vectors gained from a second thread
-    from about n = 200 on, half the size at which eigvalsh and the SVD did
-    (CHANGES.md).
-    """
-    if ns.func == "_cmd_extremal_verify":
-        return ns.n
-    if ns.func == "_cmd_extremal_scaling":
-        return 8 * ns.kmax + 4
-    if ns.func == "_cmd_random_test":
-        return ns.dim_max
-    if ns.func == "_cmd_gap":
-        return ns.a.shape[0] * (2 if 1.0 < ns.rho < 2.0 else 1)
-    if ns.func == "_cmd_range":
-        return 2 * ns.a.shape[0]
-    return None
-
-
 # build_parser() of the first main() call, reused by later calls in-process;
 # it names each subcommand's handler, which main() looks up at every call
 _parser = None
@@ -467,11 +443,7 @@ def main(argv=None) -> int:
     try:
         if ns.tol is not None:
             _check_tol(ns.tol)
-        if hasattr(ns, "matrix"):
-            ns.a = load_matrix(ns.matrix)
-        n = _largest_dim(ns)
-        # a subcommand runs on one BLAS thread below linalg.SERIAL_BELOW
-        with _serial_blas(n) if n is not None else contextlib.nullcontext():
+        with _serial_blas():
             result = globals()[ns.func](ns)
         fmt = "json" if getattr(ns, "json", False) else ns.fmt
         if fmt == "csv":

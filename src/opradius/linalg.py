@@ -1,6 +1,6 @@
 """Dense matrix kernels: singular values, the unitary polar factor, inversion,
 conjugation by a signed permutation, the JSON matrix file format, atomic
-file writes, and the BLAS thread cap the CLI puts on small matrices.
+file writes, and the BLAS thread cap the CLI runs its subcommands under.
 
 Operators are square numpy arrays: complex input becomes complex128 and real
 input stays float64, so the real band and certificate matrices of the
@@ -33,13 +33,6 @@ __all__ = [
 
 # sigma_min/sigma_max below which a matrix is treated as singular.
 CONDITION_FLOOR = 1e-12
-
-# The matrix size from which a second OpenBLAS thread pays. On 2 cores with
-# scipy-openblas 0.3.31 `extremal verify` took 160 ms on one thread against
-# 163 ms on two at n = 348, broke even at n = 396 (215 against 214 ms) and
-# lost at n = 452 (303 against 277 ms); gap at rho 2 broke even at n = 400
-# (fresh processes, medians; CHANGES.md has the table).
-SERIAL_BELOW = 400
 
 
 def as_matrix(a) -> np.ndarray:
@@ -146,16 +139,16 @@ def _openblas_threads():
 
 
 @contextlib.contextmanager
-def _serial_blas(n: int):
-    """Run the block on one OpenBLAS thread when its largest matrix has
-    dimension n < SERIAL_BELOW, and restore the count found on exit.
+def _serial_blas():
+    """Run the block on one OpenBLAS thread and restore the count found on
+    exit.
 
     The thread count is process-wide state, so only the CLI, which owns its
     process, enters this. On one thread the results no longer depend on
     OPENBLAS_NUM_THREADS. Without an OpenBLAS that exposes its thread count
     (MKL, Accelerate, another platform) this does nothing.
     """
-    blas = _openblas_threads() if n < SERIAL_BELOW else None
+    blas = _openblas_threads()
     found = blas[0]() if blas is not None else 1
     if found == 1:
         yield

@@ -222,14 +222,10 @@ class TestMatrixIO:
 
 
 class TestSerialBlas:
-    @pytest.mark.parametrize("n, threads", [(linalg.SERIAL_BELOW, 2), (12, 1)],
-                             ids=["at-SERIAL_BELOW", "already-one-thread"])
-    def test_no_set_call(self, n, threads, monkeypatch):
-        # from SERIAL_BELOW on the pool is left alone, and one thread needs
-        # no cap
-        blas = FakeBlas(threads)
+    def test_one_thread_needs_no_set_call(self, monkeypatch):
+        blas = FakeBlas(1)
         monkeypatch.setattr(linalg, "_openblas_threads", lambda: (blas.get, blas.set))
-        with linalg._serial_blas(n):
+        with linalg._serial_blas():
             pass
         assert blas.sets == []
 
@@ -262,6 +258,6 @@ class TestSerialBlas:
         get = blas[0]
         found = get()
         assert found >= 1
-        with linalg._serial_blas(12):
+        with linalg._serial_blas():
             assert get() == 1
         assert get() == found

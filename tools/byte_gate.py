@@ -15,8 +15,8 @@ if any), the stderr text and the exit code match; differing stderr is printed
 for both sides. A differing stdout is followed by how far it moved: the
 largest relative change among its numbers when the text between them
 matches, else `layout differs`. The summary line names the
-OPENBLAS_NUM_THREADS and OMP_NUM_THREADS both sides ran under, since the
-bytes of runs from linalg.SERIAL_BELOW on depend on the BLAS thread count.
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS both sides ran under, since a side
+that does not cap the BLAS threads may print other bytes at another count.
 The exit status is 1 if anything differs, else 0.
 """
 
