@@ -456,7 +456,7 @@ def main(argv=None) -> int:
             atomic_write(ns.out, text)
         else:
             sys.stdout.write(text)
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if result.failures:

@@ -52,27 +52,28 @@ flat case; a disk still is, at about 2 pi/sqrt(8 tol/((rho - 1) w)) angles.
 Every radius takes one pipeline, and a call of it makes one sweep for all of
 its input: zero matrices get value 0, rho = 1 reads the top singular pair
 from one SVD per size and dtype, and any other rho groups the matrices by
-size and dtype into kernel records (inputs, build, dim, stack), one kernel per
-matrix (S_theta or H_theta below at rho = 2, K_theta in between); a unit
-vector v attains the value g(v) below at every rho, which at rho = 2 is
-|<Av, v>|. The sweep numbers its owners (the swept matrices) in record order,
-so each record owns one contiguous range; it sweeps all of them in lockstep,
-then each record takes a witness at each owner's best angle from one shifted
-solve (_witnesses), not an eigh: the sweep already knows the top eigenvalue
-there. Every interval of the sweep carries the index of the owner it
-belongs to; stacked eigvalsh calls per kernel record, each on at most
-_BATCH_BYTES of kernels, evaluate the live angles of its owners together,
-and each owner keeps its own tol, slack and order (full circle or one
-period, below), and its own best value, best angle, stopping round and gap.
-An owner's result is therefore bit for bit that of its own sweep, while the
-per-round Python overhead is paid once for the whole call. family_radii is
-the call of a member's A and A^-1; rho_radii, random_test and
-scaling_experiment stream their matrices through _streamed, one call per
-block whose inputs reach _BLOCK_BYTES, so a list of any length, up to n =
-500, is swept in bounded memory. Every kernel is built like H_theta, as
-cos(theta) P + sin(theta) Q for a pair fixed before the sweep: (H, K) for
-H_theta, (Re A_s, -Im A_s) for S_theta and (2 alpha H, 2 alpha K) for the
-top-left block of K_theta.
+size and dtype into kernel records (_Kernels), one kernel per matrix
+(S_theta or H_theta below at rho = 2, K_theta in between); a unit vector v
+attains the value g(v) below at every rho, which at rho = 2 is |<Av, v>|. A
+record holds its inputs' indices, their unit-scale stack and the pair (P, Q)
+of its kernels' block cos(theta) P + sin(theta) Q, fixed before the sweep:
+(H, K) for H_theta, (Re A_s, -Im A_s) for S_theta and (2 alpha H, 2 alpha K)
+for the top-left block of K_theta, whose lower block sqrt(beta) A it holds
+too. It builds its kernels in chunks of at most _BATCH_BYTES for each of its
+stacked eigensolves. The sweep numbers its owners (the swept matrices) in
+record order, so each record owns one contiguous range; it sweeps all of
+them in lockstep, then each record takes a witness at each owner's best
+angle from one shifted solve (_Kernels.witnesses), not an eigh: the sweep
+already knows the top eigenvalue there. Every interval of the sweep carries
+the index of the owner it belongs to; each record's eigvalsh calls evaluate
+the live angles of its owners together, and each owner keeps its own tol,
+slack and order (full circle or one period, below), and its own best value,
+best angle, stopping round and gap. An owner's result is therefore bit for
+bit that of its own sweep, while the per-round Python overhead is paid once
+for the whole call. family_radii is the call of a member's A and A^-1;
+rho_radii, random_test and scaling_experiment stream their matrices through
+_streamed, one call per block whose inputs reach _BLOCK_BYTES, so a list of
+any length, up to n = 500, is swept in bounded memory.
 
 Every radius is homogeneous, w_rho(2^e A) = 2^e w_rho(A). An n x n stack with
 n max|a_ij| above half the float64 maximum raises ValueError before any work,
@@ -313,56 +314,6 @@ def _chunks(count: int, dim: int, itemsize: int):
     return (slice(i, i + step) for i in range(0, count, step))
 
 
-def _top_eigenvalues(build, dim: int, owner: np.ndarray,
-                     thetas: np.ndarray) -> np.ndarray:
-    """(lambda_max, -lambda_min) of each matrix of build(owner, thetas), one
-    row per matrix, built in chunks: the support values at theta and at
-    theta + pi of a kernel that flips sign there."""
-    out = np.empty((thetas.size, 2))
-    for s in _chunks(thetas.size, dim, build.itemsize):
-        w = np.linalg.eigvalsh(build(owner[s], thetas[s]))
-        out[s, 0], out[s, 1] = w[..., -1], -w[..., 0]
-    return out
-
-
-def _top_eigenpairs(build, dim: int, owner: np.ndarray,
-                    thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_max, top eigenvector) of each matrix of build(owner, thetas),
-    the vectors row by row as complex128."""
-    lam = np.empty(thetas.size)
-    vec = np.empty((thetas.size, dim), dtype=np.complex128)
-    for s in _chunks(thetas.size, dim, build.itemsize):
-        w, v = np.linalg.eigh(build(owner[s], thetas[s]))
-        lam[s], vec[s] = w[..., -1], v[..., -1]
-    return lam, vec
-
-
-def _witnesses(build, dim: int, owner: np.ndarray, thetas: np.ndarray,
-               sigma: np.ndarray) -> np.ndarray:
-    """Approximate top eigenvectors of build(owner, thetas), one row each as
-    complex128, by one step of inverse iteration (Ipsen, SIAM Review 39,
-    1997): the solve of (sigma I - K) x = b for the fixed b_i = cos(i), each
-    sigma just above its matrix's top eigenvalue, which the sweep has
-    computed. The rows are not normalized. A chunk whose solve raises or is
-    not finite takes eigh's eigenvectors instead."""
-    out = np.empty((thetas.size, dim), dtype=np.complex128)
-    b = np.cos(np.arange(1.0, dim + 1))[:, None]
-    for s in _chunks(thetas.size, dim, build.itemsize):
-        shifted = build(owner[s], thetas[s])
-        shifted *= -1
-        shifted.reshape(len(shifted), -1)[:, ::dim + 1] += sigma[s, None]
-        try:
-            # b as one column per matrix: a 1-D b broadcasts over a stack
-            # only from numpy 2.0 on
-            x = np.linalg.solve(shifted, np.broadcast_to(b, shifted.shape[:-1] + (1,)))[..., 0]
-        except np.linalg.LinAlgError:
-            x = None
-        if x is None or not np.isfinite(x).all():
-            x = np.linalg.eigh(build(owner[s], thetas[s]))[1][..., -1]
-        out[s] = x
-    return out
-
-
 def _witness_ratios(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(|<Ax, x>|, ||Ax||^2) / ||x||^2 for each matrix A of the stack a and
     the row x of the same index in x: ratios on x itself, since normalizing
@@ -403,38 +354,90 @@ def _real_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sym.real.copy(), -sym.imag
 
 
-def _rotation_builder(p: np.ndarray, q: np.ndarray):
-    """build(owner, thetas, out=None): the matrices cos(theta) P + sin(theta) Q
-    for P = p[owner[i]] and Q = q[owner[i]] at thetas[i], written into out
-    when it is given; build.itemsize is the bytes of one of their entries."""
+@dataclass(frozen=True)
+class _Kernels:
+    """A kernel record (module docstring): the kernel of stack[i], the input
+    inputs[i] at unit scale, has the block cos(theta) p[i] + sin(theta) q[i],
+    and the pencil's K_theta the lower block lower[i] = sqrt(beta) stack[i]."""
 
-    def build(owner, thetas, out=None):
-        r = p[owner]
+    inputs: np.ndarray | None
+    stack: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    lower: np.ndarray | None = None
+
+    @classmethod
+    def pencil(cls, inputs, stack: np.ndarray, alpha: float, beta: float) -> _Kernels:
+        return cls(inputs, stack, *(2 * alpha * x for x in _hermitian_parts(stack)),
+                   np.sqrt(beta) * stack)
+
+    @property
+    def dim(self) -> int:
+        return self.p.shape[-1] * (1 if self.lower is None else 2)
+
+    def build(self, owner: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """The kernels of matrix owner[i] at thetas[i], at p's itemsize."""
+        r = self.p[owner]
         r *= np.cos(thetas)[:, None, None]
-        t = q[owner]
+        t = self.q[owner]
         t *= np.sin(thetas)[:, None, None]
-        return np.add(r, t, out=r if out is None else out)
-    build.itemsize = p.itemsize
-    return build
-
-
-def _pencil_builder(mats: np.ndarray, alpha: float, beta: float):
-    """build(owner, thetas): the 2n x 2n linearizations K_theta = [[2 alpha
-    H_theta, sqrt(beta) A*], [sqrt(beta) A, 0]] of A = mats[owner[i]] at
-    thetas[i], Hermitian by construction, complex128 (build.itemsize 16)."""
-    n = mats.shape[-1]
-    top_left = _rotation_builder(*(2 * alpha * x for x in _hermitian_parts(mats)))
-    lower = np.sqrt(beta) * mats
-
-    def build(owner, thetas):
+        if self.lower is None:
+            return np.add(r, t, out=r)
+        n = self.p.shape[-1]
         k = np.empty((thetas.size, 2 * n, 2 * n), dtype=np.complex128)
-        top_left(owner, thetas, out=k[:, :n, :n])
-        k[:, n:, :n] = lower[owner]
+        np.add(r, t, out=k[:, :n, :n])
+        k[:, n:, :n] = self.lower[owner]
         np.conjugate(k[:, n:, :n].transpose(0, 2, 1), out=k[:, :n, n:])
         k[:, n:, n:] = 0
         return k
-    build.itemsize = 16
-    return build
+
+    def _built(self, owner: np.ndarray, thetas: np.ndarray):
+        for s in _chunks(thetas.size, self.dim, self.p.itemsize):
+            yield s, self.build(owner[s], thetas[s])
+
+    def tops(self, owner: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """(lambda_max, -lambda_min) of each kernel, one row each: the support
+        values at theta and at theta + pi of a kernel that flips sign there."""
+        out = np.empty((thetas.size, 2))
+        for s, k in self._built(owner, thetas):
+            w = np.linalg.eigvalsh(k)
+            out[s, 0], out[s, 1] = w[..., -1], -w[..., 0]
+        return out
+
+    def eigenpairs(self, owner: np.ndarray, thetas: np.ndarray) -> tuple:
+        """(lambda_max, top eigenvector) of each kernel, the vectors row by
+        row as complex128."""
+        lam = np.empty(thetas.size)
+        vec = np.empty((thetas.size, self.dim), dtype=np.complex128)
+        for s, k in self._built(owner, thetas):
+            w, v = np.linalg.eigh(k)
+            lam[s], vec[s] = w[..., -1], v[..., -1]
+        return lam, vec
+
+    def witnesses(self, thetas: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """The top n entries of an approximate top eigenvector of matrix i's
+        kernel at thetas[i], one row each as complex128, by one step of
+        inverse iteration (Ipsen, SIAM Review 39, 1997): the solve of (sigma
+        I - K) x = b for the fixed b_i = cos(i), each sigma just above its
+        kernel's top eigenvalue, which the sweep has computed. The rows are
+        not normalized. A chunk whose solve raises or is not finite takes
+        eigh's bottom eigenvectors of the same shifted kernels instead."""
+        n, dim = self.p.shape[-1], self.dim
+        out = np.empty((thetas.size, n), dtype=np.complex128)
+        b = np.cos(np.arange(1.0, dim + 1))[:, None]
+        for s, shifted in self._built(np.arange(thetas.size), thetas):
+            shifted *= -1
+            shifted.reshape(len(shifted), -1)[:, ::dim + 1] += sigma[s, None]
+            try:
+                # b as one column per matrix: a 1-D b broadcasts over a stack
+                # only from numpy 2.0 on
+                x = np.linalg.solve(shifted, np.broadcast_to(b, shifted.shape[:-1] + (1,)))[..., 0]
+            except np.linalg.LinAlgError:
+                x = None
+            if x is None or not np.isfinite(x).all():
+                x = np.linalg.eigh(shifted)[1][..., 0]
+            out[s] = x[:, :n]
+        return out
 
 
 def support_points(a, thetas) -> list[SupportPoint]:
@@ -445,9 +448,8 @@ def support_points(a, thetas) -> list[SupportPoint]:
     bad = thetas[~np.isfinite(thetas)]
     if bad.size:
         raise ValueError(f"support angles must be finite, got {bad[0]}")
-    lam, vec = _top_eigenpairs(_rotation_builder(*_hermitian_parts(a[None])),
-                               a.shape[0], np.zeros(thetas.size, dtype=np.intp),
-                               thetas)
+    lam, vec = _Kernels(None, a[None], *_hermitian_parts(a[None])).eigenpairs(
+        np.zeros(thetas.size, dtype=np.intp), thetas)
     points = np.array([v.conj() @ (a @ v) for v in vec], dtype=np.complex128)
     return [SupportPoint(float(t), float(h), complex(z))
             for t, h, z in zip(thetas, _scale_back(lam, e), _scale_back(points, e))]
@@ -659,11 +661,10 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
     per matrix, read at rho = 2. Each size-and-dtype group is checked and
     taken to unit scale as one stack, where each claim is measured and kept
     or refused for its own matrix; at rho = 1 the group takes one stacked
-    SVD, else it becomes kernel records (inputs, build, dim, stack), stack
-    the unit-scale matrices of inputs. One sweep serves them all, record k
-    owning sweep indices start[k]:start[k + 1], each owner with its own tol,
-    order and slack. Each record then takes the value g(x/||x||) of every
-    witness x from _witness_ratios on its stack."""
+    SVD, else it becomes kernel records (_Kernels). One sweep serves them
+    all, record k owning sweep indices start[k]:start[k + 1], each owner
+    with its own tol, order and slack. Each record then takes the value
+    g(x/||x||) of every witness x from _witness_ratios on its stack."""
     out = [RadiusEstimate(0.0, rho, 0.0, True, None)] * len(mats)
     groups = {}
     for i, m in enumerate(mats):
@@ -701,10 +702,10 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
             for mask, parts in ((~real, _hermitian_parts), (real, _real_parts)):
                 if mask.any():
                     own = stack if mask.all() else stack[mask]
-                    records.append((inputs[mask], _rotation_builder(*parts(own)), n, own))
+                    records.append(_Kernels(inputs[mask], own, *parts(own)))
         else:
-            records.append((inputs, _pencil_builder(stack, alpha, beta), 2 * n, stack))
-    start = np.cumsum([0] + [len(inputs) for inputs, *_ in records])
+            records.append(_Kernels.pencil(inputs, stack, alpha, beta))
+    start = np.cumsum([0] + [len(r.inputs) for r in records])
 
     def values(owner, thetas):
         # one stack per kernel record: float64 S_theta apart from complex128
@@ -713,23 +714,22 @@ def _radii(mats: list[np.ndarray], rho: float, tol: float,
         # record k owns start[k]:start[k + 1], so sorted owners split by record
         order = np.argsort(owner, kind="stable")
         ends = np.searchsorted(owner[order], start)
-        for k, (_, build, dim, _) in enumerate(records):
+        for k, record in enumerate(records):
             sel = order[ends[k]:ends[k + 1]]
             if sel.size:
-                h[sel] = _top_eigenvalues(build, dim, owner[sel] - start[k], thetas[sel])
+                h[sel] = record.tops(owner[sel] - start[k], thetas[sel])
         return h
 
-    owned = np.array([j for inputs, *_ in records for j in inputs], dtype=np.intp)
+    owned = np.array([j for r in records for j in r.inputs], dtype=np.intp)
     best, best_theta, gap, evaluations, rounds = _sweep(
         values, start[-1], tols[owned], _vertex(alpha, beta), orders[owned],
         slacks[owned])
     sigma = best + 2.0 ** -44 * np.maximum(1.0, np.abs(best))
-    for k, (inputs, build, dim, stack) in enumerate(records):
-        own = slice(start[k], start[k + 1])
+    for k, record in enumerate(records):
+        own, inputs = slice(start[k], start[k + 1]), record.inputs
         # the top halves of the pencil's eigenvectors, all of H_theta's
-        x = _witnesses(build, dim, np.arange(len(inputs)), best_theta[own],
-                       sigma[own])[:, :stack.shape[-1]]
-        t, s2 = _witness_ratios(stack, x)
+        x = record.witnesses(best_theta[own], sigma[own])
+        t, s2 = _witness_ratios(record.stack, x)
         # g(x/||x||), at rho = 2 exactly |<Ax, x>|/||x||^2, replaces best
         # only above the shift: below it, it is rounding of the same top
         # eigenvalue and may exceed w_rho(A). g takes each pair as Python

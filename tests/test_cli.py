@@ -223,6 +223,13 @@ class TestBounds:
         assert captured.out == ""
         assert captured.err.startswith("error: r must be ")
 
+    def test_steps_beyond_memory_is_usage_error(self, capsys):
+        # 2^50 rows fail to allocate at once, on any machine
+        assert main(["bounds", "--steps", str(2**50)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+
 
 class TestRange:
     def test_csv_columns_and_invariant(self, witness_file, tmp_path):
@@ -248,6 +255,13 @@ class TestRange:
 
     def test_bad_samples_is_usage_error(self, witness_file):
         assert main(["range", "--matrix", witness_file, "--samples", "4"]) == 2
+
+    def test_samples_beyond_memory_is_usage_error(self, witness_file, capsys):
+        # 2^50 angles fail to allocate at once, on any machine
+        assert main(["range", "--matrix", witness_file, "--samples", str(2**50)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
 
 
 class TestRandomTest:

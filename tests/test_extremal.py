@@ -600,13 +600,13 @@ class TestFamilyRadii:
         assert radii._rotation_slack(a, rotation)[1] <= 1e-14
         full = numerical_radius(a, tol=1e-12)
         sizes = []
-        top_eigenvalues = radii._top_eigenvalues
+        tops = radii._Kernels.tops
 
-        def spy(build, dim, owner, thetas):
+        def spy(record, owner, thetas):
             sizes.append(thetas.size)
-            return top_eigenvalues(build, dim, owner, thetas)
+            return tops(record, owner, thetas)
 
-        monkeypatch.setattr(radii, "_top_eigenvalues", spy)
+        monkeypatch.setattr(radii._Kernels, "tops", spy)
         tol = 1e-9
         est = numerical_radius(a, tol, rotation=rotation)
         assert sizes[0] == 3

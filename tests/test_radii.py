@@ -20,8 +20,7 @@ def support_values(a, thetas, owner=None):
     thetas[i]."""
     if owner is None:
         a, owner = a[None], np.zeros(thetas.size, dtype=np.intp)
-    build = radii._rotation_builder(*radii._hermitian_parts(a))
-    return radii._top_eigenvalues(build, a.shape[-1], owner, thetas)
+    return radii._Kernels(None, a, *radii._hermitian_parts(a)).tops(owner, thetas)
 
 
 def complex_symmetric(rng, dim):
@@ -344,8 +343,8 @@ class TestPencilSweep:
         owner = np.zeros(thetas.size, dtype=np.intp)
         bound = 1e-13 * max(1.0, np.linalg.norm(a, 2))
         for rho in (1.1, 1.5, 1.9):
-            build = radii._pencil_builder(a[None], 1 - 1 / rho, 2 / rho - 1)
-            got = np.linalg.eigvalsh(build(owner, thetas))
+            kernels = radii._Kernels.pencil(None, a[None], 1 - 1 / rho, 2 / rho - 1)
+            got = np.linalg.eigvalsh(kernels.build(owner, thetas))
             want = np.linalg.eigvalsh(pencil_kernels(a, rho)(thetas))
             for end in (0, -1):
                 assert np.max(np.abs(got[:, end] - want[:, end])) <= bound
@@ -535,16 +534,15 @@ class TestRotationBuilder:
     @pytest.mark.parametrize("dim", [1, 2, 5, 8, 20])
     def test_hermitian_pair_is_the_rotated_hermitian_part(self, dim, real):
         a, thetas, owner = self.case(dim, real)
-        build = radii._rotation_builder(*radii._hermitian_parts(a))
-        got = build(owner, thetas)
+        got = radii._Kernels(None, a, *radii._hermitian_parts(a)).build(owner, thetas)
         assert got.dtype == np.complex128
         np.testing.assert_array_equal(got, got.conj().transpose(0, 2, 1))
         ph = np.exp(1j * thetas)[:, None, None]
         direct = (ph * a[owner] + np.conj(ph) * a[owner].conj().transpose(0, 2, 1)) / 2
         assert np.max(np.abs(got - direct)) <= 1e-15 * np.max(np.abs(a))
-        # the pencil writes its top-left block in place
-        k = np.zeros((thetas.size, 2 * dim, 2 * dim), dtype=np.complex128)
-        build(owner, thetas, out=k[:, :dim, :dim])
+        # the pencil at alpha = 1/2, beta = 0 holds it as its top-left block,
+        # with zero off-diagonal blocks
+        k = radii._Kernels.pencil(None, a, 0.5, 0.0).build(owner, thetas)
         assert k[:, :dim, :dim].tobytes() == got.tobytes()
         assert not k[:, dim:].any() and not k[:, :, dim:].any()
 
@@ -552,7 +550,7 @@ class TestRotationBuilder:
     @pytest.mark.parametrize("dim", [1, 2, 5, 8, 20])
     def test_real_pair_is_cos_re_minus_sin_im_of_the_symmetric_part(self, dim, real):
         a, thetas, owner = self.case(dim, real)
-        got = radii._rotation_builder(*radii._real_parts(a))(owner, thetas)
+        got = radii._Kernels(None, a, *radii._real_parts(a)).build(owner, thetas)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, got.transpose(0, 2, 1))
         sym = (a + a.transpose(0, 2, 1)) / 2
@@ -877,7 +875,7 @@ class TestVertexRule:
             return alpha * c + np.sqrt((alpha * c) ** 2 + beta)
 
         thetas = np.linspace(0, 2 * np.pi, 16)
-        kernels = radii._pencil_builder(np.array([[[z]]]), alpha, beta)(
+        kernels = radii._Kernels.pencil(None, np.array([[[z]]]), alpha, beta).build(
             np.zeros(thetas.size, dtype=np.intp), thetas)
         np.testing.assert_allclose(np.linalg.eigvalsh(kernels)[:, -1],
                                    abs(z) * m(np.cos(thetas - phi)), rtol=1e-14)
@@ -1001,15 +999,15 @@ class TestAntipodalPairs:
         a, sym = 4 * gaussian_matrix(rng, dim), 4 * complex_symmetric(rng, dim)
         thetas = rng.uniform(0, 2 * np.pi, 64)
         owner = np.zeros(thetas.size, dtype=np.intp)
-        kernels = (
-            (a, dim, radii._rotation_builder(*radii._hermitian_parts(a[None]))),
-            (sym, dim, radii._rotation_builder(*radii._real_parts(sym[None]))),
-            (a, 2 * dim, radii._pencil_builder(a[None], 1 / 3, 1 / 3)),
+        records = (
+            (a, radii._Kernels(None, a[None], *radii._hermitian_parts(a[None]))),
+            (sym, radii._Kernels(None, sym[None], *radii._real_parts(sym[None]))),
+            (a, radii._Kernels.pencil(None, a[None], 1 / 3, 1 / 3)),
         )
-        for m, size, build in kernels:
-            rows = radii._top_eigenvalues(build, size, owner, thetas)
-            far = np.linalg.eigvalsh(build(owner, thetas + np.pi))[:, -1]
-            near = np.linalg.eigvalsh(build(owner, thetas))[:, -1]
+        for m, record in records:
+            rows = record.tops(owner, thetas)
+            far = np.linalg.eigvalsh(record.build(owner, thetas + np.pi))[:, -1]
+            near = np.linalg.eigvalsh(record.build(owner, thetas))[:, -1]
             bound = 1e-13 * max(1.0, np.linalg.norm(m, 2))
             assert np.max(np.abs(rows[:, 1] - far)) <= bound
             np.testing.assert_array_equal(rows[:, 0], near)
@@ -1310,8 +1308,8 @@ class TestWitnessSolve:
     def test_witness_is_its_vector_over_its_norm(self, rho, monkeypatch):
         # each reported witness is x / np.linalg.norm(x) of its own solve's
         # top half, bit for bit, though a record normalizes all its rows at once
-        solved, witnesses = [], radii._witnesses
-        monkeypatch.setattr(radii, "_witnesses",
+        solved, witnesses = [], radii._Kernels.witnesses
+        monkeypatch.setattr(radii._Kernels, "witnesses",
                             lambda *args: solved.append(witnesses(*args)) or solved[-1])
         rng = seeded(34, 0)
         # one record per size, in the order of mats
@@ -1360,13 +1358,13 @@ class TestWitnessSolve:
         eigh, attempts, calls = np.linalg.eigh, [], []
 
         def broken(m, b):
-            attempts.append(np.shape(m))
+            attempts.append(m)
             if failure == "raises":
                 raise np.linalg.LinAlgError("Singular matrix")
             return np.full(np.shape(b), np.nan)
 
         def counted(m, *args, **kwargs):
-            calls.append(np.shape(m))
+            calls.append(m)
             return eigh(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "solve", broken)
@@ -1376,6 +1374,8 @@ class TestWitnessSolve:
             calls.clear()
             got = rho_radius(a, rho, 1e-8)
             assert len(attempts) == len(calls) == 1
+            # eigh takes the shifted kernels the solve was given, built once
+            assert calls[0] is attempts[0]
             # the same sweep; only the witness may differ, by rounding
             assert (got.evaluations, got.rounds, got.tolerance) == (
                 est.evaluations, est.rounds, est.tolerance)

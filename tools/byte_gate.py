@@ -104,6 +104,9 @@ INVOCATIONS = (
         ["bounds", "--steps", "0"],
         ["range", "--matrix", "{GAUSS}", "--samples", "4"],
         ["extremal", "scaling", "--kmin", "3", "--kmax", "2"],
+        # counts whose arrays (2^50 entries) fail to allocate at once
+        ["bounds", "--steps", "1125899906842624"],
+        ["range", "--matrix", "{GAUSS}", "--samples", "1125899906842624"],
         # entries beyond the radii's input limit ({HUGE} = 1e308 I), at every
         # rho, and for float64 itself ({BIGINT}, a JSON integer beyond its
         # range); the range of {HUGE}, sampled at unit scale, stays finite
